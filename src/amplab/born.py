@@ -231,7 +231,7 @@ def small_N_direct(
 class ScanRow:
     N: int
     overlap_exact: float
-    overlap_gaussian: float
+    overlap_gaussian: float | None  # None where the Gaussian limit is degenerate
     deviation: float
 
 
@@ -239,13 +239,17 @@ def convergence_scan(
     p: float, f: float, epsilon: float, N_list: Sequence[int]
 ) -> list[ScanRow]:
     """Overlap/deviation rows for ascending N; shows the window mass tending
-    to one when |f - p| < eps and to zero when the window excludes p."""
+    to one when |f - p| < eps and to zero when the window excludes p.
+
+    At p = 0 or 1 the exact overlap is well defined but the Gaussian limit is
+    not, so those rows carry ``overlap_gaussian=None``.
+    """
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be ascending")
     rows = []
     for N in N_list:
         experiment = BornExperiment(p=p, N=int(N), f=f, epsilon=epsilon)
         exact = overlap_exact(experiment)
-        gauss = overlap_gaussian(experiment)
+        gauss = overlap_gaussian(experiment) if 0.0 < p < 1.0 else None
         rows.append(ScanRow(int(N), exact, gauss, 1.0 - exact))
     return rows

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .amplitudes import (
     BruteForcePaths,
-    PathExplosionError,
     RecursiveDecompose,
     SigmaInsert,
     TransferMatrix,
@@ -72,6 +71,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""  # an undefined cell, e.g. the Gaussian limit at p = 0 or 1
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
@@ -110,7 +111,8 @@ class _Run:
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
-    def finish(self) -> None:
+    def finish(self, **counts: int) -> None:
+        """Write the manifest; ``counts`` are work counters added to it."""
         flags = {
             k: v
             for k, v in sorted(vars(self.args).items())
@@ -123,6 +125,7 @@ class _Run:
             "version": __version__,
             "outputs": self.outputs,
             "wall_clock_s": time.monotonic() - self.started,
+            **counts,
         }
         path = Path(str(self.prefix) + ".manifest.json")
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -145,24 +148,22 @@ def _fuzz_kernel(config: LatticeConfig):
     return make_tight_binding_kernel(config, hop=1.0, onsite=onsite)
 
 
-def _consistency_all_strategies(setup, kernel, max_paths: int):
-    strategies = [
+def _all_strategies(max_paths: int) -> list:
+    # consistency_check skips the brute-force path sum when its guard trips
+    # and records it in the report's ``skipped``
+    return [
         TransferMatrix(),
         RecursiveDecompose(),
         SigmaInsert(),
         BruteForcePaths(max_paths=max_paths),
     ]
-    try:
-        return consistency_check(setup, kernel, strategies)
-    except PathExplosionError:
-        return consistency_check(setup, kernel, strategies[:-1])
 
 
 def _cmd_amplitude(args: argparse.Namespace) -> int:
     run = _Run(args)
     setup = load_setup(args.setup)
     kernel = load_kernel(args.kernel)
-    report = _consistency_all_strategies(setup, kernel, args.max_paths)
+    report = consistency_check(setup, kernel, _all_strategies(args.max_paths))
     value = report.value("transfer_matrix")
     payload = {
         "setup": setup_to_dict(setup),  # normalized: filters and holes sorted
@@ -172,6 +173,7 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
             f"{a}|{b}": dev for a, b, dev in report.pair_deviations
         },
         "max_deviation": report.max_deviation,
+        "skipped": dict(report.skipped),
         "tolerance": CONSISTENCY_TOL,
     }
     run.write_report(payload)
@@ -191,18 +193,23 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     config = LatticeConfig(num_sites=args.L, num_steps=args.T)
     kernel = _fuzz_kernel(config)
     max_filters = min(args.max_filters, args.T - 1)
+    strategies = _all_strategies(args.max_paths)
     rows = []
     worst = 0.0
+    oracle_ran = 0
     for i in range(args.count):
         seed = args.seed + i
         setup = random_setup(config, seed, max_filters=max_filters)
-        report = _consistency_all_strategies(setup, kernel, args.max_paths)
+        report = consistency_check(setup, kernel, strategies)
         worst = max(worst, report.max_deviation)
+        oracle_ran += not report.skipped
         for name_a, name_b, dev in report.pair_deviations:
             rows.append([seed, f"{name_a}|{name_b}", dev])
     run.write_table("", ["seed", "strategy_pair", "deviation"], rows)
-    run.finish()
+    run.finish(brute_force_ran=oracle_ran)
     print(f"fuzz: {args.count} setups, max deviation {worst:.3e}")
+    guard = " (path guard)" if oracle_ran < args.count else ""
+    print(f"brute_force ran on {oracle_ran}/{args.count} setups{guard}")
     if worst > CONSISTENCY_TOL:
         print(f"consistency violation: {worst:.3e}", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -325,6 +332,8 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     holes = _parse_int_list(args.holes)
     if len(holes) != 2:
         raise SetupError("--holes needs exactly two comma-separated sites")
+    if holes[0] == holes[1]:
+        raise SetupError(f"--holes names site {holes[0]} twice; need two sites")
     config = LatticeConfig(num_sites=args.L, num_steps=args.steps, dt=args.dt)
     kernel = make_tight_binding_kernel(config, hop=args.hop)
     source = Event(args.source if args.source is not None else args.L // 2, 0)
@@ -474,7 +483,8 @@ def main(argv: list[str] | None = None) -> int:
         SetupError,
         KernelFormatError,
         RegradeError,
-        FileNotFoundError,
+        OSError,
+        RuntimeError,
         json.JSONDecodeError,
         ValueError,
     ) as exc:

@@ -130,7 +130,7 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
     squarings = 0
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
-    b = a / (2.0**squarings)
+    b = a * 0.5**squarings  # 2.0**squarings overflows past 1023
     eye = np.eye(a.shape[0], dtype=complex)
     result = eye.copy()
     term = eye.copy()

@@ -1,8 +1,11 @@
+import csv
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+import amplab.amplitudes as amplitudes
 from amplab import (
     BruteForcePaths,
     Event,
@@ -25,8 +28,10 @@ from amplab import (
     make_tight_binding_kernel,
     or_compose,
     propagator,
+    random_setup,
     relative_deviation,
 )
+from amplab.cli import _fuzz_kernel, main
 
 from genutil import random_and_pair, random_kernel, random_or_pair
 
@@ -215,8 +220,6 @@ def test_consistency_check_fuzz():
         SigmaInsert(),
         BruteForcePaths(),
     )
-    from amplab import random_setup
-
     worst = 0.0
     for seed in range(100):
         setup = random_setup(config, seed, 3)
@@ -241,3 +244,124 @@ def test_consistency_report_value_lookup():
     assert report.value("transfer_matrix") == amplitude(setup, kernel)
     with pytest.raises(KeyError):
         report.value("unknown")
+
+
+def bruteforce_reference(setup, kernel):
+    """The path sum built from an ``itertools.product`` list of every path:
+    one product of step entries per path, summed once.  The reference for
+    the layered path sum in ``amplitude_bruteforce``."""
+    allowed = []
+    for t in range(setup.source.time + 1, setup.detector.time):
+        f = setup.filter_at(t)
+        allowed.append(f.holes if f is not None else tuple(range(kernel.num_sites)))
+    paths = list(itertools.product(*allowed))
+    if not paths:
+        return 0j  # a blocking filter kills every path
+    paths = np.array(paths, dtype=np.intp).reshape(len(paths), len(allowed))
+    step = kernel.step
+    amps = np.ones(len(paths), dtype=complex)
+    prev = np.full(len(paths), setup.source.site, dtype=np.intp)
+    for col in range(paths.shape[1]):
+        amps *= step[paths[:, col], prev]
+        prev = paths[:, col]
+    amps *= step[setup.detector.site, prev]
+    return complex(amps.sum())
+
+
+def test_path_sum_matches_reference_on_default_fuzz_setups():
+    # the 1000 setups of ``amplab fuzz`` at its defaults
+    config = LatticeConfig(8, 6)
+    kernel = _fuzz_kernel(config)
+    worst = 0.0
+    for seed in range(1000):
+        setup = random_setup(config, seed, max_filters=3)
+        worst = max(
+            worst,
+            relative_deviation(
+                amplitude_bruteforce(setup, kernel), bruteforce_reference(setup, kernel)
+            ),
+        )
+    assert worst <= 1e-13
+
+
+def test_path_sum_matches_reference_on_non_symmetric_kernels():
+    # the fuzz kernel is symmetric, so only a non-symmetric kernel tells
+    # step[site, prev] from step[prev, site]
+    rng_struct = random.Random(41)
+    rng_mat = np.random.default_rng(41)
+    worst = 0.0
+    worst_transposed = 0.0
+    for _ in range(300):
+        num_sites = rng_struct.randint(3, 6)
+        num_steps = rng_struct.randint(2, 6)
+        kernel = random_kernel(num_sites, rng_mat)
+        setup = random_setup(
+            LatticeConfig(num_sites, num_steps), rng_struct, max_filters=num_steps - 1
+        )
+        expected = bruteforce_reference(setup, kernel)
+        worst = max(worst, relative_deviation(amplitude_bruteforce(setup, kernel), expected))
+        transposed = amplitude_bruteforce(setup, Kernel(kernel.step.T))
+        worst_transposed = max(worst_transposed, relative_deviation(transposed, expected))
+    assert worst <= 1e-13
+    assert worst_transposed > 1e-3
+
+
+def test_path_sum_edge_cases():
+    kernel = random_kernel(4, np.random.default_rng(43))
+    # no intermediate time: the single path is one step entry
+    assert amplitude_bruteforce(Setup(Event(1, 0), Event(3, 1)), kernel) == kernel.step[3, 1]
+    # a blocking filter between open layers
+    blocked = Setup(Event(0, 0), Event(2, 4), (FilterSpec(2, ()),))
+    assert amplitude_bruteforce(blocked, kernel) == 0
+    # the guard admits exactly max_paths paths: 4 ** 3 here
+    bare = Setup(Event(0, 0), Event(2, 4))
+    value = amplitude_bruteforce(bare, kernel, max_paths=64)
+    assert relative_deviation(value, bruteforce_reference(bare, kernel)) <= 1e-13
+    with pytest.raises(PathExplosionError):
+        amplitude_bruteforce(bare, kernel, max_paths=63)
+
+
+def test_consistency_check_records_skipped_oracle(monkeypatch):
+    kernel = random_kernel(4, np.random.default_rng(47))
+    setup = Setup(Event(0, 0), Event(3, 9))  # 4 ** 8 paths
+    calls = []
+    original = amplitudes.amplitude
+    monkeypatch.setattr(
+        amplitudes, "amplitude", lambda *args: calls.append(1) or original(*args)
+    )
+    strategies = (
+        TransferMatrix(),
+        RecursiveDecompose(),
+        SigmaInsert(),
+        BruteForcePaths(max_paths=100),
+    )
+    report = consistency_check(setup, kernel, strategies)
+    assert report.skipped == (("brute_force", "path count exceeds guard of 100 paths"),)
+    assert [name for name, _ in report.values] == [
+        "transfer_matrix",
+        "decompose_all",
+        "sigma_all",
+    ]
+    assert len(report.pair_deviations) == 3
+    # no filter to split at and no retry: one amplitude() call per strategy run
+    assert len(calls) == 3
+    with pytest.raises(ValueError):
+        consistency_check(setup, kernel, (TransferMatrix(), BruteForcePaths(max_paths=100)))
+
+
+def test_fuzz_exits_2_on_conjugated_path_sum(tmp_path, monkeypatch, capsys):
+    # a path sum on the conjugated (time-reversed) kernel must trip the alarm
+    original = amplitudes.amplitude_bruteforce
+    monkeypatch.setattr(
+        amplitudes,
+        "amplitude_bruteforce",
+        lambda setup, kernel, *rest: original(setup, Kernel(kernel.step.conj()), *rest),
+    )
+    out = tmp_path / "fz"
+    assert main(["fuzz", "--count", "10", "--out", str(out)]) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
+    assert breaches
+    assert all("brute_force" in pair.split("|") for pair in breaches)

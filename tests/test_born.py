@@ -226,3 +226,7 @@ def test_convergence_scan():
     assert strict[0].overlap_exact > strict[1].overlap_exact > strict[2].overlap_exact
     with pytest.raises(ValueError):
         convergence_scan(0.5, 0.5, 0.1, [100, 10])
+    # p = 0 or 1: the exact overlap is defined, the Gaussian limit is not
+    for p, f in ((0.0, 0.01), (1.0, 0.99)):
+        rows = convergence_scan(p, f, 0.02, [100, 1000])
+        assert [(r.overlap_exact, r.overlap_gaussian) for r in rows] == [(1.0, None)] * 2

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import amplab.lattice as lattice
 from amplab import (
     Event,
     FilterSpec,
@@ -72,6 +73,7 @@ def test_amplitude_subcommand(tmp_path, capsys):
     assert payload["max_deviation"] <= 1e-10
     assert "transfer_matrix" in payload["strategies"]
     assert "brute_force" in payload["strategies"]
+    assert payload["skipped"] == {}
     manifest = json.loads((tmp_path / "amp.manifest.json").read_text())
     assert manifest["subcommand"] == "amplitude"
     assert str(tmp_path / "amp.json") in manifest["outputs"]
@@ -124,6 +126,25 @@ def test_fuzz_deterministic_output(tmp_path):
     rows = read_csv(tmp_path / "a.csv")
     assert rows[0] == ["seed", "strategy_pair", "deviation"]
     assert all(float(r[2]) <= 1e-10 for r in rows[1:])
+
+
+def test_path_guard_skip_is_reported(tmp_path, capsys):
+    kernel_path, setup_path = write_inputs(tmp_path)
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    assert main(argv + ["--max-paths", "1", "--out", str(tmp_path / "amp")]) == 0
+    payload = json.loads((tmp_path / "amp.json").read_text())
+    assert payload["skipped"] == {"brute_force": "path count exceeds guard of 1 paths"}
+    assert sorted(payload["strategies"]) == ["decompose_all", "sigma_all", "transfer_matrix"]
+    capsys.readouterr()
+    # at most 3 filters on 4 interior times leave a layer of 4 open sites,
+    # so every setup has more than 3 paths
+    for max_paths, ran, note in (("3", 0, " (path guard)"), ("10000000", 3, "")):
+        out = tmp_path / f"fz{ran}"
+        argv = ["fuzz", "--count", "3", "--L", "4", "--T", "5", "--max-paths", max_paths]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert f"brute_force ran on {ran}/3 setups{note}" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / f"fz{ran}.manifest.json").read_text())
+        assert manifest["brute_force_ran"] == ran
 
 
 def test_fuzz_json_format(tmp_path):
@@ -317,3 +338,40 @@ def test_double_slit_bad_holes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     code = main(["double-slit", "--holes", "1,99", "--out", str(tmp_path / "ds")])
     assert code == 1
+    # one hole named twice is invalid input, not a sum-rule violation
+    code = main(["double-slit", "--holes", "5,5", "--out", str(tmp_path / "ds")])
+    assert code == 1
+    assert "twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", ["0", "1"])
+def test_born_degenerate_p_leaves_gaussian_blank(tmp_path, p):
+    out = tmp_path / "born"
+    f = "0.01" if p == "0" else "0.99"
+    argv = ["born", "--p", p, "--f", f, "--eps", "0.02", "--N-list", "100,1000"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = read_csv(tmp_path / "born.csv")
+    assert rows[1:] == [["100", "1", "", "0"], ["1000", "1", "", "0"]]
+
+
+def test_out_under_a_file_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    code = main(["born", "--p", "0.5", "--f", "0.5", "--eps", "0.1", "--N-list", "10",
+                 "--out", str(blocker / "born")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_kernel_construction_failure_exits_1(tmp_path, monkeypatch, capsys):
+    argv = ["double-slit", "--holes", "3,9", "--out", str(tmp_path / "ds")]
+    # |dt H| near the float limit takes over 1023 squarings: not unitary
+    assert main(argv + ["--dt", "1e308", "--hop", "0.3"]) == 1
+    assert "not unitary" in capsys.readouterr().err
+
+    def diverge(matrix):
+        raise RuntimeError("matrix exponential series failed to converge")
+
+    monkeypatch.setattr(lattice, "expm_series", diverge)
+    assert main(argv) == 1
+    assert "error: matrix exponential series failed" in capsys.readouterr().err
