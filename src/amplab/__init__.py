@@ -20,6 +20,7 @@ from .amplitudes import (
     amplitude,
     amplitude_bruteforce,
     consistency_check,
+    detector_vector,
     evaluate,
     relative_deviation,
 )
@@ -94,7 +95,6 @@ from .setups import (
     SetupError,
     and_compose,
     decompose_at,
-    equals,
     insert_sigma,
     load_setup,
     or_compose,

@@ -1,11 +1,12 @@
 """Amplitude assignment for setups: sum rule, product rule, consistency.
 
-Every setup gets a complex amplitude.  The production evaluator threads a
-source vector through the one-step kernel, applying each filter as a 0/1
-diagonal mask at its time; the detector-site component of the final vector is
-the amplitude.  That evaluation is mathematically identical to a sum over all
-hole-threading paths weighted by products of single-step kernel entries, and
-``amplitude_bruteforce`` computes that sum literally as an independent oracle.
+Every setup gets a complex amplitude.  The production evaluator,
+``detector_vector``, threads a source vector through the one-step kernel,
+applying each filter as a 0/1 diagonal mask at its time; the detector-site
+component of the final vector is the amplitude.  That evaluation is
+mathematically identical to a sum over all hole-threading paths weighted by
+products of single-step kernel entries, and ``amplitude_bruteforce`` computes
+that sum literally as an independent oracle.
 
 ``consistency_check`` evaluates one setup by several independent strategies
 (transfer matrix, brute-force path sum, decomposition at single-hole filters
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import Kernel, mask_vector
-from .setups import Setup, SetupError, decompose_at, insert_sigma
+from .setups import Setup, check_sites, decompose_at, insert_sigma
 
 DEFAULT_PATH_GUARD = 10_000_000
 
@@ -86,24 +87,15 @@ class SigmaInsert:
 EvalStrategy = TransferMatrix | BruteForcePaths | RecursiveDecompose | SigmaInsert
 
 
-def _check_compatible(setup: Setup, kernel: Kernel) -> None:
-    num_sites = kernel.num_sites
-    for event, name in ((setup.source, "source"), (setup.detector, "detector")):
-        if not 0 <= event.site < num_sites:
-            raise SetupError(
-                f"{name} site {event.site} outside kernel lattice [0, {num_sites})"
-            )
-    for f in setup.filters:
-        if any(not 0 <= h < num_sites for h in f.holes):
-            raise SetupError(
-                f"filter at time {f.time} has holes outside [0, {num_sites})"
-            )
+def detector_vector(setup: Setup, kernel: Kernel) -> np.ndarray:
+    """Masked transfer-matrix evolution of ``setup`` up to its detector time.
 
-
-def amplitude(setup: Setup, kernel: Kernel) -> complex:
-    """Amplitude of ``setup`` by masked transfer-matrix evolution."""
-    _check_compatible(setup, kernel)
+    A unit vector at the source site is threaded through the one-step kernel,
+    each filter applied as a 0/1 mask at its time.  Entry ``x`` of the result
+    is the amplitude of the setup with its detector moved to site ``x``.
+    """
     num_sites = kernel.num_sites
+    check_sites(setup, num_sites)
     by_time = {f.time: f for f in setup.filters}
     psi = np.zeros(num_sites, dtype=complex)
     psi[setup.source.site] = 1.0
@@ -112,7 +104,12 @@ def amplitude(setup: Setup, kernel: Kernel) -> complex:
         f = by_time.get(t)
         if f is not None:
             psi = psi * mask_vector(num_sites, f.holes)
-    return complex(psi[setup.detector.site])
+    return psi
+
+
+def amplitude(setup: Setup, kernel: Kernel) -> complex:
+    """Amplitude of ``setup`` by masked transfer-matrix evolution."""
+    return complex(detector_vector(setup, kernel)[setup.detector.site])
 
 
 def amplitude_bruteforce(
@@ -129,8 +126,8 @@ def amplitude_bruteforce(
     the detector step.  No intermediate site is summed over, so the oracle
     shares no algebra with the transfer matrix it checks.
     """
-    _check_compatible(setup, kernel)
     num_sites = kernel.num_sites
+    check_sites(setup, num_sites)
     by_time = {f.time: f for f in setup.filters}
     allowed: list[tuple[int, ...]] = []
     n_paths = 1

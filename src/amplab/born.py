@@ -19,17 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .composite import product_state
+from .composite import TENSOR_GUARD, product_state
 from .lattice import WaveFunction, is_normalized
 
 SMALL_N_LIMIT = 12
-
-TENSOR_GUARD = 10_000_000
 
 # half-width of the bulk kept for normalization, in standard deviations;
 # the truncated mass is below exp(-2*144*p(1-p)) and never matters
@@ -218,11 +217,10 @@ def small_N_direct(
         raise ValueError(f"site {k_site} outside [0, {num_sites})")
     coeffs = product_state([psi] * N)
     probs = np.abs(coeffs) ** 2
-    indices = np.arange(num_sites**N, dtype=np.int64)
-    counts = np.zeros(indices.shape, dtype=np.int64)
-    for position in range(N):
-        digit = (indices // (num_sites ** (N - 1 - position))) % num_sites
-        counts += digit == k_site
+    # replicas at k_site per configuration, first replica most significant
+    # as in product_state; int8 holds counts up to SMALL_N_LIMIT
+    hit = (np.arange(num_sites) == k_site).astype(np.int8)
+    counts = reduce(np.add.outer, [hit] * N).reshape(-1)
     in_window = (counts >= window.n_min) & (counts <= window.n_max)
     return float(probs[in_window].sum())
 

@@ -63,13 +63,6 @@ class Event:
     time: int
 
 
-def validate_event(event: Event, config: LatticeConfig) -> None:
-    if not 0 <= event.site < config.num_sites:
-        raise ValueError(f"site {event.site} outside [0, {config.num_sites})")
-    if not 0 <= event.time <= config.num_steps:
-        raise ValueError(f"time {event.time} outside [0, {config.num_steps}]")
-
-
 @dataclass(frozen=True, eq=False)
 class Kernel:
     """One-step transition matrix on the lattice, indexed ``step[to, from]``."""
@@ -284,8 +277,6 @@ def kernel_from_dict(data: dict) -> Kernel:
         ).reshape(num_sites, num_sites)
     except (TypeError, ValueError) as exc:
         raise KernelFormatError(f"entries must be [re, im] pairs: {exc}") from exc
-    if not np.all(np.isfinite(flat)):
-        raise KernelFormatError("kernel entries must be finite")
     return Kernel(flat, label=label)
 
 

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .lattice import Event, LatticeConfig, validate_event
+from .lattice import Event, LatticeConfig
 
 
 class SetupError(ValueError):
@@ -103,21 +103,30 @@ class Setup:
         return tuple(f.time for f in self.filters)
 
 
-def equals(a: Setup, b: Setup) -> bool:
-    """True iff the two setups have the same distribution of filters and holes."""
-    return a == b
+def check_sites(setup: Setup, num_sites: int) -> None:
+    """Raise ``SetupError`` if any source, detector or hole site falls
+    outside a lattice of ``num_sites`` sites."""
+    for event, name in ((setup.source, "source"), (setup.detector, "detector")):
+        if not 0 <= event.site < num_sites:
+            raise SetupError(
+                f"{name} site {event.site} outside lattice [0, {num_sites})"
+            )
+    for f in setup.filters:
+        if f.holes and f.holes[-1] >= num_sites:  # holes are sorted, >= 0
+            raise SetupError(
+                f"filter at time {f.time} has holes outside [0, {num_sites})"
+            )
 
 
 def validate_setup(setup: Setup, config: LatticeConfig) -> None:
     """Raise if any event or hole falls outside the config's lattice."""
-    validate_event(setup.source, config)
-    validate_event(setup.detector, config)
-    for f in setup.filters:
-        for hole in f.holes:
-            if not 0 <= hole < config.num_sites:
-                raise SetupError(
-                    f"hole {hole} at time {f.time} outside [0, {config.num_sites})"
-                )
+    check_sites(setup, config.num_sites)
+    # filters lie strictly between source and detector, so these two bound all
+    if setup.source.time < 0 or setup.detector.time > config.num_steps:
+        raise SetupError(
+            f"times {setup.source.time}..{setup.detector.time} outside "
+            f"[0, {config.num_steps}]"
+        )
 
 
 def and_compose(earlier: Setup, later: Setup) -> Setup:

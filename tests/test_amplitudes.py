@@ -23,6 +23,7 @@ from amplab import (
     and_compose,
     consistency_check,
     decompose_at,
+    detector_vector,
     evaluate,
     insert_sigma,
     make_tight_binding_kernel,
@@ -61,6 +62,20 @@ def test_sum_rule_for_arbitrary_kernel():
     lhs = amplitude(merged, kernel)
     rhs = amplitude(a, kernel) + amplitude(b, kernel)
     assert relative_deviation(lhs, rhs) <= 1e-12
+
+
+def test_detector_vector_holds_every_detector_site():
+    rng = np.random.default_rng(6)
+    config = LatticeConfig(num_sites=5, num_steps=4)
+    kernel = random_kernel(config.num_sites, rng)
+    setup = random_setup(config, 6, max_filters=3)
+    assert len(setup.filters) == 3
+    vector = detector_vector(setup, kernel)
+    assert vector.shape == (config.num_sites,)
+    for x in range(config.num_sites):
+        moved = Setup(setup.source, Event(x, setup.detector.time), setup.filters)
+        assert vector[x] == amplitude(moved, kernel)
+        assert relative_deviation(vector[x], amplitude_bruteforce(moved, kernel)) <= 1e-12
 
 
 def test_blocking_filter_gives_zero():

@@ -14,6 +14,7 @@ from amplab import (
     overlap_exact,
     overlap_for_window,
     overlap_gaussian,
+    product_state,
     small_N_direct,
 )
 
@@ -191,6 +192,32 @@ def test_small_N_direct_matches_binomial():
                     w = ProjectorWindow(lo, hi)
                     direct = small_N_direct(psi, k_site, w, N)
                     assert abs(direct - overlap_for_window(p, N, w)) <= 1e-12
+
+
+def small_N_digit_loop(psi, k_site, window, N):
+    """Reference: replica counts from the base-L digits of each configuration
+    index, the first replica most significant."""
+    probs = np.abs(product_state([psi] * N)) ** 2
+    num_sites = psi.num_sites
+    indices = np.arange(num_sites**N, dtype=np.int64)
+    counts = np.zeros(indices.shape, dtype=np.int64)
+    for position in range(N):
+        counts += (indices // num_sites ** (N - 1 - position)) % num_sites == k_site
+    return float(probs[(counts >= window.n_min) & (counts <= window.n_max)].sum())
+
+
+def test_small_N_direct_counts_match_digit_loop():
+    # same configurations, same order, same pairwise sum: bit-identical
+    rng = np.random.default_rng(23)
+    for num_sites in (2, 3, 4):
+        for N in (1, 2, 5, 8):
+            psi = random_state(num_sites, rng)
+            k_site = int(rng.integers(0, num_sites))
+            lo = int(rng.integers(0, N + 1))
+            w = ProjectorWindow(lo, int(rng.integers(lo, N + 1)))
+            assert small_N_direct(psi, k_site, w, N) == small_N_digit_loop(
+                psi, k_site, w, N
+            )
 
 
 def test_small_N_direct_at_replica_limit():

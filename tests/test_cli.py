@@ -342,6 +342,16 @@ def test_double_slit_bad_holes(tmp_path, capsys):
     code = main(["double-slit", "--holes", "5,5", "--out", str(tmp_path / "ds")])
     assert code == 1
     assert "twice" in capsys.readouterr().err
+    # source site, filter time (default --steps 8) and hole range are
+    # checked by Setup, FilterSpec and detector_vector; "--holes=" keeps
+    # argparse from reading "-1,3" as an option
+    for bad in (
+        ["--holes", "5,10", "--source", "99"],
+        ["--holes", "5,10", "--filter-time", "8"],
+        ["--holes=-1,3"],
+    ):
+        assert main(["double-slit", *bad, "--out", str(tmp_path / "ds")]) == 1
+        assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["0", "1"])

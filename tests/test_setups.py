@@ -14,7 +14,6 @@ from amplab import (
     SetupError,
     and_compose,
     decompose_at,
-    equals,
     insert_sigma,
     load_setup,
     or_compose,
@@ -58,10 +57,10 @@ def test_setup_invariants():
 def test_equality_ignores_hole_order():
     a = Setup(Event(0, 0), Event(3, 2), (FilterSpec(1, (1, 2)),))
     b = Setup(Event(0, 0), Event(3, 2), (FilterSpec(1, (2, 1)),))
-    assert equals(a, a)
-    assert equals(a, b)
+    assert a == a
+    assert a == b
     c = Setup(Event(0, 0), Event(3, 2), (FilterSpec(1, (1, 3)),))
-    assert not equals(a, c)
+    assert a != c
 
 
 def test_and_compose_simplest_instance():
@@ -92,7 +91,7 @@ def test_or_compose_two_slit():
     b = Setup(Event(0, 0), Event(3, 2), (FilterSpec(1, (2,)),))
     merged = or_compose(a, b)
     assert merged == Setup(Event(0, 0), Event(3, 2), (FilterSpec(1, (1, 2)),))
-    assert equals(or_compose(a, b), or_compose(b, a))
+    assert or_compose(a, b) == or_compose(b, a)
 
 
 def test_or_compose_rejections():
@@ -145,7 +144,7 @@ def test_decompose_at_inverts_and_compose():
     earlier, later = decompose_at(s, 2)
     assert earlier == Setup(Event(0, 0), Event(1, 2))
     assert later == Setup(Event(1, 2), Event(3, 4), (FilterSpec(3, (0, 2)),))
-    assert equals(and_compose(earlier, later), s)
+    assert and_compose(earlier, later) == s
 
 
 def test_decompose_at_rejections():
@@ -159,7 +158,7 @@ def test_decompose_at_rejections():
 def test_random_setup_deterministic():
     a = random_setup(CONFIG, 42, 3)
     b = random_setup(CONFIG, 42, 3)
-    assert equals(a, b)
+    assert a == b
     assert random_setup(CONFIG, 42, 0).filters == ()
     with pytest.raises(SetupError):
         random_setup(CONFIG, 1, CONFIG.num_steps)
@@ -193,8 +192,8 @@ def test_or_associativity_when_allowed():
         a, b, c = variants
         lhs = or_compose(or_compose(a, b), c)
         rhs = or_compose(a, or_compose(b, c))
-        assert equals(lhs, rhs)
-        assert equals(lhs, or_compose(or_compose(a, c), b))
+        assert lhs == rhs
+        assert lhs == or_compose(or_compose(a, c), b)
 
 
 def test_and_associativity_when_allowed():
@@ -205,7 +204,7 @@ def test_and_associativity_when_allowed():
         a = Setup(Event(rng.randrange(4), 0), j1)
         b = Setup(j1, j2, (FilterSpec(2, (rng.randrange(4),)),))
         c = Setup(j2, Event(rng.randrange(4), 4))
-        assert equals(and_compose(and_compose(a, b), c), and_compose(a, and_compose(b, c)))
+        assert and_compose(and_compose(a, b), c) == and_compose(a, and_compose(b, c))
 
 
 def test_and_never_commutes():
@@ -234,7 +233,7 @@ def test_distributivity_setup_identity():
         a = Setup(junction, Event(rng.randrange(4), 4))
         lhs = and_compose(or_compose(b, c), a)
         rhs = or_compose(and_compose(b, a), and_compose(c, a))
-        assert equals(lhs, rhs)
+        assert lhs == rhs
         with pytest.raises(NonConsecutiveError):
             and_compose(a, or_compose(b, c))
 
@@ -249,14 +248,14 @@ def test_or_compose_union_and_commutativity(assignment):
     b = Setup(Event(0, 0), Event(4, 2), (FilterSpec(1, holes_b),))
     merged = or_compose(a, b)
     assert merged.filter_at(1).holes == tuple(sorted(holes_a + holes_b))
-    assert equals(merged, or_compose(b, a))
+    assert merged == or_compose(b, a)
 
 
 def test_setup_json_roundtrip(tmp_path):
     s = Setup(Event(0, 0), Event(3, 4), (FilterSpec(2, (1, 3)),))
     path = tmp_path / "setup.json"
     save_setup(s, path)
-    assert equals(load_setup(path), s)
+    assert load_setup(path) == s
 
 
 def test_setup_json_malformed(tmp_path):
