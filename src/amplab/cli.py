@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -121,8 +122,9 @@ class _Run:
         p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
-    def finish(self, **counts: int) -> None:
-        """Write the manifest; ``counts`` are work counters added to it."""
+    def finish(self, **summary) -> None:
+        """Write the manifest; ``summary`` holds work counters and run
+        results (JSON values) added to it."""
         flags = {
             k: v
             for k, v in sorted(vars(self.args).items())
@@ -135,7 +137,7 @@ class _Run:
             "version": __version__,
             "outputs": self.outputs,
             "wall_clock_s": time.monotonic() - self.started,
-            **counts,
+            **summary,
         }
         path = Path(str(self.prefix) + ".manifest.json")
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -206,20 +208,34 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     strategies = _all_strategies(args.max_paths)
     rows = []
     worst = 0.0
+    worst_seed = worst_pair = None  # the first pair at the max deviation
     oracle_ran = 0
+    skipped_reasons: dict[str, int] = {}
     for i in range(args.count):
         seed = args.seed + i
         setup = random_setup(config, seed, max_filters=max_filters)
         report = consistency_check(setup, kernel, strategies)
-        worst = max(worst, report.max_deviation)
         oracle_ran += not report.skipped
+        for _, reason in report.skipped:
+            skipped_reasons[reason] = skipped_reasons.get(reason, 0) + 1
         for name_a, name_b, dev in report.pair_deviations:
-            rows.append([seed, f"{name_a}|{name_b}", dev])
+            pair = f"{name_a}|{name_b}"
+            rows.append([seed, pair, dev])
+            if worst_pair is None or dev > worst:
+                worst, worst_seed, worst_pair = dev, seed, pair
     run.write_table("", ["seed", "strategy_pair", "deviation"], rows)
-    run.finish(brute_force_ran=oracle_ran)
+    run.finish(
+        brute_force_ran=oracle_ran,
+        skipped_reasons=skipped_reasons,
+        worst_deviation=worst,
+        worst_seed=worst_seed,
+        worst_pair=worst_pair,
+    )
     print(f"fuzz: {args.count} setups, max deviation {worst:.3e}")
     guard = " (path guard)" if oracle_ran < args.count else ""
     print(f"brute_force ran on {oracle_ran}/{args.count} setups{guard}")
+    if worst_pair is not None:
+        print(f"worst: seed {worst_seed}, pair {worst_pair}, deviation {worst:.3e}")
     if worst > CONSISTENCY_TOL:
         print(f"consistency violation: {worst:.3e}", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -473,9 +489,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_INT_LIST_FLAGS = ("--holes", "--N-list")
+
+_NEGATIVE_INT_LIST = re.compile(r"-\d+(\s*,\s*-?\d+)*,?")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """Write ``--holes -1,3`` as ``--holes=-1,3``: argparse reads a separate
+    value that starts with a dash as an option and rejects it before the
+    list reaches its own checks."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _INT_LIST_FLAGS and _NEGATIVE_INT_LIST.fullmatch(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_lists(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         return args.func(args)
     except (

@@ -1,6 +1,8 @@
 import csv
 import itertools
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from amplab import (
     relative_deviation,
 )
 from amplab.cli import _fuzz_kernel, main
+from amplab.lattice import mask_vector
 
 from genutil import random_and_pair, random_kernel, random_or_pair
 
@@ -336,6 +339,61 @@ def test_path_sum_edge_cases():
         amplitude_bruteforce(bare, kernel, max_paths=63)
 
 
+def test_path_sum_join_matches_reference(monkeypatch):
+    # long setups on non-symmetric kernels: the join lands on an interior
+    # layer, and both the head and the tail grow through several layers
+    grown = []
+    original = amplitudes._grow_paths
+    monkeypatch.setattr(
+        amplitudes,
+        "_grow_paths",
+        lambda step, start, layers: grown.append(len(layers))
+        or original(step, start, layers),
+    )
+    rng_struct = random.Random(53)
+    rng_mat = np.random.default_rng(53)
+    worst = 0.0
+    interior_joins = 0
+    for num_sites, max_steps in ((3, 10), (4, 8)):
+        for num_steps in range(3, max_steps + 1):
+            for _ in range(6):
+                kernel = random_kernel(num_sites, rng_mat)
+                setup = random_setup(
+                    LatticeConfig(num_sites, num_steps),
+                    rng_struct,
+                    max_filters=num_steps - 1,
+                )
+                grown.clear()
+                value = amplitude_bruteforce(setup, kernel)
+                expected = bruteforce_reference(setup, kernel)
+                worst = max(worst, relative_deviation(value, expected))
+                interior_joins += len(grown) == 2 and min(grown) >= 2
+    assert worst <= 1e-13
+    assert interior_joins >= 20
+
+
+def test_path_sum_join_edge_cases():
+    kernel = random_kernel(4, np.random.default_rng(59))
+    # the cheapest join is a one-hole filter: 4 * 4 * 1 head and 1 * 4 * 4
+    # tail paths
+    narrow = Setup(Event(0, 0), Event(2, 6), (FilterSpec(3, (2,)),))
+    expected = bruteforce_reference(narrow, kernel)
+    assert relative_deviation(amplitude_bruteforce(narrow, kernel), expected) <= 1e-13
+    # a blocking filter in the head or in the tail kills every path
+    for t in (1, 5):
+        blocked = Setup(Event(0, 0), Event(2, 6), (FilterSpec(t, ()),))
+        assert amplitude_bruteforce(blocked, kernel) == 0
+        assert bruteforce_reference(blocked, kernel) == 0
+    # the detector one step after the source: one step entry, no join
+    one_step = Setup(Event(2, 3), Event(0, 4))
+    assert amplitude_bruteforce(one_step, kernel) == kernel.step[0, 2]
+    # one and two intermediate layers, the last the smallest join
+    for detector_time in (2, 3):
+        short = Setup(Event(1, 0), Event(3, detector_time), (FilterSpec(1, (0, 2)),))
+        expected = bruteforce_reference(short, kernel)
+        assert relative_deviation(amplitude_bruteforce(short, kernel), expected) <= 1e-13
+
+
 def test_consistency_check_records_skipped_oracle(monkeypatch):
     kernel = random_kernel(4, np.random.default_rng(47))
     setup = Setup(Event(0, 0), Event(3, 9))  # 4 ** 8 paths
@@ -380,3 +438,42 @@ def test_fuzz_exits_2_on_conjugated_path_sum(tmp_path, monkeypatch, capsys):
     breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
     assert breaches
     assert all("brute_force" in pair.split("|") for pair in breaches)
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert "brute_force" in manifest["worst_pair"].split("|")
+
+
+def _mutant_detector_vector(defect):
+    """``detector_vector`` with one planted defect: the mask applied before
+    the step, each filter applied one step late, or the first hole of each
+    filter dropped."""
+
+    def mutant(setup, kernel):
+        num_sites = kernel.num_sites
+        by_time = {f.time: f for f in setup.filters}
+        psi = np.zeros(num_sites, dtype=complex)
+        psi[setup.source.site] = 1.0
+        for t in range(setup.source.time + 1, setup.detector.time + 1):
+            f = by_time.get(t - 1 if defect == "late" else t)
+            holes = () if f is None else f.holes[1:] if defect == "drop" else f.holes
+            mask = mask_vector(num_sites, holes) if f is not None else 1.0
+            if defect == "before":
+                psi = kernel.step @ (psi * mask)
+            else:
+                psi = (kernel.step @ psi) * mask
+        return psi
+
+    return mutant
+
+
+@pytest.mark.parametrize("defect", ["before", "late", "drop"])
+def test_fuzz_exits_2_on_production_core_mutants(defect, tmp_path, monkeypatch, capsys):
+    # amplitude(), the decomposition and the sigma insertion all run through
+    # the mutant; only the path sum, which never calls it, can see it
+    monkeypatch.setattr(amplitudes, "detector_vector", _mutant_detector_vector(defect))
+    out = tmp_path / "fz"
+    assert main(["fuzz", "--count", "50", "--out", str(out)]) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
+    assert "transfer_matrix|brute_force" in breaches

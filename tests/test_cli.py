@@ -145,6 +145,27 @@ def test_path_guard_skip_is_reported(tmp_path, capsys):
         assert f"brute_force ran on {ran}/3 setups{note}" in capsys.readouterr().out
         manifest = json.loads((tmp_path / f"fz{ran}.manifest.json").read_text())
         assert manifest["brute_force_ran"] == ran
+        skipped = {} if ran else {"path count exceeds guard of 3 paths": 3}
+        assert manifest["skipped_reasons"] == skipped
+
+
+def test_fuzz_manifest_names_worst_case(tmp_path, capsys):
+    out = tmp_path / "fz"
+    argv = ["fuzz", "--seed", "5", "--count", "20", "--L", "4", "--T", "4"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = read_csv(f"{out}.csv")[1:]
+    deviations = [float(dev) for _, _, dev in rows]
+    seed, pair, dev = rows[deviations.index(max(deviations))]
+    worst = float(dev)
+    manifest = json.loads((tmp_path / "fz.manifest.json").read_text())
+    assert manifest["worst_deviation"] == worst
+    assert manifest["worst_seed"] == int(seed)
+    assert manifest["worst_pair"] == pair
+    assert capsys.readouterr().out.splitlines() == [
+        f"fuzz: 20 setups, max deviation {worst:.3e}",
+        "brute_force ran on 20/20 setups",
+        f"worst: seed {seed}, pair {pair}, deviation {worst:.3e}",
+    ]
 
 
 def test_fuzz_json_format(tmp_path):
@@ -352,6 +373,10 @@ def test_double_slit_bad_holes(tmp_path, capsys):
     ):
         assert main(["double-slit", *bad, "--out", str(tmp_path / "ds")]) == 1
         assert "error:" in capsys.readouterr().err
+    # a separate negative list reaches the setup algebra too
+    code = main(["double-slit", "--holes", "-1,3", "--out", str(tmp_path / "ds")])
+    assert code == 1
+    assert "hole sites must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["0", "1"])
