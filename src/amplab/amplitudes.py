@@ -206,10 +206,7 @@ def _amplitude_sigma(setup: Setup, kernel: Kernel, times: tuple[int, ...]) -> co
             for t in range(setup.source.time + 1, setup.detector.time)
             if t not in occupied
         )
-    widened = setup
-    for t in times:
-        widened = insert_sigma(widened, t, kernel.num_sites)
-    return amplitude(widened, kernel)
+    return amplitude(insert_sigma(setup, times, kernel.num_sites), kernel)
 
 
 def evaluate(setup: Setup, kernel: Kernel, strategy: EvalStrategy) -> complex:
@@ -276,10 +273,11 @@ def consistency_check(
             f"consistency check needs at least two strategies to run; "
             f"{len(values)} ran, skipped: {skipped}"
         )
-    pairs = []
-    worst = 0.0
-    for (name_a, val_a), (name_b, val_b) in itertools.combinations(values, 2):
-        dev = relative_deviation(val_a, val_b)
-        pairs.append((name_a, name_b, dev))
-        worst = max(worst, dev)
+    pairs = [
+        (name_a, name_b, relative_deviation(val_a, val_b))
+        for (name_a, val_a), (name_b, val_b) in itertools.combinations(values, 2)
+    ]
+    devs = [dev for _, _, dev in pairs]
+    # max() would drop a NaN deviation as agreement; NaN is the worst
+    worst = math.nan if any(map(math.isnan, devs)) else max(devs)
     return ConsistencyReport(tuple(values), tuple(pairs), worst, tuple(skipped))

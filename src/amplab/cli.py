@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -75,6 +76,8 @@ EXIT_TOLERANCE = 2
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors with exit code 1, keeping 2 free
     for tolerance breaches."""
+
+    subcommands: dict[str, argparse.ArgumentParser]  # set on the top-level parser
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -151,6 +154,12 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list: {text!r}")
 
 
+def _worse(dev: float, worst: float) -> bool:
+    """``dev > worst``, with NaN above every number: a deviation that is not
+    a number is a breach, never agreement."""
+    return dev > worst or (math.isnan(dev) and not math.isnan(worst))
+
+
 def _fuzz_kernel(config: LatticeConfig):
     # fixed non-uniform onsite profile: breaks translation symmetry so the
     # fuzz covers structurally distinct amplitudes while staying reproducible
@@ -191,7 +200,7 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     run.write_report(payload)
     run.finish()
     print(json.dumps(payload))
-    if report.max_deviation > CONSISTENCY_TOL:
+    if not report.max_deviation <= CONSISTENCY_TOL:
         print(
             f"consistency violation: max deviation {report.max_deviation:.3e}",
             file=sys.stderr,
@@ -201,6 +210,8 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     run = _Run(args)
     config = LatticeConfig(num_sites=args.L, num_steps=args.T)
     kernel = _fuzz_kernel(config)
@@ -221,7 +232,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         for name_a, name_b, dev in report.pair_deviations:
             pair = f"{name_a}|{name_b}"
             rows.append([seed, pair, dev])
-            if worst_pair is None or dev > worst:
+            if worst_pair is None or _worse(dev, worst):
                 worst, worst_seed, worst_pair = dev, seed, pair
     run.write_table("", ["seed", "strategy_pair", "deviation"], rows)
     run.finish(
@@ -234,9 +245,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"fuzz: {args.count} setups, max deviation {worst:.3e}")
     guard = " (path guard)" if oracle_ran < args.count else ""
     print(f"brute_force ran on {oracle_ran}/{args.count} setups{guard}")
-    if worst_pair is not None:
-        print(f"worst: seed {worst_seed}, pair {worst_pair}, deviation {worst:.3e}")
-    if worst > CONSISTENCY_TOL:
+    print(f"worst: seed {worst_seed}, pair {worst_pair}, deviation {worst:.3e}")
+    if not worst <= CONSISTENCY_TOL:
         print(f"consistency violation: {worst:.3e}", file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
@@ -414,6 +424,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.subcommands = sub.choices  # name -> subcommand parser
 
     def common(p: argparse.ArgumentParser, default_out: str) -> None:
         p.add_argument("--out", default=default_out, help="output path prefix")
@@ -494,13 +505,29 @@ _INT_LIST_FLAGS = ("--holes", "--N-list")
 _NEGATIVE_INT_LIST = re.compile(r"-\d+(\s*,\s*-?\d+)*,?")
 
 
-def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """Write ``--holes -1,3`` as ``--holes=-1,3``: argparse reads a separate
-    value that starts with a dash as an option and rejects it before the
-    list reaches its own checks."""
+def _names_int_list_flag(token: str, flags: list[str]) -> bool:
+    """Whether argparse reads ``token`` as one of ``_INT_LIST_FLAGS``: the
+    flag itself, or a prefix of it that begins no other of ``flags``."""
+    if token in flags:
+        named = [token]
+    else:
+        named = [f for f in flags if token.startswith("--") and f.startswith(token)]
+    return len(named) == 1 and named[0] in _INT_LIST_FLAGS
+
+
+def _attach_negative_lists(argv: list[str], flags: list[str]) -> list[str]:
+    """Write ``--holes -1,3`` as ``--holes=-1,3`` (and ``--hol -1,3`` as
+    ``--hol=-1,3``): argparse reads a separate value that starts with a dash
+    as an option and rejects it before the list reaches its own checks.
+    ``flags`` are the subcommand's flags, against which argparse resolves
+    abbreviations."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _INT_LIST_FLAGS and _NEGATIVE_INT_LIST.fullmatch(token):
+        if (
+            out
+            and _NEGATIVE_INT_LIST.fullmatch(token)
+            and _names_int_list_flag(out[-1], flags)
+        ):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)
@@ -509,9 +536,12 @@ def _attach_negative_lists(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(
-        _attach_negative_lists(sys.argv[1:] if argv is None else list(argv))
-    )
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is not None:
+        # argparse's own flag table, the one it matches abbreviations against
+        argv = _attach_negative_lists(argv, list(command._option_string_actions))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (

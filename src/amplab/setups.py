@@ -19,7 +19,8 @@ are deliberately partial:
   filter carries the union of the holes.  The operation is commutative.
 
 A filter with holes everywhere (a "sigma" filter) is physically equivalent to
-no filter at all and may be inserted freely; ``insert_sigma`` does this.  A
+no filter at all and may be inserted freely; ``insert_sigma`` does this at one
+free time or at several at once, building the widened setup once.  A
 filter with an empty hole set blocks everything.  It is representable as a
 degenerate test case (its amplitude is zero) but is rejected as an operand of
 ``or_compose`` and never produced by ``insert_sigma`` or ``random_setup``.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +62,8 @@ class FilterSpec:
     holes: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted(set(int(h) for h in self.holes)))
-        if any(h < 0 for h in normalized):
+        normalized = tuple(sorted(set(map(int, self.holes))))
+        if normalized and normalized[0] < 0:  # sorted: the smallest comes first
             raise SetupError("hole sites must be non-negative")
         object.__setattr__(self, "holes", normalized)
 
@@ -173,16 +175,27 @@ def or_compose(a: Setup, b: Setup) -> Setup:
     return Setup(a.source, a.detector, new_filters)
 
 
-def insert_sigma(setup: Setup, time: int, num_sites: int) -> Setup:
-    """Insert a filter with holes everywhere (equivalent to no filter) at ``time``."""
-    if not setup.source.time < time < setup.detector.time:
-        raise SetupError(
-            f"sigma time {time} not strictly between source and detector"
-        )
-    if setup.filter_at(time) is not None:
-        raise SetupError(f"a filter already exists at time {time}")
-    sigma = FilterSpec(time, tuple(range(num_sites)))
-    return Setup(setup.source, setup.detector, setup.filters + (sigma,))
+def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Setup:
+    """Insert a filter with holes everywhere (equivalent to no filter) at
+    ``times``, one time or an iterable of times.
+
+    Each time must lie strictly between source and detector and be free: no
+    filter of ``setup`` and no earlier entry of ``times`` may sit there.  The
+    widened setup is built once, whatever the number of times.
+    """
+    times = tuple(times) if isinstance(times, Iterable) else (times,)
+    occupied = set(setup.filter_times)
+    for time in times:
+        if not setup.source.time < time < setup.detector.time:
+            raise SetupError(
+                f"sigma time {time} not strictly between source and detector"
+            )
+        if time in occupied:
+            raise SetupError(f"a filter already exists at time {time}")
+        occupied.add(time)
+    everywhere = tuple(range(num_sites))
+    sigmas = tuple(FilterSpec(time, everywhere) for time in times)
+    return Setup(setup.source, setup.detector, setup.filters + sigmas)
 
 
 def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:

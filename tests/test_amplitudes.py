@@ -33,6 +33,8 @@ from amplab import (
     propagator,
     random_setup,
     relative_deviation,
+    save_kernel,
+    save_setup,
 )
 from amplab.cli import _fuzz_kernel, main
 from amplab.lattice import mask_vector
@@ -477,3 +479,68 @@ def test_fuzz_exits_2_on_production_core_mutants(defect, tmp_path, monkeypatch, 
         rows = list(csv.reader(fh))[1:]
     breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
     assert "transfer_matrix|brute_force" in breaches
+
+
+@pytest.mark.parametrize("defect", ["before", "late", "drop"])
+def test_amplitude_exits_2_on_production_core_mutants(defect, tmp_path, monkeypatch, capsys):
+    kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
+    save_kernel(_fuzz_kernel(LatticeConfig(8, 6)), kernel_path)
+    setup = Setup(Event(2, 0), Event(5, 6), (FilterSpec(2, (1, 4, 6)), FilterSpec(4, (0, 3, 5))))
+    save_setup(setup, setup_path)
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(amplitudes, "detector_vector", _mutant_detector_vector(defect))
+    assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "amp.json").read_text())
+    assert payload["skipped"] == {}
+    assert payload["pair_deviations"]["transfer_matrix|brute_force"] > 1e-10
+
+
+def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(tmp_path, monkeypatch, capsys):
+    # an inserted sigma filter without site 0 is no longer inert; only the
+    # sigma_all strategy runs through it
+    def insert_sigma_dropping_a_hole(setup, times, num_sites):
+        widened = insert_sigma(setup, times, num_sites)
+        filters = tuple(
+            f if f in setup.filters else FilterSpec(f.time, f.holes[1:])
+            for f in widened.filters
+        )
+        return Setup(setup.source, setup.detector, filters)
+
+    monkeypatch.setattr(amplitudes, "insert_sigma", insert_sigma_dropping_a_hole)
+    out = tmp_path / "fz"
+    assert main(["fuzz", "--count", "50", "--out", str(out)]) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
+    assert breaches == {
+        "transfer_matrix|sigma_all",
+        "decompose_all|sigma_all",
+        "sigma_all|brute_force",
+    }
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert "sigma_all" in manifest["worst_pair"].split("|")
+
+
+def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
+    # NaN from the production core on setups with the source at site 0; the
+    # finite deviations of later setups must not replace it as the worst
+    original = amplitudes.detector_vector
+
+    def nan_at_site_0(setup, kernel):
+        psi = original(setup, kernel)
+        return psi * np.nan if setup.source.site == 0 else psi
+
+    monkeypatch.setattr(amplitudes, "detector_vector", nan_at_site_0)
+    out = tmp_path / "fz"
+    assert main(["fuzz", "--count", "20", "--out", str(out)]) == 2
+    assert "max deviation nan" in capsys.readouterr().out
+    first_nan = next(
+        seed for seed in range(20) if random_setup(LatticeConfig(8, 6), seed, 3).source.site == 0
+    )
+    assert first_nan < 19  # finite setups follow it
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert np.isnan(manifest["worst_deviation"])
+    assert manifest["worst_seed"] == first_nan

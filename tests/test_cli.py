@@ -117,6 +117,26 @@ def test_amplitude_malformed_kernel_exits_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
+    # every amplitude overflows to NaN; NaN deviations are a breach, not agreement
+    kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
+    kernel_path.write_text(json.dumps({"L": 3, "entries": [[1e200, 0.0]] * 9}))
+    save_setup(Setup(Event(0, 0), Event(1, 4)), setup_path)
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    with np.errstate(all="ignore"):
+        assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "amp.json").read_text())
+    assert np.isnan(payload["max_deviation"])
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_fuzz_count_below_one_exits_1(tmp_path, capsys, count):
+    assert main(["fuzz", "--count", count, "--out", str(tmp_path / "fz")]) == 1
+    assert "error: --count must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "fz.csv").exists()
+
+
 def test_fuzz_deterministic_output(tmp_path):
     args = ["fuzz", "--seed", "3", "--count", "25", "--L", "4", "--T", "4"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -373,10 +393,12 @@ def test_double_slit_bad_holes(tmp_path, capsys):
     ):
         assert main(["double-slit", *bad, "--out", str(tmp_path / "ds")]) == 1
         assert "error:" in capsys.readouterr().err
-    # a separate negative list reaches the setup algebra too
-    code = main(["double-slit", "--holes", "-1,3", "--out", str(tmp_path / "ds")])
-    assert code == 1
-    assert "hole sites must be non-negative" in capsys.readouterr().err
+    # a separate negative list reaches the setup algebra too, after the flag
+    # itself or an abbreviation argparse accepts
+    for flag in ("--holes", "--hol"):
+        code = main(["double-slit", flag, "-1,3", "--out", str(tmp_path / "ds")])
+        assert code == 1
+        assert "hole sites must be non-negative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["0", "1"])

@@ -137,6 +137,16 @@ def test_insert_sigma():
         everywhere = insert_sigma(everywhere, t, CONFIG.num_sites)
     assert len(everywhere.filters) == 3
     assert all(len(f.holes) == CONFIG.num_sites for f in everywhere.filters)
+    # several times at once: the same setup as one insert per time
+    filtered = Setup(Event(0, 0), Event(3, 6), (FilterSpec(3, (1, 2)),))
+    sequential = filtered
+    for t in (5, 1, 2):
+        sequential = insert_sigma(sequential, t, CONFIG.num_sites)
+    assert insert_sigma(filtered, (5, 1, 2), CONFIG.num_sites) == sequential
+    assert insert_sigma(filtered, [], CONFIG.num_sites) == filtered
+    for times in ((1, 3), (2, 6), (0, 2), (1, 2, 1)):  # filter, detector, source, twice
+        with pytest.raises(SetupError):
+            insert_sigma(filtered, times, CONFIG.num_sites)
 
 
 def test_decompose_at_inverts_and_compose():
