@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,7 +40,7 @@ class PathExplosionError(RuntimeError):
 class TransferMatrix:
     """Evaluate by masked matrix-vector products (the production path)."""
 
-    label: str = "transfer_matrix"
+    label: ClassVar[str] = "transfer_matrix"
 
 
 @dataclass(frozen=True)
@@ -47,42 +48,26 @@ class BruteForcePaths:
     """Evaluate by literal enumeration of every hole-threading path."""
 
     max_paths: int = DEFAULT_PATH_GUARD
-    label: str = "brute_force"
+    label: ClassVar[str] = "brute_force"
 
 
 @dataclass(frozen=True)
 class RecursiveDecompose:
-    """Evaluate by splitting at single-hole filters and multiplying the parts.
+    """Evaluate by splitting at every single-hole filter and multiplying the
+    parts."""
 
-    ``split_times`` lists the filter times to split at; an empty tuple means
-    every single-hole filter in the setup.
-    """
-
-    split_times: tuple[int, ...] = ()
-
-    @property
-    def label(self) -> str:
-        if not self.split_times:
-            return "decompose_all"
-        return "decompose@" + ",".join(str(t) for t in self.split_times)
+    label: ClassVar[str] = "decompose_all"
 
 
 @dataclass(frozen=True)
 class SigmaInsert:
-    """Evaluate after inserting all-holes filters at free interior times.
+    """Evaluate after inserting all-holes filters at every free interior time.
 
-    ``times`` lists where to insert; an empty tuple means every admissible
-    interior time.  The inserted filters are physically inert, so the value
-    must match the plain evaluation.
+    The inserted filters are physically inert, so the value must match the
+    plain evaluation.
     """
 
-    times: tuple[int, ...] = ()
-
-    @property
-    def label(self) -> str:
-        if not self.times:
-            return "sigma_all"
-        return "sigma@" + ",".join(str(t) for t in self.times)
+    label: ClassVar[str] = "sigma_all"
 
 
 EvalStrategy = TransferMatrix | BruteForcePaths | RecursiveDecompose | SigmaInsert
@@ -183,29 +168,23 @@ def _grow_paths(
     return amps
 
 
-def _amplitude_decomposed(
-    setup: Setup, kernel: Kernel, split_times: tuple[int, ...]
-) -> complex:
-    if not split_times:
-        split_times = tuple(
-            f.time for f in setup.filters if len(f.holes) == 1
-        )
-    if not split_times:
+def _amplitude_decomposed(setup: Setup, kernel: Kernel) -> complex:
+    # split at the first single-hole filter and recurse on the later part:
+    # the right-nested product a0 * (a1 * (... * rest))
+    split = next((f.time for f in setup.filters if len(f.holes) == 1), None)
+    if split is None:
         return amplitude(setup, kernel)
-    remaining = sorted(split_times)
-    earlier, later = decompose_at(setup, remaining[0])
-    value = amplitude(earlier, kernel)
-    return value * _amplitude_decomposed(later, kernel, tuple(remaining[1:]))
+    earlier, later = decompose_at(setup, split)
+    return amplitude(earlier, kernel) * _amplitude_decomposed(later, kernel)
 
 
-def _amplitude_sigma(setup: Setup, kernel: Kernel, times: tuple[int, ...]) -> complex:
-    if not times:
-        occupied = set(setup.filter_times)
-        times = tuple(
-            t
-            for t in range(setup.source.time + 1, setup.detector.time)
-            if t not in occupied
-        )
+def _amplitude_sigma(setup: Setup, kernel: Kernel) -> complex:
+    occupied = set(setup.filter_times)
+    times = [
+        t
+        for t in range(setup.source.time + 1, setup.detector.time)
+        if t not in occupied
+    ]
     return amplitude(insert_sigma(setup, times, kernel.num_sites), kernel)
 
 
@@ -216,9 +195,9 @@ def evaluate(setup: Setup, kernel: Kernel, strategy: EvalStrategy) -> complex:
     if isinstance(strategy, BruteForcePaths):
         return amplitude_bruteforce(setup, kernel, strategy.max_paths)
     if isinstance(strategy, RecursiveDecompose):
-        return _amplitude_decomposed(setup, kernel, strategy.split_times)
+        return _amplitude_decomposed(setup, kernel)
     if isinstance(strategy, SigmaInsert):
-        return _amplitude_sigma(setup, kernel, strategy.times)
+        return _amplitude_sigma(setup, kernel)
     raise TypeError(f"unknown strategy {strategy!r}")
 
 

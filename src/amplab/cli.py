@@ -1,9 +1,10 @@
 """Command-line entry point: every experiment as a reproducible subcommand.
 
 Each run writes its tabular results next to a ``<prefix>.manifest.json``
-recording the subcommand, the full flag set, the seed, the package version,
-the output paths, and the wall-clock time, so no output exists without
-provenance.  Exit codes: 0 success, 1 validation failure (bad flags or
+recording the subcommand, the full flag set, the seed (fuzz), the package
+version, the output paths, and the wall-clock time, so no output exists
+without provenance.  Every JSON it writes is strict: a non-finite value is
+written as null.  Exit codes: 0 success, 1 validation failure (bad flags or
 malformed input files), 2 internal tolerance breach -- the consistency alarm.
 """
 
@@ -16,6 +17,7 @@ import math
 import re
 import sys
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -75,13 +77,34 @@ EXIT_TOLERANCE = 2
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage errors with exit code 1, keeping 2 free
-    for tolerance breaches."""
+    for tolerance breaches, and reads a dash followed by a digit (``-1,3``,
+    ``-1e5``) as a value, never an option: no amplab flag starts with a
+    digit.  Subparsers are built as ``_Parser`` too."""
 
-    subcommands: dict[str, argparse.ArgumentParser]  # set on the top-level parser
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
+def _finite(x):
+    """``x`` with every non-finite float, however deeply nested, as None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
+
+
+def _dumps(payload, **kwargs) -> str:
+    """Strict JSON: a NaN or infinity is written as null, never as the bare
+    ``NaN`` token that strict readers reject."""
+    return json.dumps(_finite(payload), allow_nan=False, **kwargs)
 
 
 def _fmt(x) -> str:
@@ -105,12 +128,12 @@ class _Run:
         self.outputs.append(str(p))
         return p
 
-    def write_table(self, stem: str, header: list[str], rows: list[list]) -> Path:
+    def write_table(self, stem: str, header: list[str], rows: Iterable) -> Path:
         """Tabular output as CSV, or JSON rows when --format json."""
         if getattr(self.args, "format", "csv") == "json":
             p = self._register(f"{stem}.json")
             payload = {"columns": header, "rows": [[_fmt(x) for x in r] for r in rows]}
-            p.write_text(json.dumps(payload, indent=2) + "\n")
+            p.write_text(_dumps(payload, indent=2) + "\n")
             return p
         p = self._register(f"{stem}.csv")
         with p.open("w", newline="") as fh:
@@ -122,7 +145,7 @@ class _Run:
 
     def write_report(self, payload: dict) -> Path:
         p = self._register(".json")
-        p.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        p.write_text(_dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
     def finish(self, **summary) -> None:
@@ -144,7 +167,7 @@ class _Run:
         }
         path = Path(str(self.prefix) + ".manifest.json")
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        path.write_text(_dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -199,7 +222,7 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     }
     run.write_report(payload)
     run.finish()
-    print(json.dumps(payload))
+    print(_dumps(payload))
     if not report.max_deviation <= CONSISTENCY_TOL:
         print(
             f"consistency violation: max deviation {report.max_deviation:.3e}",
@@ -306,7 +329,7 @@ def _cmd_born_direct(args: argparse.Namespace) -> int:
     }
     run.write_report(payload)
     run.finish()
-    print(json.dumps(payload))
+    print(_dumps(payload))
     if gap > 1e-12:
         print(f"binomial cross-check violation: {gap:.3e}", file=sys.stderr)
         return EXIT_TOLERANCE
@@ -335,7 +358,7 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
     if not payload["associative"]:
         run.write_report(payload)
         run.finish()
-        print(json.dumps(payload))
+        print(_dumps(payload))
         print(
             f"operation {sampler.name} is not associative "
             f"(residual {assoc:.3e}); no regrade exists",
@@ -359,7 +382,7 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
     )
     run.write_report(payload)
     run.finish()
-    print(json.dumps({k: v for k, v in payload.items() if k != "xi_table"}))
+    print(_dumps({k: v for k, v in payload.items() if k != "xi_table"}))
     return EXIT_OK
 
 
@@ -387,27 +410,22 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
         detector_vector(s, kernel)
         for s in (slit_a, slit_b, or_compose(slit_a, slit_b))
     )
-    rows = []
-    worst = 0.0
-    for site in range(args.L):
-        gap = abs(amp_both[site] - amp_a[site] - amp_b[site])
-        worst = max(worst, gap)
-        rows.append(
-            [
-                site,
-                amp_a[site].real,
-                amp_a[site].imag,
-                amp_b[site].real,
-                amp_b[site].imag,
-                amp_both[site].real,
-                amp_both[site].imag,
-                gap,
-            ]
-        )
+    # scalar abs: the array np.abs may differ in the last bit
+    gaps = [abs(both - a - b) for a, b, both in zip(amp_a, amp_b, amp_both)]
+    worst = max(gaps)
     run.write_table(
         "",
         ["site", "re_a", "im_a", "re_b", "im_b", "re_both", "im_both", "sum_check"],
-        rows,
+        zip(
+            range(args.L),
+            amp_a.real,
+            amp_a.imag,
+            amp_b.real,
+            amp_b.imag,
+            amp_both.real,
+            amp_both.imag,
+            gaps,
+        ),
     )
     run.finish()
     print(f"double slit: max |psi_both - psi_a - psi_b| = {worst:.3e}")
@@ -424,26 +442,26 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parser.subcommands = sub.choices  # name -> subcommand parser
 
-    def common(p: argparse.ArgumentParser, default_out: str) -> None:
-        p.add_argument("--out", default=default_out, help="output path prefix")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json"),
-            default="csv",
-            help="tabular output format (reports and manifest are always JSON)",
-        )
+    def common(p: argparse.ArgumentParser, out: str, tables: bool = True) -> None:
+        p.add_argument("--out", default=out, help="output path prefix")
+        if tables:
+            p.add_argument(
+                "--format",
+                choices=("csv", "json"),
+                default="csv",
+                help="tabular output format (reports and manifest are always JSON)",
+            )
 
     p = sub.add_parser("amplitude", help="evaluate one setup by all strategies")
     p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--kernel", required=True, help="kernel JSON file")
     p.add_argument("--max-paths", type=int, default=10_000_000)
-    common(p, "amplitude_out")
+    common(p, "amplitude_out", tables=False)
     p.set_defaults(func=_cmd_amplitude)
 
     p = sub.add_parser("fuzz", help="randomized consistency sweep")
+    p.add_argument("--seed", type=int, default=0, help="seed of the first setup")
     p.add_argument("--count", type=int, default=1000)
     p.add_argument("--L", type=int, default=8)
     p.add_argument("--T", type=int, default=6)
@@ -473,7 +491,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
-    common(p, "born_direct_out")
+    common(p, "born_direct_out", tables=False)
     p.set_defaults(func=_cmd_born_direct)
 
     p = sub.add_parser(
@@ -500,48 +518,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_INT_LIST_FLAGS = ("--holes", "--N-list")
-
-_NEGATIVE_INT_LIST = re.compile(r"-\d+(\s*,\s*-?\d+)*,?")
-
-
-def _names_int_list_flag(token: str, flags: list[str]) -> bool:
-    """Whether argparse reads ``token`` as one of ``_INT_LIST_FLAGS``: the
-    flag itself, or a prefix of it that begins no other of ``flags``."""
-    if token in flags:
-        named = [token]
-    else:
-        named = [f for f in flags if token.startswith("--") and f.startswith(token)]
-    return len(named) == 1 and named[0] in _INT_LIST_FLAGS
-
-
-def _attach_negative_lists(argv: list[str], flags: list[str]) -> list[str]:
-    """Write ``--holes -1,3`` as ``--holes=-1,3`` (and ``--hol -1,3`` as
-    ``--hol=-1,3``): argparse reads a separate value that starts with a dash
-    as an option and rejects it before the list reaches its own checks.
-    ``flags`` are the subcommand's flags, against which argparse resolves
-    abbreviations."""
-    out: list[str] = []
-    for token in argv:
-        if (
-            out
-            and _NEGATIVE_INT_LIST.fullmatch(token)
-            and _names_int_list_flag(out[-1], flags)
-        ):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    command = parser.subcommands.get(argv[0]) if argv else None
-    if command is not None:
-        # argparse's own flag table, the one it matches abbreviations against
-        argv = _attach_negative_lists(argv, list(command._option_string_actions))
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (

@@ -1,4 +1,5 @@
-"""Deterministic random generators shared by the test modules.
+"""Deterministic random generators shared by the test modules, and a
+strict-JSON hook.
 
 Everything here is seeded: the same seed always produces the same setups,
 kernels and states, so failures reproduce exactly.
@@ -20,6 +21,12 @@ from amplab import (
     normalize,
     random_setup,
 )
+
+
+def reject_constant(token: str):
+    """``parse_constant`` hook for ``json.loads``: a bare NaN or Infinity is
+    not strict JSON."""
+    raise ValueError(f"not strict JSON: {token}")
 
 
 def random_kernel(num_sites: int, rng: np.random.Generator, label: str = "random") -> Kernel:

@@ -18,6 +18,7 @@ from amplab import (
     save_wavefunction,
 )
 from amplab.cli import main
+from genutil import reject_constant
 
 
 def write_inputs(tmp_path):
@@ -42,10 +43,21 @@ def test_no_subcommand_exits_1():
     assert excinfo.value.code == 1
 
 
-def test_unknown_flag_exits_1():
+def test_unknown_flag_exits_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["fuzz", "--bogus"])
     assert excinfo.value.code == 1
+    # only fuzz takes --seed; amplitude and born-direct write no table
+    kernel_path, setup_path = write_inputs(tmp_path)
+    for argv in (
+        ["double-slit", "--holes", "5,10", "--seed", "3"],
+        ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path),
+         "--format", "json"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_version_flag():
@@ -126,8 +138,8 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
     assert "consistency violation" in capsys.readouterr().err
-    payload = json.loads((tmp_path / "amp.json").read_text())
-    assert np.isnan(payload["max_deviation"])
+    payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
+    assert payload["max_deviation"] is None  # strict JSON: NaN is null
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -286,6 +298,10 @@ def test_born_bad_n_list(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+    # a negative list is the flag's value and reaches the scan's own check
+    argv = ["born", "--p", "0.5", "--f", "0.5", "--eps", "0.1", "--N-list", "-5,10"]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    assert "N must be a positive integer" in capsys.readouterr().err
 
 
 def test_born_direct_subcommand(tmp_path, capsys):
@@ -336,6 +352,10 @@ def test_regrade_rejects_broken_op(tmp_path, capsys):
     payload = json.loads((tmp_path / "rg.json").read_text())
     assert payload["associative"] is False
     assert "not associative" in capsys.readouterr().err
+    # a negative parameter is a value, not an option, and reaches catalog_op
+    argv = ["regrade", "--op", "cubic-mean", "--param", "-1e5"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "cubic-mean power must be positive" in capsys.readouterr().err
 
 
 def test_regrade_product_rule_flag(tmp_path):
@@ -384,8 +404,7 @@ def test_double_slit_bad_holes(tmp_path, capsys):
     assert code == 1
     assert "twice" in capsys.readouterr().err
     # source site, filter time (default --steps 8) and hole range are
-    # checked by Setup, FilterSpec and detector_vector; "--holes=" keeps
-    # argparse from reading "-1,3" as an option
+    # checked by Setup, FilterSpec and detector_vector
     for bad in (
         ["--holes", "5,10", "--source", "99"],
         ["--holes", "5,10", "--filter-time", "8"],
@@ -399,6 +418,11 @@ def test_double_slit_bad_holes(tmp_path, capsys):
         code = main(["double-slit", flag, "-1,3", "--out", str(tmp_path / "ds")])
         assert code == 1
         assert "hole sites must be non-negative" in capsys.readouterr().err
+    # an abbreviation that names two flags stays a usage error
+    with pytest.raises(SystemExit) as excinfo:
+        main(["double-slit", "--ho", "-1,3", "--out", str(tmp_path / "ds")])
+    assert excinfo.value.code == 1
+    assert "ambiguous option" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", ["0", "1"])
