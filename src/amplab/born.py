@@ -98,12 +98,16 @@ def _window_bounds(f: float, epsilon: float, N: int) -> tuple[int, int]:
     """Integer window: ceil((f-eps)N) .. floor((f+eps)N), clipped to [0, N].
 
     The inclusive-interior rounding keeps the window mass a lower bound on
-    the real-interval mass.  May come back empty (lo > hi).
+    the real-interval mass.  May come back empty (lo > hi).  Clamping the
+    snapped bounds to [-1, N + 1] changes no window and keeps an infinite
+    bound (a huge epsilon) out of ceil and floor.
     """
     x_lo = (f - epsilon) * N
     x_hi = (f + epsilon) * N
-    lo = math.ceil(x_lo - _EDGE_SNAP * max(1.0, abs(x_lo)))
-    hi = math.floor(x_hi + _EDGE_SNAP * max(1.0, abs(x_hi)))
+    x_lo -= _EDGE_SNAP * max(1.0, abs(x_lo))
+    x_hi += _EDGE_SNAP * max(1.0, abs(x_hi))
+    lo = math.ceil(min(max(x_lo, -1.0), N + 1.0))
+    hi = math.floor(min(max(x_hi, -1.0), N + 1.0))
     return max(lo, 0), min(hi, N)
 
 
@@ -242,6 +246,8 @@ def convergence_scan(
     At p = 0 or 1 the exact overlap is well defined but the Gaussian limit is
     not, so those rows carry ``overlap_gaussian=None``.
     """
+    if len(N_list) == 0:
+        raise ValueError("N_list must name at least one replica count")
     if list(N_list) != sorted(N_list):
         raise ValueError("N_list must be ascending")
     rows = []

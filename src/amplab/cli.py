@@ -11,13 +11,12 @@ malformed input files), 2 internal tolerance breach -- the consistency alarm.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
 import sys
 import time
-from collections.abc import Iterable
+from dataclasses import asdict, astuple
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +49,6 @@ from .regrade import (
     ASSOC_GATE,
     CATALOG_NAMES,
     RegradeError,
-    additivity_residual,
     associativity_residual,
     catalog_op,
     product_rule_residual,
@@ -107,12 +105,6 @@ def _dumps(payload, **kwargs) -> str:
     return json.dumps(_finite(payload), allow_nan=False, **kwargs)
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""  # an undefined cell, e.g. the Gaussian limit at p = 0 or 1
-    return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
 class _Run:
     """Collects output files for one invocation and writes the manifest."""
 
@@ -128,19 +120,37 @@ class _Run:
         self.outputs.append(str(p))
         return p
 
-    def write_table(self, stem: str, header: list[str], rows: Iterable) -> Path:
-        """Tabular output as CSV, or JSON rows when --format json."""
+    def write_table(self, stem: str, columns: dict) -> Path:
+        """Write ``columns`` (header -> array or sequence) as CSV, or as JSON
+        rows of the same cells when --format json.  A float column is written
+        ``%.17g``, any other with ``str`` and None blank; no cell holds a comma,
+        quote or line break.  Rows stream to the file, one ``%`` format each."""
+        rules, values = [], []
+        for column in columns.values():
+            if isinstance(column, np.ndarray):
+                column = column.tolist()
+            if all(isinstance(x, float) for x in column):
+                rules.append("%.17g")
+            else:
+                rules.append("%s")
+                column = ("" if x is None else x for x in column)
+            values.append(column)
+        rows = zip(*values)
         if getattr(self.args, "format", "csv") == "json":
             p = self._register(f"{stem}.json")
-            payload = {"columns": header, "rows": [[_fmt(x) for x in r] for r in rows]}
-            p.write_text(_dumps(payload, indent=2) + "\n")
+            names = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
+            rule = "\n    [\n" + ",\n".join(f'      "{r}"' for r in rules) + "\n    ]"
+            with p.open("w") as fh:
+                fh.write(f'{{\n  "columns": {names},\n  "rows": [')
+                for i, row in enumerate(rows):
+                    fh.write(("," if i else "") + rule % row)
+                fh.write("\n  ]\n}\n")
             return p
         p = self._register(f"{stem}.csv")
+        rule = ",".join(rules) + "\r\n"
         with p.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(x) for x in row])
+            fh.write(",".join(columns) + "\r\n")
+            fh.writelines(rule % row for row in rows)
         return p
 
     def write_report(self, payload: dict) -> Path:
@@ -240,7 +250,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     kernel = _fuzz_kernel(config)
     max_filters = min(args.max_filters, args.T - 1)
     strategies = _all_strategies(args.max_paths)
-    rows = []
+    seeds, pairs, devs = [], [], []
     worst = 0.0
     worst_seed = worst_pair = None  # the first pair at the max deviation
     oracle_ran = 0
@@ -254,10 +264,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             skipped_reasons[reason] = skipped_reasons.get(reason, 0) + 1
         for name_a, name_b, dev in report.pair_deviations:
             pair = f"{name_a}|{name_b}"
-            rows.append([seed, pair, dev])
+            seeds.append(seed)
+            pairs.append(pair)
+            devs.append(dev)
             if worst_pair is None or _worse(dev, worst):
                 worst, worst_seed, worst_pair = dev, seed, pair
-    run.write_table("", ["seed", "strategy_pair", "deviation"], rows)
+    run.write_table("", {"seed": seeds, "strategy_pair": pairs, "deviation": devs})
     run.finish(
         brute_force_ran=oracle_ran,
         skipped_reasons=skipped_reasons,
@@ -276,19 +288,21 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
+    if args.steps < 0:
+        raise ValueError(f"--steps must be non-negative, got {args.steps}")
     run = _Run(args)
     kernel = load_kernel(args.kernel)
     psi = load_wavefunction(args.psi)
-    rows = []
-    state = psi
-    for step in range(args.steps + 1):
-        for site, z in enumerate(state.coeffs):
-            rows.append(
-                [step, site, float(z.real), float(z.imag), float(abs(z) ** 2)]
-            )
-        if step < args.steps:
-            state = evolve(state, kernel, 1)
-    run.write_table("", ["step", "site", "re", "im", "prob"], rows)
+    states = [psi]
+    for _ in range(args.steps):
+        states.append(evolve(states[-1], kernel, 1))
+    amps = np.concatenate([state.coeffs for state in states])
+    step, site = np.divmod(np.arange(amps.size), psi.num_sites)
+    # scalar abs: the array np.abs may differ in the last bit
+    prob = [abs(z) ** 2 for z in amps.tolist()]
+    run.write_table(
+        "", {"step": step, "site": site, "re": amps.real, "im": amps.imag, "prob": prob}
+    )
     run.finish()
     print(f"evolved {args.steps} steps on {kernel.num_sites} sites")
     return EXIT_OK
@@ -297,16 +311,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 def _cmd_born(args: argparse.Namespace) -> int:
     run = _Run(args)
     n_list = _parse_int_list(args.N_list)
-    rows = [
-        [row.N, row.overlap_exact, row.overlap_gaussian, row.deviation]
-        for row in convergence_scan(args.p, args.f, args.eps, n_list)
-    ]
+    scan = convergence_scan(args.p, args.f, args.eps, n_list)
+    N, exact, gauss, dev = zip(*map(astuple, scan))
     run.write_table(
-        "", ["N", "overlap_exact", "overlap_gauss", "deviation"], rows
+        "", {"N": N, "overlap_exact": exact, "overlap_gauss": gauss, "deviation": dev}
     )
     run.finish()
-    for row in rows:
-        print(f"N={row[0]}: overlap={row[1]:.12f} deviation={row[3]:.3e}")
+    for n, overlap, deviation in zip(N, exact, dev):
+        print(f"N={n}: overlap={overlap:.12f} deviation={deviation:.3e}")
     return EXIT_OK
 
 
@@ -347,14 +359,7 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
     }
     if args.check_product_rule:
         report = product_rule_residual(sampler)
-        payload["product_rule"] = {
-            "left_distributivity": report.left_distributivity,
-            "right_distributivity": report.right_distributivity,
-            "associativity": report.associativity,
-            "c_fit": report.c_fit,
-            "fit_residual": report.fit_residual,
-            "passes": report.passes(),
-        }
+        payload["product_rule"] = {**asdict(report), "passes": report.passes()}
     if not payload["associative"]:
         run.write_report(payload)
         run.finish()
@@ -366,14 +371,10 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
         )
         return EXIT_INVALID
     result = recover_regrade(sampler)
-    table = run.write_table(
-        "_xi",
-        ["u", "xi"],
-        [[float(u), float(x)] for u, x in zip(result.u_grid, result.xi_values)],
-    )
+    table = run.write_table("_xi", {"u": result.u_grid, "xi": result.xi_values})
     payload.update(
         {
-            "additivity_residual": additivity_residual(result, sampler),
+            "additivity_residual": result.additivity_max,
             "additivity_mean": result.additivity_mean,
             "c_constant": result.c_constant,
             "c_diagnostic": result.c_diagnostic,
@@ -415,17 +416,16 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     worst = max(gaps)
     run.write_table(
         "",
-        ["site", "re_a", "im_a", "re_b", "im_b", "re_both", "im_both", "sum_check"],
-        zip(
-            range(args.L),
-            amp_a.real,
-            amp_a.imag,
-            amp_b.real,
-            amp_b.imag,
-            amp_both.real,
-            amp_both.imag,
-            gaps,
-        ),
+        {
+            "site": range(args.L),
+            "re_a": amp_a.real,
+            "im_a": amp_a.imag,
+            "re_b": amp_b.real,
+            "im_b": amp_b.imag,
+            "re_both": amp_both.real,
+            "im_both": amp_both.imag,
+            "sum_check": gaps,
+        },
     )
     run.finish()
     print(f"double slit: max |psi_both - psi_a - psi_b| = {worst:.3e}")
@@ -523,6 +523,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
+        ArithmeticError,
         SetupError,
         KernelFormatError,
         RegradeError,

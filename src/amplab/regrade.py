@@ -336,6 +336,8 @@ def catalog_op(
     product      u * v                      on [0.2, 2]
     broken-assoc u + v^k,         k=param (default 2)     on [0, 1]
     """
+    if param is not None and not np.isfinite(param):
+        raise RegradeError(f"param must be finite, got {param}")
     if name == "add":
         return BinaryOpSampler(
             fn=lambda u, v: u + v,

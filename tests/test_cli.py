@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +13,23 @@ from amplab import (
     LatticeConfig,
     Setup,
     WaveFunction,
+    catalog_op,
+    consistency_check,
+    convergence_scan,
+    detector_vector,
+    evolve,
+    load_kernel,
+    load_wavefunction,
     make_tight_binding_kernel,
     normalize,
+    or_compose,
+    random_setup,
+    recover_regrade,
     save_kernel,
     save_setup,
     save_wavefunction,
 )
-from amplab.cli import main
+from amplab.cli import _all_strategies, _fuzz_kernel, main
 from genutil import reject_constant
 
 
@@ -255,6 +267,16 @@ def test_evolve_subcommand(tmp_path):
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_evolve_negative_steps_exits_1(tmp_path, capsys):
+    kernel_path, _ = write_inputs(tmp_path)
+    psi_path = tmp_path / "psi.json"
+    save_wavefunction(normalize(WaveFunction(np.ones(4))), psi_path)
+    argv = ["evolve", "--kernel", str(kernel_path), "--psi", str(psi_path)]
+    assert main(argv + ["--steps", "-1", "--out", str(tmp_path / "ev")]) == 1
+    assert "error: --steps must be non-negative" in capsys.readouterr().err
+    assert not (tmp_path / "ev.csv").exists()
+
+
 def test_born_subcommand(tmp_path):
     out = tmp_path / "born"
     code = main(
@@ -281,23 +303,11 @@ def test_born_subcommand(tmp_path):
 
 
 def test_born_bad_n_list(tmp_path, capsys):
-    code = main(
-        [
-            "born",
-            "--p",
-            "0.5",
-            "--f",
-            "0.5",
-            "--eps",
-            "0.1",
-            "--N-list",
-            "10,banana",
-            "--out",
-            str(tmp_path / "x"),
-        ]
-    )
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    # an empty list names no replica count: rejected by the scan itself
+    for n_list in ("10,banana", "", ",,"):
+        argv = ["born", "--p", "0.5", "--f", "0.5", "--eps", "0.1", "--N-list", n_list]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+        assert "error:" in capsys.readouterr().err
     # a negative list is the flag's value and reaches the scan's own check
     argv = ["born", "--p", "0.5", "--f", "0.5", "--eps", "0.1", "--N-list", "-5,10"]
     assert main(argv + ["--out", str(tmp_path / "x")]) == 1
@@ -433,6 +443,131 @@ def test_born_degenerate_p_leaves_gaussian_blank(tmp_path, p):
     assert main(argv + ["--out", str(out)]) == 0
     rows = read_csv(tmp_path / "born.csv")
     assert rows[1:] == [["100", "1", "", "0"], ["1000", "1", "", "0"]]
+
+
+_BORN = ["born", "--p", "0.36", "--f", "0.36", "--N-list", "10,1000"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # a window as wide as every count: overlap 1 and Gaussian 1
+        (_BORN + ["--eps", "inf"], 0),
+        (_BORN + ["--eps", "1e308"], 0),
+        # a non-finite power, or one that overflows the mean
+        (["regrade", "--op", "cubic-mean", "--param", "inf"], 1),
+        (["regrade", "--op", "cubic-mean", "--param", "nan"], 1),
+        (["regrade", "--op", "cubic-mean", "--param", "1e300"], 1),
+        (["regrade", "--op", "cubic-mean", "--param", "1e-300"], 1),
+    ],
+)
+def test_wide_or_overflowing_parameters_exit_cleanly(tmp_path, capsys, argv, code):
+    assert main(argv + ["--out", str(tmp_path / "x")]) == code
+    if code:
+        assert "error:" in capsys.readouterr().err
+    else:
+        rows = read_csv(tmp_path / "x.csv")
+        assert rows[1:] == [["10", "1", "1", "0"], ["1000", "1", "1", "0"]]
+
+
+def reference_table(header, rows):
+    """The table format, built without amplab.cli: csv.writer with CRLF line
+    ends, floats to 17 significant digits, any other cell by str and None as
+    a blank cell."""
+
+    def cell(x):
+        if x is None:
+            return ""
+        return f"{x:.17g}" if isinstance(x, float) else str(x)
+
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows([cell(x) for x in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+def _fuzz_table(tmp_path):
+    config = LatticeConfig(num_sites=5, num_steps=4)
+    kernel, strategies = _fuzz_kernel(config), _all_strategies(10_000_000)
+    rows = []
+    for seed in range(3, 13):
+        setup = random_setup(config, seed, max_filters=3)
+        report = consistency_check(setup, kernel, strategies)
+        rows += [[seed, f"{a}|{b}", dev] for a, b, dev in report.pair_deviations]
+    argv = ["fuzz", "--seed", "3", "--count", "10", "--L", "5", "--T", "4"]
+    return argv, "", ["seed", "strategy_pair", "deviation"], rows
+
+
+def _evolve_table(tmp_path):
+    kernel_path, _ = write_inputs(tmp_path)
+    psi_path = tmp_path / "psi.json"
+    save_wavefunction(normalize(WaveFunction(np.array([1.0, 0.5j, 0.0, -1.0]))), psi_path)
+    kernel, states = load_kernel(kernel_path), [load_wavefunction(psi_path)]
+    for _ in range(3):
+        states.append(evolve(states[-1], kernel, 1))
+    rows = [
+        [step, site, float(z.real), float(z.imag), float(abs(z) ** 2)]
+        for step, state in enumerate(states)
+        for site, z in enumerate(state.coeffs)
+    ]
+    argv = ["evolve", "--kernel", str(kernel_path), "--psi", str(psi_path)]
+    return argv + ["--steps", "3"], "", ["step", "site", "re", "im", "prob"], rows
+
+
+def _born_table(p, f):
+    def table(tmp_path):
+        rows = [
+            [row.N, row.overlap_exact, row.overlap_gaussian, row.deviation]
+            for row in convergence_scan(p, f, 0.02, [100, 1000, 10_000])
+        ]
+        argv = ["born", "--p", str(p), "--f", str(f), "--eps", "0.02"]
+        argv += ["--N-list", "100,1000,10000"]
+        return argv, "", ["N", "overlap_exact", "overlap_gauss", "deviation"], rows
+
+    return table
+
+
+def _regrade_table(tmp_path):
+    result = recover_regrade(catalog_op("product", grid_n=32))
+    rows = [[float(u), float(x)] for u, x in zip(result.u_grid, result.xi_values)]
+    return ["regrade", "--op", "product", "--grid-n", "32"], "_xi", ["u", "xi"], rows
+
+
+def _double_slit_table(tmp_path):
+    kernel = make_tight_binding_kernel(LatticeConfig(16, 8, dt=0.35), hop=1.0)
+    slits = [Setup(Event(8, 0), Event(8, 8), (FilterSpec(4, (h,)),)) for h in (5, 10)]
+    a, b, both = (detector_vector(s, kernel) for s in (*slits, or_compose(*slits)))
+    rows = [
+        [i, a[i].real, a[i].imag, b[i].real, b[i].imag, both[i].real,
+         both[i].imag, abs(both[i] - a[i] - b[i])]
+        for i in range(16)
+    ]
+    header = ["site", "re_a", "im_a", "re_b", "im_b", "re_both", "im_both", "sum_check"]
+    return ["double-slit", "--holes", "5,10"], "", header, rows
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        _fuzz_table,
+        _evolve_table,
+        _born_table(0.36, 0.36),
+        _born_table(1.0, 0.99),  # blank Gaussian cells
+        _regrade_table,
+        _double_slit_table,
+    ],
+)
+def test_table_bytes_match_the_reference_format(tmp_path, table):
+    argv, stem, header, rows = table(tmp_path)
+    expected = reference_table(header, rows)
+    out = tmp_path / "t"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert Path(f"{out}{stem}.csv").read_bytes() == expected
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(Path(f"{out}{stem}.json").read_text())
+    cells = list(csv.reader(io.StringIO(expected.decode(), newline="")))
+    assert payload == {"columns": cells[0], "rows": cells[1:]}
 
 
 def test_out_under_a_file_exits_1(tmp_path, capsys):
