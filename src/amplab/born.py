@@ -152,6 +152,9 @@ def _overlap_from_bounds(p: float, N: int, n_lo: int, n_hi: int) -> float:
     mode = min(max(int(round(N * p)), 0), N)
     half = int(math.ceil(_BULK_SIGMAS * sigma)) + 5
     bulk_lo, bulk_hi = max(0, mode - half), min(N, mode + half)
+    if n_lo <= bulk_lo and n_hi >= bulk_hi:
+        # the window holds the bulk, so its mass is at least the bulk's
+        return 1.0
     span_lo, span_hi = min(n_lo, bulk_lo), max(n_hi, bulk_hi)
     log_pmf = _log_pmf_span(N, p, span_lo, span_hi)
     terms = np.exp(log_pmf)

@@ -124,7 +124,7 @@ class _Run:
         """Write ``columns`` (header -> array or sequence) as CSV, or as JSON
         rows of the same cells when --format json.  A float column is written
         ``%.17g``, any other with ``str`` and None blank; no cell holds a comma,
-        quote or line break.  Rows stream to the file, one ``%`` format each."""
+        quote or line break.  One ``%`` formats a row; CSV rows stream to file."""
         rules, values = [], []
         for column in columns.values():
             if isinstance(column, np.ndarray):
@@ -136,21 +136,20 @@ class _Run:
                 column = ("" if x is None else x for x in column)
             values.append(column)
         rows = zip(*values)
+        line = ",".join(rules)
         if getattr(self.args, "format", "csv") == "json":
             p = self._register(f"{stem}.json")
-            names = json.dumps(list(columns), indent=2).replace("\n", "\n  ")
-            rule = "\n    [\n" + ",\n".join(f'      "{r}"' for r in rules) + "\n    ]"
-            with p.open("w") as fh:
-                fh.write(f'{{\n  "columns": {names},\n  "rows": [')
-                for i, row in enumerate(rows):
-                    fh.write(("," if i else "") + rule % row)
-                fh.write("\n  ]\n}\n")
+            payload = {
+                "columns": list(columns),
+                "rows": [(line % row).split(",") for row in rows],
+            }
+            p.write_text(_dumps(payload, indent=2) + "\n")
             return p
         p = self._register(f"{stem}.csv")
-        rule = ",".join(rules) + "\r\n"
+        line += "\r\n"
         with p.open("w", newline="") as fh:
             fh.write(",".join(columns) + "\r\n")
-            fh.writelines(rule % row for row in rows)
+            fh.writelines(line % row for row in rows)
         return p
 
     def write_report(self, payload: dict) -> Path:
@@ -523,7 +522,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        ArithmeticError,
         SetupError,
         KernelFormatError,
         RegradeError,

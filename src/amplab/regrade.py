@@ -75,7 +75,19 @@ class BinaryOpSampler:
             object.__setattr__(self, "_partials", None)
 
     def __call__(self, u, v):
-        return self._eval(u, v)
+        return self._apply(self._eval, u, v)
+
+    def _apply(self, f, u, v):
+        """``f(u, v)`` for ``fn`` or a partial; an overflow or a division by
+        zero there (a catalog parameter out of range) is a RegradeError
+        naming the operation, whose catalog name holds the parameter."""
+        try:
+            return f(u, v)
+        except ArithmeticError as exc:
+            raise RegradeError(
+                f"operation {self.name or self.fn!r} cannot be evaluated on "
+                f"its domain: {exc}"
+            ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,7 +150,8 @@ def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
 
 def _first_partials(sampler: BinaryOpSampler, u, v, step: float):
     if sampler._partials is not None:
-        return sampler._partials[0](u, v), sampler._partials[1](u, v)
+        d1, d2 = sampler._partials
+        return sampler._apply(d1, u, v), sampler._apply(d2, u, v)
     s1 = (sampler(u + step, v) - sampler(u - step, v)) / (2.0 * step)
     s2 = (sampler(u, v + step) - sampler(u, v - step)) / (2.0 * step)
     return s1, s2

@@ -449,25 +449,33 @@ _BORN = ["born", "--p", "0.36", "--f", "0.36", "--N-list", "10,1000"]
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, err",
     [
-        # a window as wide as every count: overlap 1 and Gaussian 1
-        (_BORN + ["--eps", "inf"], 0),
-        (_BORN + ["--eps", "1e308"], 0),
-        # a non-finite power, or one that overflows the mean
-        (["regrade", "--op", "cubic-mean", "--param", "inf"], 1),
-        (["regrade", "--op", "cubic-mean", "--param", "nan"], 1),
-        (["regrade", "--op", "cubic-mean", "--param", "1e300"], 1),
-        (["regrade", "--op", "cubic-mean", "--param", "1e-300"], 1),
+        # a window as wide as every count: overlap 1 and Gaussian 1, at the
+        # cost of a finite window even for N = 1e10
+        (_BORN + ["--eps", "inf"], None),
+        (_BORN + ["--eps", "1e308"], None),
+        (["born", "--p", "0.36", "--f", "0.36", "--N-list", "10000000000",
+          "--eps", "inf"], None),
+        # a non-finite power, or one whose arithmetic overflows the operation
+        (["regrade", "--op", "cubic-mean", "--param", "inf"], "param must be finite"),
+        (["regrade", "--op", "cubic-mean", "--param", "nan"], "param must be finite"),
+        (["regrade", "--op", "cubic-mean", "--param", "1e300"], "p=1e+300"),
+        (["regrade", "--op", "cubic-mean", "--param", "1e-300"], "p=1e-300"),
+        (["regrade", "--op", "broken-assoc", "--param", "-1e300"], "k=-1e+300"),
     ],
 )
-def test_wide_or_overflowing_parameters_exit_cleanly(tmp_path, capsys, argv, code):
-    assert main(argv + ["--out", str(tmp_path / "x")]) == code
-    if code:
-        assert "error:" in capsys.readouterr().err
+def test_wide_or_overflowing_parameters_exit_cleanly(tmp_path, capsys, argv, err):
+    code = main(argv + ["--out", str(tmp_path / "x")])
+    if err:
+        assert code == 1
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: ") and err in stderr
     else:
+        assert code == 0
         rows = read_csv(tmp_path / "x.csv")
-        assert rows[1:] == [["10", "1", "1", "0"], ["1000", "1", "1", "0"]]
+        n_list = argv[argv.index("--N-list") + 1].split(",")
+        assert rows[1:] == [[n, "1", "1", "0"] for n in n_list]
 
 
 def reference_table(header, rows):
