@@ -68,6 +68,8 @@ CONSISTENCY_TOL = 1e-10
 
 SUM_CHECK_TOL = 1e-12
 
+CROSS_CHECK_TOL = 1e-12
+
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_TOLERANCE = 2
@@ -186,10 +188,14 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list: {text!r}")
 
 
-def _worse(dev: float, worst: float) -> bool:
-    """``dev > worst``, with NaN above every number: a deviation that is not
-    a number is a breach, never agreement."""
-    return dev > worst or (math.isnan(dev) and not math.isnan(worst))
+def _gate(what: str, worst: float, tol: float) -> int:
+    """The exit code of a check whose worst deviation is ``worst``: 2, with a
+    ``<what> violation`` line on stderr, unless ``worst <= tol``.  A
+    deviation that is not a number is a breach, never agreement."""
+    if worst <= tol:
+        return EXIT_OK
+    print(f"{what} violation: {worst:.3e}", file=sys.stderr)
+    return EXIT_TOLERANCE
 
 
 def _fuzz_kernel(config: LatticeConfig):
@@ -232,13 +238,7 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     run.write_report(payload)
     run.finish()
     print(_dumps(payload))
-    if not report.max_deviation <= CONSISTENCY_TOL:
-        print(
-            f"consistency violation: max deviation {report.max_deviation:.3e}",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate("consistency", report.max_deviation, CONSISTENCY_TOL)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -250,8 +250,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     max_filters = min(args.max_filters, args.T - 1)
     strategies = _all_strategies(args.max_paths)
     seeds, pairs, devs = [], [], []
-    worst = 0.0
-    worst_seed = worst_pair = None  # the first pair at the max deviation
     oracle_ran = 0
     skipped_reasons: dict[str, int] = {}
     for i in range(args.count):
@@ -262,12 +260,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         for _, reason in report.skipped:
             skipped_reasons[reason] = skipped_reasons.get(reason, 0) + 1
         for name_a, name_b, dev in report.pair_deviations:
-            pair = f"{name_a}|{name_b}"
             seeds.append(seed)
-            pairs.append(pair)
+            pairs.append(f"{name_a}|{name_b}")
             devs.append(dev)
-            if worst_pair is None or _worse(dev, worst):
-                worst, worst_seed, worst_pair = dev, seed, pair
+    # the first pair at the max deviation, a NaN before every number
+    i = int(np.argmax(devs))
+    worst, worst_seed, worst_pair = devs[i], seeds[i], pairs[i]
     run.write_table("", {"seed": seeds, "strategy_pair": pairs, "deviation": devs})
     run.finish(
         brute_force_ran=oracle_ran,
@@ -280,10 +278,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     guard = " (path guard)" if oracle_ran < args.count else ""
     print(f"brute_force ran on {oracle_ran}/{args.count} setups{guard}")
     print(f"worst: seed {worst_seed}, pair {worst_pair}, deviation {worst:.3e}")
-    if not worst <= CONSISTENCY_TOL:
-        print(f"consistency violation: {worst:.3e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate("consistency", worst, CONSISTENCY_TOL)
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -291,12 +286,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     run = _Run(args)
     kernel = load_kernel(args.kernel)
-    psi = load_wavefunction(args.psi)
-    states = [psi]
+    # evolve checks the dimensions, so a mismatch fails at --steps 0 too
+    states = [evolve(load_wavefunction(args.psi), kernel, 0)]
     for _ in range(args.steps):
         states.append(evolve(states[-1], kernel, 1))
     amps = np.concatenate([state.coeffs for state in states])
-    step, site = np.divmod(np.arange(amps.size), psi.num_sites)
+    step, site = np.divmod(np.arange(amps.size), kernel.num_sites)
     # scalar abs: the array np.abs may differ in the last bit
     prob = [abs(z) ** 2 for z in amps.tolist()]
     run.write_table(
@@ -336,15 +331,12 @@ def _cmd_born_direct(args: argparse.Namespace) -> int:
         "overlap_direct": direct,
         "overlap_exact": exact,
         "abs_difference": gap,
-        "tolerance": 1e-12,
+        "tolerance": CROSS_CHECK_TOL,
     }
     run.write_report(payload)
     run.finish()
     print(_dumps(payload))
-    if gap > 1e-12:
-        print(f"binomial cross-check violation: {gap:.3e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate("binomial cross-check", gap, CROSS_CHECK_TOL)
 
 
 def _cmd_regrade(args: argparse.Namespace) -> int:
@@ -359,31 +351,27 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
     if args.check_product_rule:
         report = product_rule_residual(sampler)
         payload["product_rule"] = {**asdict(report), "passes": report.passes()}
-    if not payload["associative"]:
-        run.write_report(payload)
-        run.finish()
-        print(_dumps(payload))
-        print(
-            f"operation {sampler.name} is not associative "
-            f"(residual {assoc:.3e}); no regrade exists",
-            file=sys.stderr,
+    if payload["associative"]:
+        result = recover_regrade(sampler)
+        table = run.write_table("_xi", {"u": result.u_grid, "xi": result.xi_values})
+        payload.update(
+            additivity_residual=result.additivity_max,
+            additivity_mean=result.additivity_mean,
+            c_constant=result.c_constant,
+            c_diagnostic=result.c_diagnostic,
+            xi_table=str(table),
         )
-        return EXIT_INVALID
-    result = recover_regrade(sampler)
-    table = run.write_table("_xi", {"u": result.u_grid, "xi": result.xi_values})
-    payload.update(
-        {
-            "additivity_residual": result.additivity_max,
-            "additivity_mean": result.additivity_mean,
-            "c_constant": result.c_constant,
-            "c_diagnostic": result.c_diagnostic,
-            "xi_table": str(table),
-        }
-    )
     run.write_report(payload)
     run.finish()
     print(_dumps({k: v for k, v in payload.items() if k != "xi_table"}))
-    return EXIT_OK
+    if payload["associative"]:
+        return EXIT_OK
+    print(
+        f"operation {sampler.name} is not associative "
+        f"(residual {assoc:.3e}); no regrade exists",
+        file=sys.stderr,
+    )
+    return EXIT_INVALID
 
 
 def _cmd_double_slit(args: argparse.Namespace) -> int:
@@ -412,7 +400,7 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     )
     # scalar abs: the array np.abs may differ in the last bit
     gaps = [abs(both - a - b) for a, b, both in zip(amp_a, amp_b, amp_both)]
-    worst = max(gaps)
+    worst = gaps[int(np.argmax(gaps))]  # a NaN before every number
     run.write_table(
         "",
         {
@@ -428,10 +416,7 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     )
     run.finish()
     print(f"double slit: max |psi_both - psi_a - psi_b| = {worst:.3e}")
-    if worst > SUM_CHECK_TOL:
-        print(f"sum-rule violation: {worst:.3e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    return _gate("sum-rule", worst, SUM_CHECK_TOL)
 
 
 def _build_parser() -> _Parser:

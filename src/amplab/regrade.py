@@ -24,6 +24,7 @@ passing all three are numerically indistinguishable from C*u*v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -67,12 +68,6 @@ class BinaryOpSampler:
         if self.grid_n < MIN_GRID:
             raise RegradeError(f"grid_n must be at least {MIN_GRID}")
         object.__setattr__(self, "_eval", np.vectorize(self.fn, otypes=[float]))
-        if self.partials is not None:
-            d1 = np.vectorize(self.partials[0], otypes=[float])
-            d2 = np.vectorize(self.partials[1], otypes=[float])
-            object.__setattr__(self, "_partials", (d1, d2))
-        else:
-            object.__setattr__(self, "_partials", None)
 
     def __call__(self, u, v):
         return self._apply(self._eval, u, v)
@@ -114,10 +109,6 @@ class RegradeResult:
         return self._spline(u)
 
 
-def _axis_grid(rng: tuple[float, float], n: int) -> np.ndarray:
-    return np.linspace(rng[0], rng[1], n)
-
-
 def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
     """Max |S(S(u,v),w) - S(u,S(v,w))| over a deterministic triple grid.
 
@@ -126,8 +117,8 @@ def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
     """
     u_lo, u_hi = sampler.u_range
     v_lo, v_hi = sampler.v_range
-    us = _axis_grid(sampler.u_range, n_axis)
-    vs = _axis_grid(sampler.v_range, n_axis)
+    us = np.linspace(u_lo, u_hi, n_axis)
+    vs = np.linspace(v_lo, v_hi, n_axis)
     u, v, w = np.meshgrid(us, vs, vs, indexing="ij")
     r = sampler(u, v)  # S(u, v), used as a first argument
     s = sampler(v, w)  # S(v, w), used as a second argument
@@ -149,20 +140,18 @@ def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
 
 
 def _first_partials(sampler: BinaryOpSampler, u, v, step: float):
-    if sampler._partials is not None:
-        d1, d2 = sampler._partials
+    if sampler.partials is not None:
+        d1, d2 = (np.vectorize(d, otypes=[float]) for d in sampler.partials)
         return sampler._apply(d1, u, v), sampler._apply(d2, u, v)
     s1 = (sampler(u + step, v) - sampler(u - step, v)) / (2.0 * step)
     s2 = (sampler(u, v + step) - sampler(u, v - step)) / (2.0 * step)
     return s1, s2
 
 
-def recover_regrade(
-    sampler: BinaryOpSampler, assoc_tol: float = ASSOC_GATE
-) -> RegradeResult:
+def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     """Recover the additive regrade xi of an associative operation.
 
-    Rejects non-associative input (gate ``assoc_tol``), vanishing first
+    Rejects non-associative input (gate ``ASSOC_GATE``), vanishing first
     partials, and non-monotone results.  Requires a square domain: the
     regrade is one function of one variable, so both arguments must range
     over the same interval.
@@ -170,9 +159,9 @@ def recover_regrade(
     if sampler.u_range != sampler.v_range:
         raise RegradeError("regrade recovery needs a square domain")
     residual = associativity_residual(sampler)
-    if residual > assoc_tol:
+    if not residual <= ASSOC_GATE:
         raise NonAssociativeError(
-            f"associativity residual {residual:.3e} exceeds gate {assoc_tol:g}"
+            f"associativity residual {residual:.3e} exceeds gate {ASSOC_GATE:g}"
         )
     u_lo, u_hi = sampler.u_range
     width = u_hi - u_lo
@@ -294,8 +283,8 @@ def product_rule_residual(
     associativity; fit the best C for P ~ C*u*v on the pair grid."""
     u_lo, u_hi = candidate.u_range
     v_lo, v_hi = candidate.v_range
-    us = _axis_grid(candidate.u_range, n_axis)
-    vs = _axis_grid(candidate.v_range, n_axis)
+    us = np.linspace(u_lo, u_hi, n_axis)
+    vs = np.linspace(v_lo, v_hi, n_axis)
 
     u, v, w = np.meshgrid(us, vs, vs, indexing="ij")
     ok = (v + w >= v_lo) & (v + w <= v_hi)
@@ -338,88 +327,67 @@ def product_rule_residual(
     )
 
 
+# name: (S(a, u, v), dS/du, dS/dv, domain of u and v, label, default a).  The
+# parameter a comes first so that functools.partial binds it; a default of
+# None marks an operation that takes no parameter.  argparse lists the names
+# in this order.
+_CATALOG = {
+    "add": (
+        lambda a, u, v: u + v,
+        lambda a, u, v: 1.0,
+        lambda a, u, v: 1.0,
+        (0.0, 2.0), "add", None,
+    ),
+    "cubic-mean": (
+        lambda p, u, v: (u**p + v**p) ** (1.0 / p),
+        lambda p, u, v: u ** (p - 1.0) * (u**p + v**p) ** (1.0 / p - 1.0),
+        lambda p, u, v: v ** (p - 1.0) * (u**p + v**p) ** (1.0 / p - 1.0),
+        (0.5, 1.5), "cubic-mean(p={:g})", 3.0,
+    ),
+    "uv-shift": (
+        lambda c, u, v: u + v + c * u * v,
+        lambda c, u, v: 1.0 + c * v,
+        lambda c, u, v: 1.0 + c * u,
+        (0.1, 1.0), "uv-shift(c={:g})", 1.0,
+    ),
+    "product": (
+        lambda a, u, v: u * v,
+        lambda a, u, v: v,
+        lambda a, u, v: u,
+        (0.2, 2.0), "product", None,
+    ),
+    "broken-assoc": (
+        lambda k, u, v: u + v**k,
+        lambda k, u, v: 1.0,
+        lambda k, u, v: k * v ** (k - 1.0),
+        (0.0, 1.0), "broken-assoc(k={:g})", 2.0,
+    ),
+}
+
+CATALOG_NAMES = tuple(_CATALOG)
+
+
 def catalog_op(
     name: str, param: float | None = None, grid_n: int = 256
 ) -> BinaryOpSampler:
-    """Named operations used by the command line and the test suite.
-
-    add          u + v                      on [0, 2]
-    cubic-mean   (u^p + v^p)^(1/p), p=param (default 3)   on [0.5, 1.5]
-    uv-shift     u + v + c*u*v,   c=param (default 1)     on [0.1, 1]
-    product      u * v                      on [0.2, 2]
-    broken-assoc u + v^k,         k=param (default 2)     on [0, 1]
-    """
+    """The named catalog operation, used by the command line and the test
+    suite, with its parameter ``param`` or else its default."""
+    if name not in _CATALOG:
+        choices = ", ".join(CATALOG_NAMES)
+        raise RegradeError(f"unknown operation {name!r}; choose from {choices}")
+    fn, d1, d2, domain, label, default = _CATALOG[name]
+    if param is not None and default is None:
+        raise RegradeError(f"operation {name!r} takes no parameter")
     if param is not None and not np.isfinite(param):
         raise RegradeError(f"param must be finite, got {param}")
-    if name == "add":
-        return BinaryOpSampler(
-            fn=lambda u, v: u + v,
-            u_range=(0.0, 2.0),
-            v_range=(0.0, 2.0),
-            grid_n=grid_n,
-            partials=(lambda u, v: 1.0, lambda u, v: 1.0),
-            name="add",
-        )
-    if name == "cubic-mean":
-        power = 3.0 if param is None else float(param)
-        if power <= 0:
-            raise RegradeError("cubic-mean power must be positive")
-
-        def mean_fn(u, v, p=power):
-            return (u**p + v**p) ** (1.0 / p)
-
-        return BinaryOpSampler(
-            fn=mean_fn,
-            u_range=(0.5, 1.5),
-            v_range=(0.5, 1.5),
-            grid_n=grid_n,
-            partials=(
-                lambda u, v, p=power: u ** (p - 1.0)
-                * (u**p + v**p) ** (1.0 / p - 1.0),
-                lambda u, v, p=power: v ** (p - 1.0)
-                * (u**p + v**p) ** (1.0 / p - 1.0),
-            ),
-            name=f"cubic-mean(p={power:g})",
-        )
-    if name == "uv-shift":
-        c = 1.0 if param is None else float(param)
-        return BinaryOpSampler(
-            fn=lambda u, v, c=c: u + v + c * u * v,
-            u_range=(0.1, 1.0),
-            v_range=(0.1, 1.0),
-            grid_n=grid_n,
-            partials=(
-                lambda u, v, c=c: 1.0 + c * v,
-                lambda u, v, c=c: 1.0 + c * u,
-            ),
-            name=f"uv-shift(c={c:g})",
-        )
-    if name == "product":
-        return BinaryOpSampler(
-            fn=lambda u, v: u * v,
-            u_range=(0.2, 2.0),
-            v_range=(0.2, 2.0),
-            grid_n=grid_n,
-            partials=(lambda u, v: v, lambda u, v: u),
-            name="product",
-        )
-    if name == "broken-assoc":
-        k = 2.0 if param is None else float(param)
-        return BinaryOpSampler(
-            fn=lambda u, v, k=k: u + v**k,
-            u_range=(0.0, 1.0),
-            v_range=(0.0, 1.0),
-            grid_n=grid_n,
-            partials=(
-                lambda u, v, k=k: 1.0,
-                lambda u, v, k=k: k * v ** (k - 1.0),
-            ),
-            name=f"broken-assoc(k={k:g})",
-        )
-    raise RegradeError(
-        f"unknown operation {name!r}; choose from add, cubic-mean, uv-shift, "
-        "product, broken-assoc"
+    a = default if param is None else float(param)
+    if name == "cubic-mean" and a <= 0:
+        raise RegradeError("cubic-mean power must be positive")
+    return BinaryOpSampler(
+        fn=partial(fn, a),
+        u_range=domain,
+        v_range=domain,
+        grid_n=grid_n,
+        partials=(partial(d1, a), partial(d2, a)),
+        name=label.format(a),
     )
-
-
-CATALOG_NAMES = ("add", "cubic-mean", "uv-shift", "product", "broken-assoc")

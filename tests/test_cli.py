@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import amplab.cli as cli
 import amplab.lattice as lattice
 from amplab import (
     Event,
@@ -277,6 +278,19 @@ def test_evolve_negative_steps_exits_1(tmp_path, capsys):
     assert not (tmp_path / "ev.csv").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "1"])
+def test_evolve_dimension_mismatch_exits_1(tmp_path, capsys, steps):
+    # a 3-site wave function on a 4-site kernel, even when no step is taken
+    kernel_path, _ = write_inputs(tmp_path)
+    psi_path = tmp_path / "psi.json"
+    save_wavefunction(normalize(WaveFunction(np.ones(3))), psi_path)
+    argv = ["evolve", "--kernel", str(kernel_path), "--psi", str(psi_path)]
+    assert main(argv + ["--steps", steps, "--out", str(tmp_path / "ev")]) == 1
+    err = capsys.readouterr().err
+    assert "error: wave function and kernel dimensions differ" in err
+    assert not (tmp_path / "ev.csv").exists()
+
+
 def test_born_subcommand(tmp_path):
     out = tmp_path / "born"
     code = main(
@@ -342,6 +356,17 @@ def test_born_direct_subcommand(tmp_path, capsys):
     assert payload["abs_difference"] <= 1e-12
 
 
+def test_born_direct_mutant_exits_2(tmp_path, monkeypatch, capsys):
+    # a tensor count off by 1e-9 breaches the 1e-12 binomial cross-check
+    save_wavefunction(normalize(WaveFunction(np.array([0.6, 0.8]))), tmp_path / "psi.json")
+    original = cli.small_N_direct
+    monkeypatch.setattr(cli, "small_N_direct", lambda *a: original(*a) + 1e-9)
+    argv = ["born-direct", "--psi", str(tmp_path / "psi.json"), "--site", "0",
+            "--N", "3", "--n-min", "2", "--n-max", "2", "--out", str(tmp_path / "bd")]
+    assert main(argv) == 2
+    assert "binomial cross-check violation: 1.000e-09" in capsys.readouterr().err
+
+
 def test_regrade_subcommand(tmp_path):
     out = tmp_path / "rg"
     code = main(["regrade", "--op", "uv-shift", "--out", str(out)])
@@ -399,6 +424,16 @@ def test_double_slit_subcommand(tmp_path):
     assert rows[0][-1] == "sum_check"
     assert len(rows) == 17
     assert all(float(r[-1]) <= 1e-12 for r in rows[1:])
+
+
+def test_double_slit_mutant_exits_2(tmp_path, monkeypatch, capsys):
+    # an or that drops the second slit breaks the sum rule at its sites
+    monkeypatch.setattr(cli, "or_compose", lambda a, b: a)
+    argv = ["double-slit", "--holes", "5,10", "--out", str(tmp_path / "ds")]
+    assert main(argv) == 2
+    assert "sum-rule violation: " in capsys.readouterr().err
+    rows = read_csv(tmp_path / "ds.csv")
+    assert max(float(r[-1]) for r in rows[1:]) > 1e-3
 
 
 def test_double_slit_bad_holes(tmp_path, capsys):
@@ -463,6 +498,9 @@ _BORN = ["born", "--p", "0.36", "--f", "0.36", "--N-list", "10,1000"]
         (["regrade", "--op", "cubic-mean", "--param", "1e300"], "p=1e+300"),
         (["regrade", "--op", "cubic-mean", "--param", "1e-300"], "p=1e-300"),
         (["regrade", "--op", "broken-assoc", "--param", "-1e300"], "k=-1e+300"),
+        # a parameter that the operation would ignore
+        (["regrade", "--op", "add", "--param", "7"], "'add' takes no parameter"),
+        (["regrade", "--op", "product", "--param", "7"], "'product' takes no parameter"),
     ],
 )
 def test_wide_or_overflowing_parameters_exit_cleanly(tmp_path, capsys, argv, err):

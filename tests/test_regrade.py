@@ -15,6 +15,7 @@ from amplab import (
     product_rule_residual,
     recover_regrade,
 )
+from amplab.regrade import CATALOG_NAMES
 
 
 def eta_operation(a: float, b: float, g: float, lo=0.4, hi=1.4, grid_n=128):
@@ -200,3 +201,32 @@ def test_catalog_rejects_unknown_name():
 def test_catalog_parameter_validation():
     with pytest.raises(RegradeError):
         catalog_op("cubic-mean", param=-1.0)
+
+
+@pytest.mark.parametrize(
+    "name, param, label",
+    [
+        ("add", None, "add"),
+        ("cubic-mean", None, "cubic-mean(p=3)"),
+        ("cubic-mean", 2.5, "cubic-mean(p=2.5)"),
+        ("uv-shift", None, "uv-shift(c=1)"),
+        ("uv-shift", 0.5, "uv-shift(c=0.5)"),
+        ("product", None, "product"),
+        ("broken-assoc", None, "broken-assoc(k=2)"),
+        ("broken-assoc", 1.0, "broken-assoc(k=1)"),
+    ],
+)
+def test_catalog_labels_and_partials(name, param, label):
+    sampler = catalog_op(name, param=param)
+    assert sampler.name == label
+    (lo, hi), h = sampler.u_range, 1e-6
+    axis = np.linspace(lo, hi, 9)[1:-1]
+    u, v = np.meshgrid(axis, axis, indexing="ij")
+    d1, d2 = (np.vectorize(d)(u, v) for d in sampler.partials)
+    assert np.max(np.abs(d1 - (sampler(u + h, v) - sampler(u - h, v)) / (2 * h))) <= 1e-6
+    assert np.max(np.abs(d2 - (sampler(u, v + h) - sampler(u, v - h)) / (2 * h))) <= 1e-6
+
+
+def test_catalog_names_keep_their_order():
+    # argparse prints the names in this order in its usage errors
+    assert CATALOG_NAMES == ("add", "cubic-mean", "uv-shift", "product", "broken-assoc")
