@@ -46,10 +46,9 @@ from .lattice import (
     make_tight_binding_kernel,
 )
 from .regrade import (
-    ASSOC_GATE,
     CATALOG_NAMES,
+    NonAssociativeError,
     RegradeError,
-    associativity_residual,
     catalog_op,
     product_rule_residual,
     recover_regrade,
@@ -342,17 +341,20 @@ def _cmd_born_direct(args: argparse.Namespace) -> int:
 def _cmd_regrade(args: argparse.Namespace) -> int:
     run = _Run(args)
     sampler = catalog_op(args.op, param=args.param, grid_n=args.grid_n)
-    assoc = associativity_residual(sampler)
+    try:
+        result = recover_regrade(sampler)
+        refusal, assoc = None, result.assoc_residual
+    except NonAssociativeError as exc:
+        result, refusal, assoc = None, exc, exc.residual
     payload = {
         "op": sampler.name,
         "assoc_residual": assoc,
-        "associative": assoc <= ASSOC_GATE,
+        "associative": refusal is None,
     }
     if args.check_product_rule:
         report = product_rule_residual(sampler)
         payload["product_rule"] = {**asdict(report), "passes": report.passes()}
-    if payload["associative"]:
-        result = recover_regrade(sampler)
+    if refusal is None:
         table = run.write_table("_xi", {"u": result.u_grid, "xi": result.xi_values})
         payload.update(
             additivity_residual=result.additivity_max,
@@ -364,13 +366,9 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
     run.write_report(payload)
     run.finish()
     print(_dumps({k: v for k, v in payload.items() if k != "xi_table"}))
-    if payload["associative"]:
+    if refusal is None:
         return EXIT_OK
-    print(
-        f"operation {sampler.name} is not associative "
-        f"(residual {assoc:.3e}); no regrade exists",
-        file=sys.stderr,
-    )
+    print(refusal, file=sys.stderr)
     return EXIT_INVALID
 
 

@@ -4,8 +4,8 @@ One evolution step multiplies the coefficient vector by the kernel's step
 matrix, so the map taking a state at time t to the state at time t+n is
 linear by construction for every kernel, unitary or not.  The routines here
 quantify that: the forward-difference generator recovered from a kernel, the
-residual of the discrete evolution equation i*hbar*dPsi/dt = H Psi, and a
-direct superposition check.
+residual of the discrete evolution equation i*dPsi/dt = H Psi (units with
+hbar = 1), and a direct superposition check.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ def evolve(psi: WaveFunction, kernel: Kernel, steps: int) -> WaveFunction:
     return WaveFunction(coeffs, psi.time + steps)
 
 
-def generator_from_kernel(kernel: Kernel, dt: float, hbar: float = 1.0) -> Hamiltonian:
-    """Forward-difference generator H = i*hbar*(K - I)/dt.
+def generator_from_kernel(kernel: Kernel, dt: float) -> Hamiltonian:
+    """Forward-difference generator H = i*(K - I)/dt.
 
-    First-order accurate: if K = exp(-i*H0*dt/hbar) the recovered matrix
+    First-order accurate: if K = exp(-i*H0*dt) the recovered matrix
     differs from H0 by O(dt).  The hermitian flag is set only when the
     recovered matrix is Hermitian to tolerance, which for a unitary kernel
     happens in the dt -> 0 limit, not at finite step.
@@ -67,7 +67,7 @@ def generator_from_kernel(kernel: Kernel, dt: float, hbar: float = 1.0) -> Hamil
     if dt <= 0:
         raise ValueError("dt must be positive")
     k = kernel.step
-    h = 1j * hbar * (k - np.eye(kernel.num_sites, dtype=complex)) / dt
+    h = 1j * (k - np.eye(kernel.num_sites, dtype=complex)) / dt
     return Hamiltonian(h, hermitian_flag=hermiticity_defect(h) <= HERMITICITY_TOL)
 
 
@@ -76,13 +76,12 @@ def schrodinger_residual(
     hamiltonian: Hamiltonian,
     kernel: Kernel,
     dt: float,
-    hbar: float = 1.0,
 ) -> float:
-    """Max-norm residual of i*hbar*(K Psi - Psi)/dt - H Psi."""
+    """Max-norm residual of i*(K Psi - Psi)/dt - H Psi."""
     if psi.num_sites != hamiltonian.matrix.shape[0]:
         raise ValueError("wave function and Hamiltonian dimensions differ")
     stepped = evolve(psi, kernel, 1)
-    lhs = 1j * hbar * (stepped.coeffs - psi.coeffs) / dt
+    lhs = 1j * (stepped.coeffs - psi.coeffs) / dt
     rhs = hamiltonian.matrix @ psi.coeffs
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -93,9 +92,9 @@ def linearity_check(
     psi2: WaveFunction,
     alpha: complex,
     beta: complex,
-    steps: int = 1,
 ) -> float:
-    """Max-norm gap between evolving a superposition and superposing evolutions.
+    """Max-norm gap between evolving a superposition and superposing their
+    one-step evolutions.
 
     Zero (to rounding) for every kernel, including non-unitary masked ones;
     a violation indicates an implementation bug, not physics.
@@ -103,8 +102,6 @@ def linearity_check(
     if psi1.num_sites != psi2.num_sites:
         raise ValueError("wave functions have different lengths")
     combo = WaveFunction(alpha * psi1.coeffs + beta * psi2.coeffs, psi1.time)
-    lhs = evolve(combo, kernel, steps).coeffs
-    rhs = alpha * evolve(psi1, kernel, steps).coeffs + beta * evolve(
-        psi2, kernel, steps
-    ).coeffs
+    lhs = evolve(combo, kernel, 1).coeffs
+    rhs = alpha * evolve(psi1, kernel, 1).coeffs + beta * evolve(psi2, kernel, 1).coeffs
     return float(np.max(np.abs(lhs - rhs)))

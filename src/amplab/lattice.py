@@ -32,15 +32,14 @@ class LatticeConfig:
 
     ``num_sites`` must be at least three: with fewer sites there is no room
     for the three pairwise-disjoint single-hole filters that the algebraic
-    law tests require.  ``dt`` and ``hbar`` only matter when a kernel is
-    generated from a Hamiltonian; all downstream identities are unit-agnostic.
+    law tests require.  ``dt`` only matters when a kernel is generated from a
+    Hamiltonian, in units with hbar = 1; all downstream identities are
+    unit-agnostic.
     """
 
     num_sites: int
     num_steps: int
     dt: float = 1.0
-    hbar: float = 1.0
-    boundary: str = "ring"
 
     def __post_init__(self) -> None:
         if self.num_sites < 3:
@@ -49,10 +48,6 @@ class LatticeConfig:
             raise ValueError("num_steps must be positive")
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite real")
-        if not (self.hbar > 0 and np.isfinite(self.hbar)):
-            raise ValueError("hbar must be a positive finite real")
-        if self.boundary not in BOUNDARIES:
-            raise ValueError(f"boundary must be one of {BOUNDARIES}")
 
 
 @dataclass(frozen=True, order=True)
@@ -174,12 +169,12 @@ def tight_binding_hamiltonian(
 def kernel_from_hamiltonian(
     hamiltonian: np.ndarray,
     dt: float = 1.0,
-    hbar: float = 1.0,
     label: str = "",
 ) -> Kernel:
-    """Kernel exp(-i*H*dt/hbar); unitary whenever H is Hermitian."""
+    """Kernel exp(-i*H*dt) in units with hbar = 1; unitary whenever H is
+    Hermitian."""
     h = np.asarray(hamiltonian, dtype=complex)
-    return Kernel(expm_series(-1j * dt / hbar * h), label=label)
+    return Kernel(expm_series(-1j * dt * h), label=label)
 
 
 def make_tight_binding_kernel(
@@ -187,11 +182,9 @@ def make_tight_binding_kernel(
     hop: complex,
     onsite: Sequence[float] | float = 0.0,
 ) -> Kernel:
-    """Unitary one-step kernel for the nearest-neighbour chain of ``config``."""
-    h = tight_binding_hamiltonian(config.num_sites, hop, onsite, config.boundary)
-    kernel = kernel_from_hamiltonian(
-        h, config.dt, config.hbar, label=f"tight_binding(hop={hop})"
-    )
+    """Unitary one-step kernel for the nearest-neighbour ring of ``config``."""
+    h = tight_binding_hamiltonian(config.num_sites, hop, onsite)
+    kernel = kernel_from_hamiltonian(h, config.dt, label=f"tight_binding(hop={hop})")
     defect = unitarity_defect(kernel)
     if defect > UNITARITY_TOL:
         raise RuntimeError(f"tight-binding kernel not unitary (defect {defect:g})")
@@ -225,10 +218,10 @@ def mask_vector(num_sites: int, holes: Iterable[int]) -> np.ndarray:
     return mask
 
 
-def masked_kernel(kernel: Kernel, holes: Iterable[int], label: str = "") -> Kernel:
+def masked_kernel(kernel: Kernel, holes: Iterable[int]) -> Kernel:
     """Kernel M @ K: one step of evolution followed by a hole-mask projection."""
     mask = mask_vector(kernel.num_sites, holes)
-    return Kernel(mask[:, None] * kernel.step, label=label or f"{kernel.label}|masked")
+    return Kernel(mask[:, None] * kernel.step, label=f"{kernel.label}|masked")
 
 
 def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
@@ -242,8 +235,8 @@ def norm_sq(a: WaveFunction) -> float:
     return float(np.vdot(a.coeffs, a.coeffs).real)
 
 
-def is_normalized(a: WaveFunction, tol: float = 1e-12) -> bool:
-    return abs(norm_sq(a) - 1.0) <= tol
+def is_normalized(a: WaveFunction) -> bool:
+    return abs(norm_sq(a) - 1.0) <= 1e-12
 
 
 def normalize(a: WaveFunction) -> WaveFunction:
@@ -263,7 +256,7 @@ def kernel_from_dict(data: dict) -> Kernel:
         num_sites = int(data["L"])
         entries = data["entries"]
         label = str(data.get("label", ""))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise KernelFormatError(f"malformed kernel object: {exc}") from exc
     if num_sites < 1:
         raise KernelFormatError("kernel L must be positive")
@@ -292,17 +285,17 @@ def wavefunction_to_list(psi: WaveFunction) -> list:
     return [[float(z.real), float(z.imag)] for z in psi.coeffs]
 
 
-def wavefunction_from_list(data: list, time: int = 0) -> WaveFunction:
+def wavefunction_from_list(data: list) -> WaveFunction:
     try:
         coeffs = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"wave function must be a list of [re, im] pairs: {exc}")
-    return WaveFunction(coeffs, time)
+    return WaveFunction(coeffs)
 
 
 def save_wavefunction(psi: WaveFunction, path: str | Path) -> None:
     Path(path).write_text(json.dumps(wavefunction_to_list(psi)))
 
 
-def load_wavefunction(path: str | Path, time: int = 0) -> WaveFunction:
-    return wavefunction_from_list(json.loads(Path(path).read_text()), time)
+def load_wavefunction(path: str | Path) -> WaveFunction:
+    return wavefunction_from_list(json.loads(Path(path).read_text()))

@@ -41,7 +41,12 @@ class RegradeError(ValueError):
 
 
 class NonAssociativeError(RegradeError):
-    """The sampled operation violates associativity beyond the gate."""
+    """The sampled operation violates associativity beyond the gate;
+    ``residual`` is the measured associativity residual."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +98,8 @@ class RegradeResult:
     ``c_diagnostic`` reports the measured G(u0, v0) H(v0)/H(u0) as an
     empirical cross-check.  The additivity stats summarize the residual of
     xi(S(u, v)) - xi(u) - xi(v) over a pair grid, after removing the fitted
-    constant offset.
+    constant offset.  ``assoc_residual`` is the associativity residual that
+    passed the gate.
     """
 
     u_grid: np.ndarray
@@ -102,6 +108,7 @@ class RegradeResult:
     c_diagnostic: float
     additivity_max: float
     additivity_mean: float
+    assoc_residual: float
     _spline: CubicSpline = field(repr=False)
 
     def xi(self, u):
@@ -161,7 +168,9 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     residual = associativity_residual(sampler)
     if not residual <= ASSOC_GATE:
         raise NonAssociativeError(
-            f"associativity residual {residual:.3e} exceeds gate {ASSOC_GATE:g}"
+            f"operation {sampler.name or repr(sampler.fn)} is not associative "
+            f"(residual {residual:.3e}); no regrade exists",
+            residual,
         )
     u_lo, u_hi = sampler.u_range
     width = u_hi - u_lo
@@ -201,6 +210,7 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
         c_diagnostic=c_diagnostic,
         additivity_max=float(np.max(np.abs(disc))),
         additivity_mean=float(np.mean(np.abs(disc))),
+        assoc_residual=residual,
         _spline=spline,
     )
 
@@ -266,50 +276,40 @@ class ProductRuleReport:
     fit_residual: float
 
     def passes(self, tol: float = 1e-10) -> bool:
-        return (
-            max(
+        """All three residuals at most ``tol``; a NaN residual fails."""
+        return all(
+            r <= tol
+            for r in (
                 self.left_distributivity,
                 self.right_distributivity,
                 self.associativity,
             )
-            <= tol
         )
 
 
-def product_rule_residual(
-    candidate: BinaryOpSampler, n_axis: int = 10
-) -> ProductRuleReport:
+def _distributivity(op: Callable, xs, ys, y_range, slot: str) -> float:
+    """Max |op(x, y+z) - op(x, y) - op(x, z)| over the triples of the grid
+    xs * ys * ys whose sum y+z stays in ``y_range``; ``slot`` names the
+    argument the sum fills, for the error raised when no sum does."""
+    x, y, z = np.meshgrid(xs, ys, ys, indexing="ij")
+    ok = (y + z >= y_range[0]) & (y + z <= y_range[1])
+    if not np.any(ok):
+        raise RegradeError(f"domain is not closed under sums in the {slot} slot")
+    x, y, z = x[ok], y[ok], z[ok]
+    return float(np.max(np.abs(op(x, y + z) - op(x, y) - op(x, z))))
+
+
+def product_rule_residual(candidate: BinaryOpSampler) -> ProductRuleReport:
     """Check P(u,v+w) = P(u,v)+P(u,w), P(u+v,w) = P(u,w)+P(v,w), and
-    associativity; fit the best C for P ~ C*u*v on the pair grid."""
-    u_lo, u_hi = candidate.u_range
-    v_lo, v_hi = candidate.v_range
-    us = np.linspace(u_lo, u_hi, n_axis)
-    vs = np.linspace(v_lo, v_hi, n_axis)
-
-    u, v, w = np.meshgrid(us, vs, vs, indexing="ij")
-    ok = (v + w >= v_lo) & (v + w <= v_hi)
-    if not np.any(ok):
-        raise RegradeError("domain is not closed under sums in the second slot")
-    left = np.max(
-        np.abs(
-            candidate(u[ok], v[ok] + w[ok])
-            - candidate(u[ok], v[ok])
-            - candidate(u[ok], w[ok])
-        )
+    associativity on a 10-point axis grid; fit the best C for P ~ C*u*v on
+    the pair grid."""
+    n_axis = 10
+    us = np.linspace(*candidate.u_range, n_axis)
+    vs = np.linspace(*candidate.v_range, n_axis)
+    left = _distributivity(candidate, us, vs, candidate.v_range, "second")
+    right = _distributivity(
+        lambda x, y: candidate(y, x), vs, us, candidate.u_range, "first"
     )
-
-    a, b, w2 = np.meshgrid(us, us, vs, indexing="ij")
-    ok = (a + b >= u_lo) & (a + b <= u_hi)
-    if not np.any(ok):
-        raise RegradeError("domain is not closed under sums in the first slot")
-    right = np.max(
-        np.abs(
-            candidate(a[ok] + b[ok], w2[ok])
-            - candidate(a[ok], w2[ok])
-            - candidate(b[ok], w2[ok])
-        )
-    )
-
     assoc = associativity_residual(candidate, n_axis)
 
     gu, gv = np.meshgrid(us, vs, indexing="ij")
@@ -319,8 +319,8 @@ def product_rule_residual(
     c_fit = float(np.sum(values * basis) / denom) if denom > 0 else 0.0
     fit_residual = float(np.max(np.abs(values - c_fit * basis)))
     return ProductRuleReport(
-        left_distributivity=float(left),
-        right_distributivity=float(right),
+        left_distributivity=left,
+        right_distributivity=right,
         associativity=assoc,
         c_fit=c_fit,
         fit_residual=fit_residual,

@@ -262,7 +262,7 @@ def setup_from_dict(data: dict) -> Setup:
             FilterSpec(int(f["time"]), tuple(int(h) for h in f["holes"]))
             for f in data.get("filters", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SetupError(f"malformed setup object: {exc}") from exc
     return Setup(source, detector, filters)
 

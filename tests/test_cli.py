@@ -155,6 +155,37 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
     assert payload["max_deviation"] is None  # strict JSON: NaN is null
 
 
+@pytest.mark.parametrize(
+    "subcommand, name, text",
+    [
+        ("amplitude", "setup.json",
+         '{"source": {"site": 1e400, "time": 0}, "detector": {"site": 1, "time": 4}}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 1e400}}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 4}, '
+         '"filters": [{"time": 2, "holes": [1e400]}]}'),
+        ("amplitude", "kernel.json", '{"L": 1e400, "entries": []}'),
+        ("evolve", "kernel.json", '{"L": 1e400, "entries": []}'),
+    ],
+    ids=["source-site", "detector-time", "hole", "kernel-L", "evolve-kernel-L"],
+)
+def test_nonfinite_integer_field_exits_1(tmp_path, capsys, subcommand, name, text):
+    # JSON reads 1e400 as infinity, which no integer holds
+    kernel_path, setup_path = write_inputs(tmp_path)
+    psi_path = tmp_path / "psi.json"
+    save_wavefunction(WaveFunction([1.0, 0.0, 0.0, 0.0]), psi_path)
+    (tmp_path / name).write_text(text)
+    inputs = {
+        "amplitude": ["--setup", str(setup_path), "--kernel", str(kernel_path)],
+        "evolve": ["--kernel", str(kernel_path), "--psi", str(psi_path), "--steps", "1"],
+    }
+    assert main([subcommand, *inputs[subcommand], "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("count", ["0", "-5"])
 def test_fuzz_count_below_one_exits_1(tmp_path, capsys, count):
     assert main(["fuzz", "--count", count, "--out", str(tmp_path / "fz")]) == 1
@@ -386,7 +417,10 @@ def test_regrade_rejects_broken_op(tmp_path, capsys):
     assert code == 1
     payload = json.loads((tmp_path / "rg.json").read_text())
     assert payload["associative"] is False
-    assert "not associative" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"operation broken-assoc(k=2) is not associative "
+        f"(residual {payload['assoc_residual']:.3e}); no regrade exists\n"
+    )
     # a negative parameter is a value, not an option, and reaches catalog_op
     argv = ["regrade", "--op", "cubic-mean", "--param", "-1e5"]
     assert main(argv + ["--out", str(out)]) == 1

@@ -38,10 +38,6 @@ def test_config_validation():
         LatticeConfig(3, 0)
     with pytest.raises(ValueError):
         LatticeConfig(3, 1, dt=0.0)
-    with pytest.raises(ValueError):
-        LatticeConfig(3, 1, hbar=-1.0)
-    with pytest.raises(ValueError):
-        LatticeConfig(3, 1, boundary="torus")
 
 
 def test_wavefunction_rejects_nonfinite():

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from amplab import (
     BinaryOpSampler,
     NonAssociativeError,
+    ProductRuleReport,
     RegradeError,
     additivity_residual,
     affine_fit_deviation,
@@ -54,8 +55,13 @@ def test_cubic_mean_is_associative():
 def test_broken_op_flagged():
     residual = associativity_residual(catalog_op("broken-assoc"))
     assert residual > 0.1
-    with pytest.raises(NonAssociativeError):
+    with pytest.raises(NonAssociativeError) as excinfo:
         recover_regrade(catalog_op("broken-assoc"))
+    assert excinfo.value.residual == residual
+    assert str(excinfo.value) == (
+        f"operation broken-assoc(k=2) is not associative "
+        f"(residual {residual:.3e}); no regrade exists"
+    )
 
 
 def test_all_triples_out_of_domain():
@@ -87,6 +93,7 @@ def test_regrade_of_cubic_mean_matches_cubic_oracle():
 def test_regrade_of_shifted_product_matches_log_oracle():
     sampler = catalog_op("uv-shift")
     result = recover_regrade(sampler)
+    assert result.assoc_residual == associativity_residual(sampler)
     # xi(S) = log((1+u)(1+v)) identity
     assert additivity_residual(result, sampler) <= 1e-6
     assert affine_fit_deviation(np.log1p(result.u_grid), result.xi_values) <= 1e-6
@@ -191,6 +198,40 @@ def test_product_rule_rejects_shifted_product():
     report = product_rule_residual(shifted)
     assert not report.passes()
     assert max(report.left_distributivity, report.right_distributivity) >= 0.05
+
+
+@pytest.mark.parametrize(
+    "residuals", [(0.0, float("nan"), 0.0), (0.0, 0.0, float("nan"))]
+)
+def test_product_rule_nan_residual_fails(residuals):
+    assert not ProductRuleReport(*residuals, 1.0, 0.0).passes()
+
+
+@pytest.mark.parametrize(
+    "fn, distributive, broken",
+    [
+        (lambda u, v: u * u * v, "left_distributivity", "right_distributivity"),
+        (lambda u, v: u * v * v, "right_distributivity", "left_distributivity"),
+    ],
+)
+def test_distributivity_is_checked_in_its_own_slot(fn, distributive, broken):
+    # u*u*v is linear in v only, u*v*v in u only, so a residual that swaps
+    # or repeats a slot fails one of the two cases
+    sampler = BinaryOpSampler(fn=fn, u_range=(0.0, 1.0), v_range=(0.0, 1.0))
+    report = product_rule_residual(sampler)
+    assert getattr(report, distributive) <= 1e-15
+    assert getattr(report, broken) >= 0.05
+    assert not report.passes()
+
+
+@pytest.mark.parametrize(
+    "u_range, v_range, slot",
+    [((1.0, 1.5), (0.0, 1.0), "first"), ((0.0, 1.0), (1.0, 1.5), "second")],
+)
+def test_product_rule_needs_sums_inside_each_slot(u_range, v_range, slot):
+    sampler = BinaryOpSampler(fn=lambda u, v: u * v, u_range=u_range, v_range=v_range)
+    with pytest.raises(RegradeError, match=f"not closed under sums in the {slot} slot"):
+        product_rule_residual(sampler)
 
 
 def test_catalog_rejects_unknown_name():
