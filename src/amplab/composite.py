@@ -83,12 +83,12 @@ def load_composite(path: str | Path) -> CompositeSetup:
     path = Path(path)
     data = json.loads(path.read_text())
     try:
-        raw_parts = data["parts"]
+        raw_parts = [(entry["setup"], entry["kernel_ref"]) for entry in data["parts"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed composite object: {exc}") from exc
     parts = []
-    for entry in raw_parts:
-        setup = setup_from_dict(entry["setup"])
-        kernel = load_kernel(path.parent / entry["kernel_ref"])
+    for raw_setup, kernel_ref in raw_parts:
+        setup = setup_from_dict(raw_setup)
+        kernel = load_kernel(path.parent / kernel_ref)
         parts.append((setup, kernel))
     return CompositeSetup(tuple(parts))

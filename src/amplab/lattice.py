@@ -107,7 +107,13 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
 
     The argument is halved until its infinity norm is at most 1/2, the series
     is summed until a term falls below 1e-16 relative to the running sum, and
-    the result is squared back up.  Deterministic, no eigendecomposition.
+    the result is squared back up.  Deterministic, no eigendecomposition, so
+    entries that no power of the argument reaches stay exactly zero.
+
+    The series is summed as exp(-i x) with x = i a, which is exact (a swap and
+    a sign per entry).  For a = -i dt H with H real, x = dt H is real, and
+    every series product is a real one; the phase (-i)^k goes on as each term
+    is added.  Only the squarings multiply complex matrices.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -118,13 +124,14 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
     squarings = 0
     if norm > 0.5:
         squarings = int(np.ceil(np.log2(norm / 0.5)))
-    b = a * 0.5**squarings  # 2.0**squarings overflows past 1023
-    eye = np.eye(a.shape[0], dtype=complex)
-    result = eye.copy()
-    term = eye.copy()
+    x = 1j * (a * 0.5**squarings)  # 2.0**squarings overflows past 1023
+    if not x.imag.any():
+        x = x.real
+    result = np.eye(a.shape[0], dtype=complex)
+    term = np.eye(a.shape[0], dtype=x.dtype)
     for k in range(1, 80):
-        term = term @ b / k
-        result = result + term
+        term = term @ x / k
+        result = result + (1, -1j, -1, 1j)[k % 4] * term
         if np.linalg.norm(term, np.inf) <= 1e-16 * np.linalg.norm(result, np.inf):
             break
     else:
@@ -268,8 +275,10 @@ def kernel_from_dict(data: dict) -> Kernel:
         flat = np.array(
             [complex(re, im) for re, im in entries], dtype=complex
         ).reshape(num_sites, num_sites)
-    except (TypeError, ValueError) as exc:
-        raise KernelFormatError(f"entries must be [re, im] pairs: {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise KernelFormatError(
+            f"malformed kernel entries, expected [re, im] pairs: {exc}"
+        ) from exc
     return Kernel(flat, label=label)
 
 
@@ -288,8 +297,10 @@ def wavefunction_to_list(psi: WaveFunction) -> list:
 def wavefunction_from_list(data: list) -> WaveFunction:
     try:
         coeffs = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"wave function must be a list of [re, im] pairs: {exc}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"malformed wave function, expected [re, im] pairs: {exc}"
+        ) from exc
     return WaveFunction(coeffs)
 
 

@@ -33,6 +33,8 @@ from amplab import (
 from amplab.cli import _all_strategies, _fuzz_kernel, main
 from genutil import reject_constant
 
+HUGE_INT = "1" + "0" * 400
+
 
 def write_inputs(tmp_path):
     config = LatticeConfig(4, 4, dt=0.3)
@@ -167,11 +169,17 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
          '"filters": [{"time": 2, "holes": [1e400]}]}'),
         ("amplitude", "kernel.json", '{"L": 1e400, "entries": []}'),
         ("evolve", "kernel.json", '{"L": 1e400, "entries": []}'),
+        ("evolve", "kernel.json", '{"L": 1, "entries": [[%s, 0]]}' % HUGE_INT),
+        ("evolve", "psi.json", "[[%s, 0], [0, 0], [0, 0], [0, 0]]" % HUGE_INT),
     ],
-    ids=["source-site", "detector-time", "hole", "kernel-L", "evolve-kernel-L"],
+    ids=[
+        "source-site", "detector-time", "hole", "kernel-L", "evolve-kernel-L",
+        "kernel-entry-huge-int", "psi-entry-huge-int",
+    ],
 )
 def test_nonfinite_integer_field_exits_1(tmp_path, capsys, subcommand, name, text):
-    # JSON reads 1e400 as infinity, which no integer holds
+    # JSON reads 1e400 as infinity, which no integer holds, and a 400-digit
+    # integer exactly, which no float holds
     kernel_path, setup_path = write_inputs(tmp_path)
     psi_path = tmp_path / "psi.json"
     save_wavefunction(WaveFunction([1.0, 0.0, 0.0, 0.0]), psi_path)

@@ -143,3 +143,13 @@ def test_composite_json_malformed(tmp_path):
     path.write_text('{"not_parts": []}')
     with pytest.raises(ValueError):
         load_composite(path)
+
+
+@pytest.mark.parametrize(
+    "part", ['{"kernel_ref": "k.json"}', '{"setup": {}}'], ids=["setup", "kernel_ref"]
+)
+def test_composite_part_missing_key(tmp_path, part):
+    path = tmp_path / "bad.json"
+    path.write_text('{"parts": [%s]}' % part)
+    with pytest.raises(ValueError, match="malformed composite object"):
+        load_composite(path)

@@ -79,6 +79,30 @@ def test_expm_series_matches_scipy():
         assert np.max(np.abs(expm_series(a) - scipy.linalg.expm(a))) < 1e-12
 
 
+@pytest.mark.parametrize("n", [2, 7, 64])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_expm_series_hermitian_generator_matches_scipy(n, field):
+    # -i dt H: a real symmetric H takes the real-product series, a complex
+    # Hermitian one the complex series
+    rng = np.random.default_rng(n)
+    h = rng.normal(size=(n, n))
+    if field == "complex":
+        h = h + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    a = -1j * 0.3 * h
+    assert np.max(np.abs(expm_series(a) - scipy.linalg.expm(a))) < 1e-12
+
+
+def test_open_chain_kernel_keeps_exact_zeros():
+    # the series reaches a site only through powers of the hopping matrix, so
+    # entries far from the diagonal are exactly zero; an eigendecomposition
+    # leaves rounding noise in every entry and fails this
+    h = tight_binding_hamiltonian(64, 1.0, 0.0, boundary="open")
+    kernel = kernel_from_hamiltonian(h, dt=0.35)
+    assert kernel.step[63, 0] == 0
+    assert np.count_nonzero(kernel.step == 0) == 1260
+
+
 def test_tight_binding_unitarity():
     config = LatticeConfig(4, 2, dt=0.1)
     kernel = make_tight_binding_kernel(config, hop=0.7, onsite=[0.0, 0.5, 0.0, 0.5])
