@@ -29,7 +29,6 @@ from .born import (
     ProjectorWindow,
     ScanRow,
     convergence_scan,
-    deviation_norm,
     overlap_exact,
     overlap_for_window,
     overlap_gaussian,
@@ -38,13 +37,11 @@ from .born import (
 from .composite import (
     CompositeSetup,
     composite_amplitude,
-    load_composite,
     product_state,
 )
 from .evolution import (
     Hamiltonian,
     evolve,
-    generator_from_kernel,
     hermiticity_defect,
     linearity_check,
     schrodinger_residual,
@@ -56,7 +53,6 @@ from .lattice import (
     LatticeConfig,
     WaveFunction,
     expm_series,
-    inner_product,
     is_normalized,
     kernel_from_dict,
     kernel_from_hamiltonian,
@@ -100,7 +96,6 @@ from .setups import (
     or_compose,
     random_setup,
     save_setup,
-    validate_setup,
 )
 
 __version__ = "0.1.0"

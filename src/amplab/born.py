@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .composite import TENSOR_GUARD, product_state
-from .lattice import WaveFunction, is_normalized
+from .composite import product_state
+from .lattice import WaveFunction
 
 SMALL_N_LIMIT = 12
 
@@ -61,17 +61,6 @@ class BornExperiment:
         if self.f - self.epsilon > 1.0 or self.f + self.epsilon < 0.0:
             raise ValueError("window does not intersect [0, 1]")
 
-    @classmethod
-    def from_wavefunction(
-        cls, psi: WaveFunction, k_site: int, N: int, f: float, epsilon: float
-    ) -> "BornExperiment":
-        if not is_normalized(psi):
-            raise ValueError("wave function must be normalized")
-        if not 0 <= k_site < psi.num_sites:
-            raise ValueError(f"site {k_site} outside [0, {psi.num_sites})")
-        p = float(abs(psi.coeffs[k_site]) ** 2)
-        return cls(p=min(p, 1.0), N=N, f=f, epsilon=epsilon)
-
 
 @dataclass(frozen=True)
 class ProjectorWindow:
@@ -83,15 +72,6 @@ class ProjectorWindow:
     def __post_init__(self) -> None:
         if not 0 <= self.n_min <= self.n_max:
             raise ValueError("need 0 <= n_min <= n_max")
-
-    @classmethod
-    def from_fraction(cls, f: float, epsilon: float, N: int) -> "ProjectorWindow":
-        lo, hi = _window_bounds(f, epsilon, N)
-        if lo > hi:
-            raise ValueError(
-                f"window [{f - epsilon}, {f + epsilon}] contains no count in 0..{N}"
-            )
-        return cls(lo, hi)
 
 
 def _window_bounds(f: float, epsilon: float, N: int) -> tuple[int, int]:
@@ -184,12 +164,6 @@ def overlap_for_window(p: float, N: int, window: ProjectorWindow) -> float:
     return _overlap_from_bounds(p, N, window.n_min, min(window.n_max, N))
 
 
-def deviation_norm(experiment: BornExperiment) -> float:
-    """Squared norm of (P Psi_N - Psi_N): filters are projectors, so this is
-    exactly one minus the overlap."""
-    return 1.0 - overlap_exact(experiment)
-
-
 def overlap_gaussian(experiment: BornExperiment) -> float:
     """Gaussian-limit window mass: normal integral over [f - eps, f + eps]
     with mean p and variance p(1 - p)/N."""
@@ -216,10 +190,6 @@ def small_N_direct(
     if not 1 <= N <= SMALL_N_LIMIT:
         raise ValueError(f"N must lie in 1..{SMALL_N_LIMIT}")
     num_sites = psi.num_sites
-    if num_sites**N > TENSOR_GUARD:
-        raise ValueError(f"configuration space {num_sites}**{N} exceeds guard")
-    if not is_normalized(psi):
-        raise ValueError("wave function must be normalized")
     if not 0 <= k_site < num_sites:
         raise ValueError(f"site {k_site} outside [0, {num_sites})")
     coeffs = product_state([psi] * N)

@@ -512,6 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         RuntimeError,
         json.JSONDecodeError,
         ValueError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

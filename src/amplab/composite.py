@@ -10,18 +10,16 @@ used by the Born-rule concentration computation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .amplitudes import amplitude
-from .lattice import Kernel, WaveFunction, is_normalized, load_kernel
-from .setups import Setup, setup_from_dict, setup_to_dict
+from .lattice import Kernel, WaveFunction, is_normalized
+from .setups import Setup
 
 TENSOR_GUARD = 10_000_000
 
@@ -66,29 +64,3 @@ def product_state(psis: Sequence[WaveFunction]) -> np.ndarray:
             raise ValueError(f"wave function {i} is not normalized")
     return reduce(np.kron, (psi.coeffs for psi in psis))
 
-
-def composite_to_dict(composite: CompositeSetup, kernel_refs: Sequence[str]) -> dict:
-    if len(kernel_refs) != len(composite.parts):
-        raise ValueError("need one kernel_ref per part")
-    return {
-        "parts": [
-            {"setup": setup_to_dict(setup), "kernel_ref": str(ref)}
-            for (setup, _), ref in zip(composite.parts, kernel_refs)
-        ]
-    }
-
-
-def load_composite(path: str | Path) -> CompositeSetup:
-    """Load a composite setup; kernel_ref paths resolve relative to the file."""
-    path = Path(path)
-    data = json.loads(path.read_text())
-    try:
-        raw_parts = [(entry["setup"], entry["kernel_ref"]) for entry in data["parts"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed composite object: {exc}") from exc
-    parts = []
-    for raw_setup, kernel_ref in raw_parts:
-        setup = setup_from_dict(raw_setup)
-        kernel = load_kernel(path.parent / kernel_ref)
-        parts.append((setup, kernel))
-    return CompositeSetup(tuple(parts))

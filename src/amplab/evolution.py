@@ -3,9 +3,8 @@
 One evolution step multiplies the coefficient vector by the kernel's step
 matrix, so the map taking a state at time t to the state at time t+n is
 linear by construction for every kernel, unitary or not.  The routines here
-quantify that: the forward-difference generator recovered from a kernel, the
-residual of the discrete evolution equation i*dPsi/dt = H Psi (units with
-hbar = 1), and a direct superposition check.
+quantify that: the residual of the discrete evolution equation
+i*dPsi/dt = H Psi (units with hbar = 1), and a direct superposition check.
 """
 
 from __future__ import annotations
@@ -54,21 +53,6 @@ def evolve(psi: WaveFunction, kernel: Kernel, steps: int) -> WaveFunction:
     for _ in range(steps):
         coeffs = kernel.step @ coeffs
     return WaveFunction(coeffs, psi.time + steps)
-
-
-def generator_from_kernel(kernel: Kernel, dt: float) -> Hamiltonian:
-    """Forward-difference generator H = i*(K - I)/dt.
-
-    First-order accurate: if K = exp(-i*H0*dt) the recovered matrix
-    differs from H0 by O(dt).  The hermitian flag is set only when the
-    recovered matrix is Hermitian to tolerance, which for a unitary kernel
-    happens in the dt -> 0 limit, not at finite step.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k = kernel.step
-    h = 1j * (k - np.eye(kernel.num_sites, dtype=complex)) / dt
-    return Hamiltonian(h, hermitian_flag=hermiticity_defect(h) <= HERMITICITY_TOL)
 
 
 def schrodinger_residual(

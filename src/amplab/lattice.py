@@ -231,13 +231,6 @@ def masked_kernel(kernel: Kernel, holes: Iterable[int]) -> Kernel:
     return Kernel(mask[:, None] * kernel.step, label=f"{kernel.label}|masked")
 
 
-def inner_product(a: WaveFunction, b: WaveFunction) -> complex:
-    """Hermitian inner product (a, b) = sum_x conj(a(x)) * b(x)."""
-    if a.num_sites != b.num_sites:
-        raise ValueError("wave functions have different lengths")
-    return complex(np.vdot(a.coeffs, b.coeffs))
-
-
 def norm_sq(a: WaveFunction) -> float:
     return float(np.vdot(a.coeffs, a.coeffs).real)
 

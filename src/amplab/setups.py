@@ -67,10 +67,6 @@ class FilterSpec:
             raise SetupError("hole sites must be non-negative")
         object.__setattr__(self, "holes", normalized)
 
-    @property
-    def is_blocking(self) -> bool:
-        return len(self.holes) == 0
-
 
 @dataclass(frozen=True)
 class Setup:
@@ -118,17 +114,6 @@ def check_sites(setup: Setup, num_sites: int) -> None:
             raise SetupError(
                 f"filter at time {f.time} has holes outside [0, {num_sites})"
             )
-
-
-def validate_setup(setup: Setup, config: LatticeConfig) -> None:
-    """Raise if any event or hole falls outside the config's lattice."""
-    check_sites(setup, config.num_sites)
-    # filters lie strictly between source and detector, so these two bound all
-    if setup.source.time < 0 or setup.detector.time > config.num_steps:
-        raise SetupError(
-            f"times {setup.source.time}..{setup.detector.time} outside "
-            f"[0, {config.num_steps}]"
-        )
 
 
 def and_compose(earlier: Setup, later: Setup) -> Setup:

@@ -498,6 +498,49 @@ def test_amplitude_exits_2_on_production_core_mutants(defect, tmp_path, monkeypa
     assert payload["pair_deviations"]["transfer_matrix|brute_force"] > 1e-10
 
 
+_NONLINEAR_MAPS = {
+    "kerr": lambda psi: psi * np.exp(-0.01j * np.abs(psi) ** 2),
+    "norm": lambda psi: psi / np.linalg.norm(psi),
+    "cubic": lambda psi: psi + 0.01 * psi * np.abs(psi) ** 2,
+}
+
+_FUZZ_SHAPES = {
+    "default": [],
+    "long": ["--L", "16", "--T", "24", "--max-filters", "8", "--seed", "5000000"],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
+@pytest.mark.parametrize("nonlinear", sorted(_NONLINEAR_MAPS))
+def test_fuzz_exits_2_on_nonlinear_evolution(nonlinear, shape, tmp_path, monkeypatch, capsys):
+    # the paper's consequence that nonlinear variants of quantum mechanics are
+    # inconsistent: a step followed by a nonlinear map breaks the product rule,
+    # so splitting at a single-hole filter no longer reproduces the amplitude
+    state_map = _NONLINEAR_MAPS[nonlinear]
+
+    def nonlinear_detector_vector(setup, kernel):
+        num_sites = kernel.num_sites
+        by_time = {f.time: f for f in setup.filters}
+        psi = np.zeros(num_sites, dtype=complex)
+        psi[setup.source.site] = 1.0
+        for t in range(setup.source.time + 1, setup.detector.time + 1):
+            psi = state_map(kernel.step @ psi)
+            f = by_time.get(t)
+            if f is not None:
+                psi = psi * mask_vector(num_sites, f.holes)
+        return psi
+
+    monkeypatch.setattr(amplitudes, "detector_vector", nonlinear_detector_vector)
+    out = tmp_path / "fz"
+    argv = ["fuzz", "--count", "50", *_FUZZ_SHAPES[shape], "--out", str(out)]
+    assert main(argv) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
+    assert "transfer_matrix|decompose_all" in breaches
+
+
 def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(tmp_path, monkeypatch, capsys):
     # an inserted sigma filter without site 0 is no longer inert; only the
     # sigma_all strategy runs through it

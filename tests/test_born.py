@@ -9,7 +9,6 @@ from amplab import (
     ProjectorWindow,
     WaveFunction,
     convergence_scan,
-    deviation_norm,
     normalize,
     overlap_exact,
     overlap_for_window,
@@ -45,20 +44,14 @@ def test_experiment_validation():
 
 
 def test_window_construction():
-    w = ProjectorWindow.from_fraction(0.5, 0.1, 10)
-    assert (w.n_min, w.n_max) == (4, 6)
     with pytest.raises(ValueError):
         ProjectorWindow(3, 2)
-    with pytest.raises(ValueError):
-        ProjectorWindow.from_fraction(0.55, 0.01, 10)  # no integer inside
-    wide = ProjectorWindow.from_fraction(0.5, 2.0, 10)
-    assert (wide.n_min, wide.n_max) == (0, 10)
 
 
 def test_certain_detection():
     e = BornExperiment(p=1.0, N=100, f=1.0, epsilon=0.05)
     assert overlap_exact(e) == 1.0
-    assert deviation_norm(e) == 0.0
+    assert convergence_scan(1.0, 1.0, 0.05, [100])[0].deviation == 0.0
 
 
 def test_hand_enumerable_binomial():
@@ -75,6 +68,9 @@ def test_overlap_against_high_precision_oracle():
         (0.36, 10_000, 0.40, 0.02),
         (0.07, 5_000, 0.07, 0.01),
         (0.93, 5_000, 0.95, 0.01),
+        # window 4..6; a window wider than [0, 1] is clipped to 0..10
+        (0.36, 10, 0.5, 0.1),
+        (0.36, 10, 0.5, 2.0),
     ]
     for p, N, f, eps in cases:
         e = BornExperiment(p=p, N=N, f=f, epsilon=eps)
@@ -96,15 +92,12 @@ def test_concentration_at_target_fraction():
 def test_displaced_window_has_no_mass():
     e = BornExperiment(p=0.36, N=10_000, f=0.46, epsilon=0.02)
     assert overlap_exact(e) <= 1e-12
-    assert deviation_norm(e) >= 1.0 - 1e-12
+    assert convergence_scan(0.36, 0.46, 0.02, [10_000])[0].deviation >= 1.0 - 1e-12
 
 
 def test_deviation_decreases_with_replicas():
-    devs = [
-        deviation_norm(BornExperiment(p=0.36, N=N, f=0.36, epsilon=0.02))
-        for N in (100, 1000, 10_000)
-    ]
-    assert devs[0] > devs[1] > devs[2]
+    rows = convergence_scan(0.36, 0.36, 0.02, [100, 1000, 10_000])
+    assert rows[0].deviation > rows[1].deviation > rows[2].deviation
 
 
 def test_large_replica_count_is_stable():
@@ -113,12 +106,12 @@ def test_large_replica_count_is_stable():
 
 
 def test_hoeffding_envelope():
+    epsilon = 0.02
     for p in (0.2, 0.36, 0.7):
-        for N in (100, 1000, 10_000):
-            for f_shift in (0.0, 0.005):
-                e = BornExperiment(p=p, N=N, f=p + f_shift, epsilon=0.02)
-                bound = 2.0 * math.exp(-2.0 * N * (e.epsilon - abs(f_shift)) ** 2)
-                assert deviation_norm(e) <= bound
+        for f_shift in (0.0, 0.005):
+            for row in convergence_scan(p, p + f_shift, epsilon, [100, 1000, 10_000]):
+                bound = 2.0 * math.exp(-2.0 * row.N * (epsilon - abs(f_shift)) ** 2)
+                assert row.deviation <= bound
 
 
 def test_window_monotonicity():
@@ -229,16 +222,6 @@ def test_small_N_direct_at_replica_limit():
         assert abs(
             small_N_direct(psi, 0, w, 12) - overlap_for_window(p, 12, w)
         ) <= 1e-12
-
-
-def test_from_wavefunction():
-    psi = normalize(WaveFunction(np.array([0.6, 0.8])))
-    e = BornExperiment.from_wavefunction(psi, 0, N=50, f=0.36, epsilon=0.1)
-    assert e.p == pytest.approx(0.36, abs=1e-15)
-    with pytest.raises(ValueError):
-        BornExperiment.from_wavefunction(
-            WaveFunction(np.array([1.0, 1.0])), 0, N=5, f=0.5, epsilon=0.1
-        )
 
 
 def test_convergence_scan():

@@ -435,6 +435,15 @@ def test_regrade_rejects_broken_op(tmp_path, capsys):
     assert "cubic-mean power must be positive" in capsys.readouterr().err
 
 
+def test_unallocatable_input_exits_1(tmp_path, capsys):
+    # a grid of 1e17 points asks numpy for 711 PiB at once, more than any
+    # address space, so the allocation fails before anything is written
+    argv = ["regrade", "--op", "add", "--grid-n", "100000000000000000"]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: ") and "allocate" in stderr
+
+
 def test_regrade_product_rule_flag(tmp_path):
     out = tmp_path / "rg"
     code = main(

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -14,15 +13,12 @@ from amplab import (
     amplitude,
     and_compose,
     composite_amplitude,
-    load_composite,
     normalize,
     or_compose,
     product_state,
     random_setup,
     relative_deviation,
-    save_kernel,
 )
-from amplab.composite import composite_to_dict
 
 from genutil import random_kernel
 
@@ -123,33 +119,3 @@ def test_product_state_guards():
     with pytest.raises(ValueError):
         product_state([])
 
-
-def test_composite_json_roundtrip(tmp_path):
-    part_a, part_b = _pair(8), _pair(9)
-    composite = CompositeSetup((part_a, part_b))
-    save_kernel(part_a[1], tmp_path / "ka.json")
-    save_kernel(part_b[1], tmp_path / "kb.json")
-    payload = composite_to_dict(composite, ["ka.json", "kb.json"])
-    path = tmp_path / "composite.json"
-    path.write_text(json.dumps(payload))
-    loaded = load_composite(path)
-    assert relative_deviation(
-        composite_amplitude(loaded), composite_amplitude(composite)
-    ) <= 1e-15
-
-
-def test_composite_json_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"not_parts": []}')
-    with pytest.raises(ValueError):
-        load_composite(path)
-
-
-@pytest.mark.parametrize(
-    "part", ['{"kernel_ref": "k.json"}', '{"setup": {}}'], ids=["setup", "kernel_ref"]
-)
-def test_composite_part_missing_key(tmp_path, part):
-    path = tmp_path / "bad.json"
-    path.write_text('{"parts": [%s]}' % part)
-    with pytest.raises(ValueError, match="malformed composite object"):
-        load_composite(path)

@@ -12,7 +12,6 @@ from amplab import (
     WaveFunction,
     amplitude,
     evolve,
-    generator_from_kernel,
     hermiticity_defect,
     kernel_from_hamiltonian,
     linearity_check,
@@ -57,28 +56,6 @@ def test_delta_state_evolution_reproduces_amplitudes():
     for site in range(5):
         setup = Setup(Event(start, 0), Event(site, 4))
         assert abs(out.coeffs[site] - amplitude(setup, kernel)) <= 1e-13
-
-
-def test_generator_of_identity_kernel_is_zero():
-    kernel = Kernel(np.eye(3, dtype=complex))
-    h = generator_from_kernel(kernel, dt=0.1)
-    assert np.max(np.abs(h.matrix)) == 0.0
-    assert h.hermitian_flag
-
-
-def test_generator_recovers_hamiltonian_to_first_order():
-    dt = 1e-4
-    kernel = kernel_from_hamiltonian(TWO_LEVEL, dt=dt)
-    h = generator_from_kernel(kernel, dt=dt)
-    assert np.max(np.abs(h.matrix - TWO_LEVEL)) <= 1e-3
-    # the defect is the first-order Taylor remainder, about |H|^2 dt / 2
-    assert np.max(np.abs(h.matrix - TWO_LEVEL)) <= dt
-
-
-def test_generator_rejects_bad_dt():
-    kernel = Kernel(np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        generator_from_kernel(kernel, dt=0.0)
 
 
 def test_hamiltonian_flag_validation():

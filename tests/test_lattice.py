@@ -4,8 +4,6 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from amplab import (
     Event,
@@ -14,7 +12,6 @@ from amplab import (
     LatticeConfig,
     WaveFunction,
     expm_series,
-    inner_product,
     kernel_from_dict,
     kernel_from_hamiltonian,
     load_kernel,
@@ -145,29 +142,6 @@ def test_propagator_composition_property():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
-def test_inner_product_examples():
-    a = WaveFunction(np.array([1.0, 0.0, 0.0]))
-    b = WaveFunction(np.array([0.0, 1.0, 0.0]))
-    assert inner_product(a, b) == 0
-    c = WaveFunction(np.array([0.6, 0.8, 0.0]))
-    assert norm_sq(c) == pytest.approx(1.0, abs=1e-15)
-    omega = np.exp(2j * np.pi / 3)
-    d = WaveFunction(np.array([1.0, 1.0, 1.0]) / np.sqrt(3))
-    e = WaveFunction(np.array([1.0, omega, omega**2]) / np.sqrt(3))
-    value = inner_product(d, e)
-    # direct summation oracle
-    direct = math.fsum(
-        (np.conj(d.coeffs[i]) * e.coeffs[i]).real for i in range(3)
-    ) + 1j * math.fsum((np.conj(d.coeffs[i]) * e.coeffs[i]).imag for i in range(3))
-    assert abs(value - direct) < 1e-15
-    assert abs(value) < 1e-15
-
-
-def test_inner_product_length_mismatch():
-    with pytest.raises(ValueError):
-        inner_product(WaveFunction(np.ones(2)), WaveFunction(np.ones(3)))
-
-
 def test_normalize():
     psi = normalize(WaveFunction(np.array([3.0, 4.0])))
     assert norm_sq(psi) == pytest.approx(1.0, abs=1e-15)
@@ -182,30 +156,6 @@ def test_unitary_kernel_preserves_norm():
     psi = normalize(WaveFunction(rng.normal(size=6) + 1j * rng.normal(size=6)))
     out = WaveFunction(kernel.step @ psi.coeffs)
     assert abs(norm_sq(out) - 1.0) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False)
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    st.lists(
-        st.tuples(
-            st.floats(-5, 5, allow_nan=False), st.floats(-5, 5, allow_nan=False)
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-)
-def test_cauchy_schwarz(pairs_a, pairs_b):
-    n = min(len(pairs_a), len(pairs_b))
-    a = WaveFunction(np.array([complex(re, im) for re, im in pairs_a[:n]]))
-    b = WaveFunction(np.array([complex(re, im) for re, im in pairs_b[:n]]))
-    assert abs(inner_product(a, b)) ** 2 <= norm_sq(a) * norm_sq(b) + 1e-12
 
 
 def test_mask_vector_and_masked_kernel():

@@ -19,8 +19,8 @@ from amplab import (
     or_compose,
     random_setup,
     save_setup,
-    validate_setup,
 )
+from amplab.setups import check_sites
 
 CONFIG = LatticeConfig(num_sites=4, num_steps=4)
 
@@ -34,7 +34,6 @@ def test_filter_normalization():
     assert f.holes == (1, 2, 3)
     with pytest.raises(SetupError):
         FilterSpec(2, (-1,))
-    assert FilterSpec(2, ()).is_blocking
 
 
 def test_setup_invariants():
@@ -177,16 +176,9 @@ def test_random_setup_deterministic():
 def test_random_setup_always_valid():
     config = LatticeConfig(num_sites=8, num_steps=6)
     for seed in range(1000):
-        validate_setup(random_setup(config, seed, 4), config)
-
-
-def test_validate_setup_catches_out_of_range():
-    s = Setup(Event(0, 0), Event(3, 4), (FilterSpec(1, (7,)),))
-    with pytest.raises(SetupError):
-        validate_setup(s, CONFIG)
-    tall = Setup(Event(0, 0), Event(3, 9))
-    with pytest.raises(ValueError):
-        validate_setup(tall, CONFIG)
+        setup = random_setup(config, seed, 4)
+        check_sites(setup, config.num_sites)
+        assert setup.source.time == 0 and setup.detector.time == config.num_steps
 
 
 def test_or_associativity_when_allowed():
