@@ -12,7 +12,8 @@ concentrates at fraction p: the filter becomes inert exactly when the window
 contains p, which is the content of the Born rule.  This module computes the
 overlap three independent ways: the exact binomial sum in log space
 (``overlap_exact``), its Gaussian limit (``overlap_gaussian``), and a literal
-tensor-product construction for small N (``small_N_direct``).
+tensor-product construction for small N (``small_N_direct``), which lists every
+configuration but builds the tensor one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,10 +26,13 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .composite import product_state
-from .lattice import WaveFunction
+from .composite import TENSOR_GUARD, product_state
+from .lattice import WaveFunction, is_normalized
 
 SMALL_N_LIMIT = 12
+
+# entries of the N-replica tensor that small_N_direct holds at a time
+_BLOCK_ENTRIES = 1 << 16
 
 # half-width of the bulk kept for normalization, in standard deviations;
 # the truncated mass is below exp(-2*144*p(1-p)) and never matters
@@ -182,24 +186,54 @@ def small_N_direct(
 ) -> float:
     """Overlap by explicit construction in the N-replica configuration space.
 
-    Builds the full tensor product, counts replicas at ``k_site`` for every
-    one of the L^N configurations, and sums |coefficient|^2 over those whose
+    Lists every one of the L^N configurations of the tensor product, counts
+    replicas at ``k_site`` in each, and sums |coefficient|^2 over those whose
     count falls in the window.  An independent check of the binomial algebra;
     limited to N <= 12 and L^N <= 1e7.
+
+    The tensor is never held whole.  ``product_state`` folds ``np.kron`` from
+    the left, so configuration I*L + j holds head[I] * psi[j], where head is
+    the (N-1)-replica tensor.  Rows of that (L^(N-1), L) view are built one
+    block at a time, and the in-window |c|^2 are gathered in flat order into
+    one array with one sum: the same products summed in the same order as
+    over the whole tensor, so the same bits.
     """
     if not 1 <= N <= SMALL_N_LIMIT:
         raise ValueError(f"N must lie in 1..{SMALL_N_LIMIT}")
     num_sites = psi.num_sites
     if not 0 <= k_site < num_sites:
         raise ValueError(f"site {k_site} outside [0, {num_sites})")
-    coeffs = product_state([psi] * N)
-    probs = np.abs(coeffs) ** 2
-    # replicas at k_site per configuration, first replica most significant
-    # as in product_state; int8 holds counts up to SMALL_N_LIMIT
+    total = num_sites**N
+    if total > TENSOR_GUARD:
+        raise ValueError(f"tensor dimension {total} exceeds guard {TENSOR_GUARD}")
+    # checked here because product_state sees only N - 1 factors, none at N=1
+    if not is_normalized(psi):
+        raise ValueError("wave function 0 is not normalized")
+    head = product_state([psi] * (N - 1)) if N > 1 else np.ones(1, dtype=complex)
+    # replicas at k_site per head row, first replica most significant as in
+    # product_state; int8 holds counts up to SMALL_N_LIMIT
     hit = (np.arange(num_sites) == k_site).astype(np.int8)
-    counts = reduce(np.add.outer, [hit] * N).reshape(-1)
-    in_window = (counts >= window.n_min) & (counts <= window.n_max)
-    return float(probs[in_window].sum())
+    counts = reduce(np.add.outer, [hit] * (N - 1), np.zeros(1, np.int8)).reshape(-1)
+    # the window holds configuration (I, j) when it holds the head's count,
+    # plus one where j is k_site
+    keep = (counts >= window.n_min) & (counts <= window.n_max)
+    keep_hit = (counts + 1 >= window.n_min) & (counts + 1 <= window.n_max)
+    in_window = np.empty((head.size, num_sites), dtype=bool)
+    in_window[:] = keep[:, None]
+    in_window[:, k_site] = keep_hit
+    probs = np.empty(np.count_nonzero(in_window))
+    rows = max(1, _BLOCK_ENTRIES // num_sites)
+    block = np.empty((rows, num_sites), dtype=complex)
+    filled = 0
+    for start in range(0, head.size, rows):
+        part = head[start : start + rows]
+        coeffs = block[: part.size]
+        for j, c in enumerate(psi.coeffs):
+            np.multiply(part, c, out=coeffs[:, j])
+        chosen = coeffs[in_window[start : start + rows]]
+        np.abs(chosen, out=probs[filled : filled + chosen.size])
+        filled += chosen.size
+    return float(np.square(probs, out=probs).sum())
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,15 @@ class _Run:
         """Write ``columns`` (header -> array or sequence) as CSV, or as JSON
         rows of the same cells when --format json.  A float column is written
         ``%.17g``, any other with ``str`` and None blank; no cell holds a comma,
-        quote or line break.  One ``%`` formats a row; CSV rows stream to file."""
+        quote or line break.  An array's dtype decides its rule; a sequence is
+        float when every cell is.  One ``%`` formats a row; CSV rows stream to
+        file."""
         rules, values = [], []
         for column in columns.values():
+            is_float = isinstance(column, np.ndarray) and column.dtype.kind == "f"
             if isinstance(column, np.ndarray):
                 column = column.tolist()
-            if all(isinstance(x, float) for x in column):
+            if is_float or all(isinstance(x, float) for x in column):
                 rules.append("%.17g")
             else:
                 rules.append("%s")

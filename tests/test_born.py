@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -211,6 +212,33 @@ def test_small_N_direct_counts_match_digit_loop():
             assert small_N_direct(psi, k_site, w, N) == small_N_digit_loop(
                 psi, k_site, w, N
             )
+
+
+@pytest.mark.parametrize("num_sites, N", [(3, 11), (4, 10), (5, 9), (3, 1)])
+def test_small_N_direct_block_seams_match_digit_loop(num_sites, N):
+    # several blocks of rows and a partial last one (one block at N=1)
+    rng = np.random.default_rng(24 + N)
+    psi = random_state(num_sites, rng)
+    k_site = int(rng.integers(0, num_sites))
+    for lo, hi in ((0, N), (N // 3, (2 * N) // 3)):
+        w = ProjectorWindow(lo, hi)
+        assert small_N_direct(psi, k_site, w, N) == small_N_digit_loop(
+            psi, k_site, w, N
+        )
+    # a window that no configuration reaches
+    assert small_N_direct(psi, k_site, ProjectorWindow(N + 1, N + 1), N) == 0.0
+
+
+def test_small_N_direct_memory_peak():
+    # the 4^11-entry tensor alone takes 64 MiB; rows are built a block at a time
+    psi = random_state(4, np.random.default_rng(25))
+    tracemalloc.start()
+    try:
+        small_N_direct(psi, 0, ProjectorWindow(2, 3), 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_small_N_direct_at_replica_limit():

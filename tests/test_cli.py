@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -406,6 +407,23 @@ def test_born_direct_mutant_exits_2(tmp_path, monkeypatch, capsys):
     assert "binomial cross-check violation: 1.000e-09" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "coeffs, N, err",
+    [
+        # the guard comes before any allocation: 4^12 entries
+        ([[0.5, 0.0]] * 4, 12, "tensor dimension 16777216 exceeds guard 10000000"),
+        # at N=1 no replica tensor is folded, so the check is explicit
+        ([[1.0, 0.0], [1.0, 0.0]], 1, "wave function 0 is not normalized"),
+    ],
+)
+def test_born_direct_invalid_input_exits_1(tmp_path, capsys, coeffs, N, err):
+    (tmp_path / "psi.json").write_text(json.dumps(coeffs))
+    argv = ["born-direct", "--psi", str(tmp_path / "psi.json"), "--site", "0",
+            "--N", str(N), "--n-min", "0", "--n-max", "0", "--out", str(tmp_path / "bd")]
+    assert main(argv) == 1
+    assert f"error: {err}" in capsys.readouterr().err
+
+
 def test_regrade_subcommand(tmp_path):
     out = tmp_path / "rg"
     code = main(["regrade", "--op", "uv-shift", "--out", str(out)])
@@ -665,6 +683,27 @@ def test_table_bytes_match_the_reference_format(tmp_path, table):
     payload = json.loads(Path(f"{out}{stem}.json").read_text())
     cells = list(csv.reader(io.StringIO(expected.decode(), newline="")))
     assert payload == {"columns": cells[0], "rows": cells[1:]}
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        # an integral float keeps the float rule (2.0 -> "2"); ints go by str
+        {"x": np.array([2.0, 0.1, -1e-300]), "n": np.array([3, -4, 5])},
+        {"x": np.array([], dtype=float)},
+    ],
+)
+def test_array_columns_match_the_reference_format(tmp_path, columns):
+    header, rows = list(columns), list(zip(*(c.tolist() for c in columns.values())))
+    expected = reference_table(header, rows)
+    for fmt in ("csv", "json"):
+        run = cli._Run(argparse.Namespace(out=str(tmp_path / "t"), format=fmt))
+        path = run.write_table("", columns)
+        if fmt == "csv":
+            assert path.read_bytes() == expected
+        else:
+            cells = list(csv.reader(io.StringIO(expected.decode(), newline="")))
+            assert json.loads(path.read_text()) == {"columns": cells[0], "rows": cells[1:]}
 
 
 def test_out_under_a_file_exits_1(tmp_path, capsys):
