@@ -211,7 +211,10 @@ def _fuzz_kernel(config: LatticeConfig):
 
 def _all_strategies(max_paths: int) -> list:
     # consistency_check skips the brute-force path sum when its guard trips
-    # and records it in the report's ``skipped``
+    # and records it in the report's ``skipped``; a guard below one path
+    # would skip it on every setup
+    if max_paths < 1:
+        raise ValueError(f"--max-paths must be at least 1, got {max_paths}")
     return [
         TransferMatrix(),
         RecursiveDecompose(),
@@ -221,10 +224,11 @@ def _all_strategies(max_paths: int) -> list:
 
 
 def _cmd_amplitude(args: argparse.Namespace) -> int:
+    strategies = _all_strategies(args.max_paths)
     run = _Run(args)
     setup = load_setup(args.setup)
     kernel = load_kernel(args.kernel)
-    report = consistency_check(setup, kernel, _all_strategies(args.max_paths))
+    report = consistency_check(setup, kernel, strategies)
     value = report.value("transfer_matrix")
     payload = {
         "setup": setup_to_dict(setup),  # normalized: filters and holes sorted
@@ -246,11 +250,11 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    strategies = _all_strategies(args.max_paths)
     run = _Run(args)
     config = LatticeConfig(num_sites=args.L, num_steps=args.T)
     kernel = _fuzz_kernel(config)
     max_filters = min(args.max_filters, args.T - 1)
-    strategies = _all_strategies(args.max_paths)
     seeds, pairs, devs = [], [], []
     oracle_ran = 0
     skipped_reasons: dict[str, int] = {}

@@ -2,19 +2,21 @@
 
 If a smooth two-argument operation S is associative, there is a strictly
 monotone function xi with xi(S(u, v)) = xi(u) + xi(v) + const: any consistent
-combination rule is a relabelling of addition.  This module recovers xi
-numerically.  Writing S1, S2 for the partial derivatives and G = S2/S1, the
-pipeline evaluates, on a uniform grid over the (square) domain with base
-point u0 at the lower edge:
+combination rule is a relabelling of addition (Aczel 1966).  Writing S1, S2
+for the partial derivatives, G = S2/S1, and u0 for the lower edge of the
+(square) domain, this module recovers
 
-    h(v)  = (1/G) dG/dv   at u = u0,
-    H(u)  = exp(-integral_{u0}^{u} h),
-    xi(u) = integral_{u0}^{u} du'/H(u'),
+    xi(u) = integral_{u0}^{u} G(u0, v) dv / G(u0, u0).
 
-using central differences for the derivatives and composite Simpson for the
-integrals.  xi is defined only up to an affine transformation (integration
-constants and overall scale), so every comparison against a reference is made
-after a least-squares affine fit, never raw.
+Differentiating the additivity identity in u and in v gives
+xi'(S) S1 = xi'(u) and xi'(S) S2 = xi'(v), so G(u, v) = xi'(v)/xi'(u); along
+u = u0 that is xi' up to the factor 1/xi'(u0), which dividing by G(u0, u0)
+sets to one.  G is evaluated once on a uniform grid, from the analytic
+partials when the sampler has them and central differences otherwise, and
+integrated by composite Simpson.  A G that changes sign yields a xi that is
+not monotone, and no regrade exists.  xi is defined only up to an affine
+transformation (integration constant and overall scale), so every comparison
+against a reference is made after a least-squares affine fit, never raw.
 
 ``product_rule_residual`` tests a candidate two-argument operation against
 the two distributivity constraints and associativity; the only operations
@@ -53,10 +55,10 @@ class NonAssociativeError(RegradeError):
 class BinaryOpSampler:
     """A two-argument operation sampled on a rectangular domain.
 
-    ``fn`` maps scalars (u, v) to a scalar and must stay evaluable a small
-    step (0.1% of the domain width) beyond the declared ranges, since the
-    finite-difference stencils overstep the edges.  ``partials``, when given,
-    are analytic (dS/du, dS/dv) and remove most finite-difference noise.
+    ``fn`` maps scalars (u, v) to a scalar.  ``partials``, when given, are
+    analytic (dS/du, dS/dv) and are evaluated only inside the domain.  Without
+    them, ``fn`` must stay evaluable 1e-5 of the domain width beyond the
+    declared ranges, where the central-difference stencils overstep the edges.
     """
 
     fn: Callable[[float, float], float]
@@ -95,11 +97,11 @@ class RegradeResult:
     """Tabulated regrade with cubic-spline interpolation.
 
     ``c_constant`` is pinned to one, the value forced by associativity;
-    ``c_diagnostic`` reports the measured G(u0, v0) H(v0)/H(u0) as an
-    empirical cross-check.  The additivity stats summarize the residual of
-    xi(S(u, v)) - xi(u) - xi(v) over a pair grid, after removing the fitted
-    constant offset.  ``assoc_residual`` is the associativity residual that
-    passed the gate.
+    ``c_diagnostic`` is the measured G(u0, u0), the scale divided out of xi,
+    as an empirical cross-check (one for a commutative operation).  The
+    additivity stats summarize the residual of xi(S(u, v)) - xi(u) - xi(v)
+    over a pair grid, after removing the fitted constant offset.
+    ``assoc_residual`` is the associativity residual that passed the gate.
     """
 
     u_grid: np.ndarray
@@ -146,22 +148,13 @@ def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _first_partials(sampler: BinaryOpSampler, u, v, step: float):
-    if sampler.partials is not None:
-        d1, d2 = (np.vectorize(d, otypes=[float]) for d in sampler.partials)
-        return sampler._apply(d1, u, v), sampler._apply(d2, u, v)
-    s1 = (sampler(u + step, v) - sampler(u - step, v)) / (2.0 * step)
-    s2 = (sampler(u, v + step) - sampler(u, v - step)) / (2.0 * step)
-    return s1, s2
-
-
 def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     """Recover the additive regrade xi of an associative operation.
 
     Rejects non-associative input (gate ``ASSOC_GATE``), vanishing first
-    partials, and non-monotone results.  Requires a square domain: the
-    regrade is one function of one variable, so both arguments must range
-    over the same interval.
+    partials, and non-monotone results (a G that changes sign).  Requires a
+    square domain: the regrade is one function of one variable, so both
+    arguments must range over the same interval.
     """
     if sampler.u_range != sampler.v_range:
         raise RegradeError("regrade recovery needs a square domain")
@@ -173,41 +166,31 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
             residual,
         )
     u_lo, u_hi = sampler.u_range
-    width = u_hi - u_lo
     grid = np.linspace(u_lo, u_hi, sampler.grid_n)
-    u0 = u_lo
-    step1 = 1e-5 * width
-    # the G-differentiation step balances stencil truncation against the
-    # noise already present in G; analytic partials allow a finer step
-    step_g = (1e-4 if sampler.partials is not None else 1e-3) * width
-
-    def g_of(v: np.ndarray) -> np.ndarray:
-        s1, s2 = _first_partials(sampler, np.full_like(v, u0), v, step1)
-        if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
-            raise RegradeError("partial derivatives not finite on domain")
-        if np.any(np.abs(s1) < 1e-12):
-            raise RegradeError("first partial S1 vanishes on the domain")
-        return s2 / s1
-
-    g_mid = g_of(grid)
-    g_plus = g_of(grid + step_g)
-    g_minus = g_of(grid - step_g)
-    h_values = (g_plus - g_minus) / (2.0 * step_g) / g_mid
-    h_integral = cumulative_simpson(h_values, x=grid, initial=0.0)
-    big_h = np.exp(-h_integral)
-    xi_values = cumulative_simpson(1.0 / big_h, x=grid, initial=0.0)
+    u0 = np.full_like(grid, u_lo)
+    if sampler.partials is not None:
+        d1, d2 = (np.vectorize(d, otypes=[float]) for d in sampler.partials)
+        s1, s2 = sampler._apply(d1, u0, grid), sampler._apply(d2, u0, grid)
+    else:
+        h = 1e-5 * (u_hi - u_lo)
+        s1 = (sampler(u0 + h, grid) - sampler(u0 - h, grid)) / (2.0 * h)
+        s2 = (sampler(u0, grid + h) - sampler(u0, grid - h)) / (2.0 * h)
+    if not (np.all(np.isfinite(s1)) and np.all(np.isfinite(s2))):
+        raise RegradeError("partial derivatives not finite on domain")
+    if np.any(np.abs(s1) < 1e-12):
+        raise RegradeError("first partial S1 vanishes on the domain")
+    # xi' is G(u0, v) = S2/S1 along u = u0, scaled so that xi'(u0) = 1
+    g = s2 / s1
+    xi_values = cumulative_simpson(g / g[0], x=grid, initial=0.0)
     if not np.all(np.diff(xi_values) > 0):
         raise RegradeError("recovered regrade is not strictly monotone")
-    # H(u0) = H(v0) = 1 at the shared base point, so the measured constant
-    # c = G(u0, v0) H(v0)/H(u0) reduces to G at the base point
-    c_diagnostic = float(g_mid[0])
     spline = CubicSpline(grid, xi_values)
     disc = _xi_discrepancies(spline, sampler)
     return RegradeResult(
         u_grid=grid,
         xi_values=xi_values,
         c_constant=1.0,
-        c_diagnostic=c_diagnostic,
+        c_diagnostic=float(g[0]),
         additivity_max=float(np.max(np.abs(disc))),
         additivity_mean=float(np.mean(np.abs(disc))),
         assoc_residual=residual,
@@ -219,14 +202,10 @@ def _xi_discrepancies(
     xi: Callable,
     sampler: BinaryOpSampler,
     n_axis: int = 24,
-    edge_trim: float = 0.0,
 ) -> np.ndarray:
     """Centred values of xi(S(u,v)) - xi(u) - xi(v) over the valid pair grid."""
     u_lo, u_hi = sampler.u_range
-    width = u_hi - u_lo
-    lo = u_lo + edge_trim * width
-    hi = u_hi - edge_trim * width
-    axis = np.linspace(lo, hi, n_axis)
+    axis = np.linspace(u_lo, u_hi, n_axis)
     u, v = np.meshgrid(axis, axis, indexing="ij")
     s = sampler(u, v)
     valid = np.isfinite(s) & (s >= u_lo) & (s <= u_hi)
@@ -240,15 +219,12 @@ def additivity_residual(
     result: RegradeResult,
     sampler: BinaryOpSampler,
     n_axis: int = 24,
-    edge_trim: float = 0.0,
 ) -> float:
     """Max |xi(S(u,v)) - xi(u) - xi(v) - kappa| with kappa the fitted offset.
 
-    Pairs whose S value leaves the tabulated range are skipped.  Trimming a
-    fraction off each domain edge avoids the finite-difference degradation
-    there when judging interior accuracy.
+    Pairs whose S value leaves the tabulated range are skipped.
     """
-    disc = _xi_discrepancies(result.xi, sampler, n_axis, edge_trim)
+    disc = _xi_discrepancies(result.xi, sampler, n_axis)
     return float(np.max(np.abs(disc)))
 
 

@@ -234,6 +234,20 @@ def test_path_guard_skip_is_reported(tmp_path, capsys):
         assert manifest["skipped_reasons"] == skipped
 
 
+@pytest.mark.parametrize("max_paths", ["0", "-5"])
+def test_path_guard_below_one_exits_1(tmp_path, capsys, max_paths):
+    kernel_path, setup_path = write_inputs(tmp_path)
+    out = tmp_path / "x"
+    for argv in (
+        ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)],
+        ["fuzz", "--count", "3", "--L", "4", "--T", "5"],
+    ):
+        assert main(argv + ["--max-paths", max_paths, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --max-paths must be at least 1, got {max_paths}\n"
+        assert not list(tmp_path.glob("x*"))
+
+
 def test_fuzz_manifest_names_worst_case(tmp_path, capsys):
     out = tmp_path / "fz"
     argv = ["fuzz", "--seed", "5", "--count", "20", "--L", "4", "--T", "4"]
@@ -451,6 +465,14 @@ def test_regrade_rejects_broken_op(tmp_path, capsys):
     argv = ["regrade", "--op", "cubic-mean", "--param", "-1e5"]
     assert main(argv + ["--out", str(out)]) == 1
     assert "cubic-mean power must be positive" in capsys.readouterr().err
+
+
+def test_regrade_without_a_monotone_regrade_exits_1(tmp_path, capsys):
+    # S1 = 1 - 1.5 v vanishes at v = 2/3, inside the domain (0.1, 1.0)
+    argv = ["regrade", "--op", "uv-shift", "--param", "-1.5"]
+    assert main(argv + ["--out", str(tmp_path / "rg")]) == 1
+    assert "not strictly monotone" in capsys.readouterr().err
+    assert not (tmp_path / "rg_xi.csv").exists()
 
 
 def test_unallocatable_input_exits_1(tmp_path, capsys):
