@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .amplitudes import (
+    DEFAULT_PATH_GUARD,
     BruteForcePaths,
     RecursiveDecompose,
     SigmaInsert,
@@ -39,7 +40,6 @@ from .born import (
 from .evolution import evolve
 from .lattice import (
     Event,
-    KernelFormatError,
     LatticeConfig,
     load_kernel,
     load_wavefunction,
@@ -48,7 +48,6 @@ from .lattice import (
 from .regrade import (
     CATALOG_NAMES,
     NonAssociativeError,
-    RegradeError,
     catalog_op,
     product_rule_residual,
     recover_regrade,
@@ -445,7 +444,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("amplitude", help="evaluate one setup by all strategies")
     p.add_argument("--setup", required=True, help="setup JSON file")
     p.add_argument("--kernel", required=True, help="kernel JSON file")
-    p.add_argument("--max-paths", type=int, default=10_000_000)
+    p.add_argument("--max-paths", type=int, default=DEFAULT_PATH_GUARD)
     common(p, "amplitude_out", tables=False)
     p.set_defaults(func=_cmd_amplitude)
 
@@ -455,7 +454,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--L", type=int, default=8)
     p.add_argument("--T", type=int, default=6)
     p.add_argument("--max-filters", type=int, default=3)
-    p.add_argument("--max-paths", type=int, default=10_000_000)
+    p.add_argument("--max-paths", type=int, default=DEFAULT_PATH_GUARD)
     common(p, "fuzz_out")
     p.set_defaults(func=_cmd_fuzz)
 
@@ -511,16 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        SetupError,
-        KernelFormatError,
-        RegradeError,
-        OSError,
-        RuntimeError,
-        json.JSONDecodeError,
-        ValueError,
-        MemoryError,
-    ) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -26,10 +26,9 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Hamiltonian:
-    """Evolution generator; ``hermitian_flag`` certifies H == H^dagger."""
+    """Evolution generator: a finite Hermitian matrix H == H^dagger."""
 
     matrix: np.ndarray
-    hermitian_flag: bool = False
 
     def __post_init__(self) -> None:
         arr = np.array(self.matrix, dtype=complex)
@@ -37,14 +36,14 @@ class Hamiltonian:
             raise ValueError("Hamiltonian must be a square matrix")
         if not np.all(np.isfinite(arr)):
             raise ValueError("Hamiltonian entries must be finite")
-        if self.hermitian_flag and hermiticity_defect(arr) > HERMITICITY_TOL:
-            raise ValueError("hermitian_flag set but matrix is not Hermitian")
+        if hermiticity_defect(arr) > HERMITICITY_TOL:
+            raise ValueError("Hamiltonian matrix is not Hermitian")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
 
 def evolve(psi: WaveFunction, kernel: Kernel, steps: int) -> WaveFunction:
-    """Apply the kernel ``steps`` times; the time index advances by ``steps``."""
+    """Apply the kernel ``steps`` times."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if psi.num_sites != kernel.num_sites:
@@ -52,7 +51,7 @@ def evolve(psi: WaveFunction, kernel: Kernel, steps: int) -> WaveFunction:
     coeffs = psi.coeffs
     for _ in range(steps):
         coeffs = kernel.step @ coeffs
-    return WaveFunction(coeffs, psi.time + steps)
+    return WaveFunction(coeffs)
 
 
 def schrodinger_residual(
@@ -85,7 +84,7 @@ def linearity_check(
     """
     if psi1.num_sites != psi2.num_sites:
         raise ValueError("wave functions have different lengths")
-    combo = WaveFunction(alpha * psi1.coeffs + beta * psi2.coeffs, psi1.time)
+    combo = WaveFunction(alpha * psi1.coeffs + beta * psi2.coeffs)
     lhs = evolve(combo, kernel, 1).coeffs
     rhs = alpha * evolve(psi1, kernel, 1).coeffs + beta * evolve(psi2, kernel, 1).coeffs
     return float(np.max(np.abs(lhs - rhs)))

@@ -63,7 +63,6 @@ class Kernel:
     """One-step transition matrix on the lattice, indexed ``step[to, from]``."""
 
     step: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         arr = np.array(self.step, dtype=complex)
@@ -83,10 +82,9 @@ class Kernel:
 
 @dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex coefficients over lattice sites at a fixed integer time."""
+    """Complex coefficients over lattice sites."""
 
     coeffs: np.ndarray
-    time: int = 0
 
     def __post_init__(self) -> None:
         arr = np.array(self.coeffs, dtype=complex).reshape(-1)
@@ -173,15 +171,11 @@ def tight_binding_hamiltonian(
     return h
 
 
-def kernel_from_hamiltonian(
-    hamiltonian: np.ndarray,
-    dt: float = 1.0,
-    label: str = "",
-) -> Kernel:
+def kernel_from_hamiltonian(hamiltonian: np.ndarray, dt: float = 1.0) -> Kernel:
     """Kernel exp(-i*H*dt) in units with hbar = 1; unitary whenever H is
     Hermitian."""
     h = np.asarray(hamiltonian, dtype=complex)
-    return Kernel(expm_series(-1j * dt * h), label=label)
+    return Kernel(expm_series(-1j * dt * h))
 
 
 def make_tight_binding_kernel(
@@ -191,7 +185,7 @@ def make_tight_binding_kernel(
 ) -> Kernel:
     """Unitary one-step kernel for the nearest-neighbour ring of ``config``."""
     h = tight_binding_hamiltonian(config.num_sites, hop, onsite)
-    kernel = kernel_from_hamiltonian(h, config.dt, label=f"tight_binding(hop={hop})")
+    kernel = kernel_from_hamiltonian(h, config.dt)
     defect = unitarity_defect(kernel)
     if defect > UNITARITY_TOL:
         raise RuntimeError(f"tight-binding kernel not unitary (defect {defect:g})")
@@ -228,7 +222,7 @@ def mask_vector(num_sites: int, holes: Iterable[int]) -> np.ndarray:
 def masked_kernel(kernel: Kernel, holes: Iterable[int]) -> Kernel:
     """Kernel M @ K: one step of evolution followed by a hole-mask projection."""
     mask = mask_vector(kernel.num_sites, holes)
-    return Kernel(mask[:, None] * kernel.step, label=f"{kernel.label}|masked")
+    return Kernel(mask[:, None] * kernel.step)
 
 
 def norm_sq(a: WaveFunction) -> float:
@@ -243,26 +237,34 @@ def normalize(a: WaveFunction) -> WaveFunction:
     n = norm_sq(a)
     if n == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return WaveFunction(a.coeffs / np.sqrt(n), a.time)
+    return WaveFunction(a.coeffs / np.sqrt(n))
+
+
+def _json_int(value) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string read
+    where an integer belongs is a TypeError, never truncated or parsed."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def kernel_to_dict(kernel: Kernel) -> dict:
     entries = [[float(z.real), float(z.imag)] for z in kernel.step.reshape(-1)]
-    return {"L": kernel.num_sites, "entries": entries, "label": kernel.label}
+    return {"L": kernel.num_sites, "entries": entries}
 
 
 def kernel_from_dict(data: dict) -> Kernel:
     try:
-        num_sites = int(data["L"])
+        num_sites = _json_int(data["L"])
         entries = data["entries"]
-        label = str(data.get("label", ""))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        count = len(entries)
+    except (KeyError, TypeError) as exc:
         raise KernelFormatError(f"malformed kernel object: {exc}") from exc
     if num_sites < 1:
         raise KernelFormatError("kernel L must be positive")
-    if len(entries) != num_sites * num_sites:
+    if count != num_sites * num_sites:
         raise KernelFormatError(
-            f"expected {num_sites * num_sites} entries, got {len(entries)}"
+            f"expected {num_sites * num_sites} entries, got {count}"
         )
     try:
         flat = np.array(
@@ -272,7 +274,7 @@ def kernel_from_dict(data: dict) -> Kernel:
         raise KernelFormatError(
             f"malformed kernel entries, expected [re, im] pairs: {exc}"
         ) from exc
-    return Kernel(flat, label=label)
+    return Kernel(flat)
 
 
 def save_kernel(kernel: Kernel, path: str | Path) -> None:

@@ -4,7 +4,7 @@ If a smooth two-argument operation S is associative, there is a strictly
 monotone function xi with xi(S(u, v)) = xi(u) + xi(v) + const: any consistent
 combination rule is a relabelling of addition (Aczel 1966).  Writing S1, S2
 for the partial derivatives, G = S2/S1, and u0 for the lower edge of the
-(square) domain, this module recovers
+domain, this module recovers
 
     xi(u) = integral_{u0}^{u} G(u0, v) dv / G(u0, u0).
 
@@ -53,25 +53,26 @@ class NonAssociativeError(RegradeError):
 
 @dataclass(frozen=True, eq=False)
 class BinaryOpSampler:
-    """A two-argument operation sampled on a rectangular domain.
+    """A two-argument operation sampled with both arguments in one interval.
 
-    ``fn`` maps scalars (u, v) to a scalar.  ``partials``, when given, are
-    analytic (dS/du, dS/dv) and are evaluated only inside the domain.  Without
-    them, ``fn`` must stay evaluable 1e-5 of the domain width beyond the
-    declared ranges, where the central-difference stencils overstep the edges.
+    ``fn`` maps scalars (u, v) to a scalar; ``domain`` is the interval
+    (lo, hi) of both u and v, as the regrade is one function of one variable.
+    ``partials``, when given, are analytic (dS/du, dS/dv) and are evaluated
+    only inside the domain.  Without them, ``fn`` must stay evaluable 1e-5 of
+    the domain width beyond its edges, where the central-difference stencils
+    overstep them.
     """
 
     fn: Callable[[float, float], float]
-    u_range: tuple[float, float]
-    v_range: tuple[float, float]
+    domain: tuple[float, float]
     grid_n: int = 256
     partials: tuple[Callable, Callable] | None = None
     name: str = ""
 
     def __post_init__(self) -> None:
-        for lo, hi in (self.u_range, self.v_range):
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise RegradeError("domain ranges must be finite with lo < hi")
+        lo, hi = self.domain
+        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+            raise RegradeError("domain must be finite with lo < hi")
         if self.grid_n < MIN_GRID:
             raise RegradeError(f"grid_n must be at least {MIN_GRID}")
         object.__setattr__(self, "_eval", np.vectorize(self.fn, otypes=[float]))
@@ -124,22 +125,13 @@ def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
     Triples whose intermediate values leave the declared domain are skipped;
     if nothing remains the domain is unusable and an error is raised.
     """
-    u_lo, u_hi = sampler.u_range
-    v_lo, v_hi = sampler.v_range
-    us = np.linspace(u_lo, u_hi, n_axis)
-    vs = np.linspace(v_lo, v_hi, n_axis)
-    u, v, w = np.meshgrid(us, vs, vs, indexing="ij")
+    lo, hi = sampler.domain
+    axis = np.linspace(lo, hi, n_axis)
+    u, v, w = np.meshgrid(axis, axis, axis, indexing="ij")
     r = sampler(u, v)  # S(u, v), used as a first argument
     s = sampler(v, w)  # S(v, w), used as a second argument
     valid = (
-        np.isfinite(r)
-        & np.isfinite(s)
-        & (r >= u_lo)
-        & (r <= u_hi)
-        & (s >= v_lo)
-        & (s <= v_hi)
-        & (v >= u_lo)
-        & (v <= u_hi)
+        np.isfinite(r) & np.isfinite(s) & (r >= lo) & (r <= hi) & (s >= lo) & (s <= hi)
     )
     if not np.any(valid):
         raise RegradeError("all triples leave the evaluable domain")
@@ -152,12 +144,8 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     """Recover the additive regrade xi of an associative operation.
 
     Rejects non-associative input (gate ``ASSOC_GATE``), vanishing first
-    partials, and non-monotone results (a G that changes sign).  Requires a
-    square domain: the regrade is one function of one variable, so both
-    arguments must range over the same interval.
+    partials, and non-monotone results (a G that changes sign).
     """
-    if sampler.u_range != sampler.v_range:
-        raise RegradeError("regrade recovery needs a square domain")
     residual = associativity_residual(sampler)
     if not residual <= ASSOC_GATE:
         raise NonAssociativeError(
@@ -165,7 +153,7 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
             f"(residual {residual:.3e}); no regrade exists",
             residual,
         )
-    u_lo, u_hi = sampler.u_range
+    u_lo, u_hi = sampler.domain
     grid = np.linspace(u_lo, u_hi, sampler.grid_n)
     u0 = np.full_like(grid, u_lo)
     if sampler.partials is not None:
@@ -204,11 +192,11 @@ def _xi_discrepancies(
     n_axis: int = 24,
 ) -> np.ndarray:
     """Centred values of xi(S(u,v)) - xi(u) - xi(v) over the valid pair grid."""
-    u_lo, u_hi = sampler.u_range
-    axis = np.linspace(u_lo, u_hi, n_axis)
+    lo, hi = sampler.domain
+    axis = np.linspace(lo, hi, n_axis)
     u, v = np.meshgrid(axis, axis, indexing="ij")
     s = sampler(u, v)
-    valid = np.isfinite(s) & (s >= u_lo) & (s <= u_hi)
+    valid = np.isfinite(s) & (s >= lo) & (s <= hi)
     if not np.any(valid):
         raise RegradeError("all pairs map outside the tabulated range")
     disc = xi(s[valid]) - xi(u[valid]) - xi(v[valid])
@@ -263,14 +251,13 @@ class ProductRuleReport:
         )
 
 
-def _distributivity(op: Callable, xs, ys, y_range, slot: str) -> float:
+def _distributivity(op: Callable, axis, domain) -> float:
     """Max |op(x, y+z) - op(x, y) - op(x, z)| over the triples of the grid
-    xs * ys * ys whose sum y+z stays in ``y_range``; ``slot`` names the
-    argument the sum fills, for the error raised when no sum does."""
-    x, y, z = np.meshgrid(xs, ys, ys, indexing="ij")
-    ok = (y + z >= y_range[0]) & (y + z <= y_range[1])
+    axis^3 whose sum y+z stays in ``domain``."""
+    x, y, z = np.meshgrid(axis, axis, axis, indexing="ij")
+    ok = (y + z >= domain[0]) & (y + z <= domain[1])
     if not np.any(ok):
-        raise RegradeError(f"domain is not closed under sums in the {slot} slot")
+        raise RegradeError("domain is not closed under sums")
     x, y, z = x[ok], y[ok], z[ok]
     return float(np.max(np.abs(op(x, y + z) - op(x, y) - op(x, z))))
 
@@ -280,15 +267,12 @@ def product_rule_residual(candidate: BinaryOpSampler) -> ProductRuleReport:
     associativity on a 10-point axis grid; fit the best C for P ~ C*u*v on
     the pair grid."""
     n_axis = 10
-    us = np.linspace(*candidate.u_range, n_axis)
-    vs = np.linspace(*candidate.v_range, n_axis)
-    left = _distributivity(candidate, us, vs, candidate.v_range, "second")
-    right = _distributivity(
-        lambda x, y: candidate(y, x), vs, us, candidate.u_range, "first"
-    )
+    axis = np.linspace(*candidate.domain, n_axis)
+    left = _distributivity(candidate, axis, candidate.domain)
+    right = _distributivity(lambda x, y: candidate(y, x), axis, candidate.domain)
     assoc = associativity_residual(candidate, n_axis)
 
-    gu, gv = np.meshgrid(us, vs, indexing="ij")
+    gu, gv = np.meshgrid(axis, axis, indexing="ij")
     values = candidate(gu, gv)
     basis = gu * gv
     denom = float(np.sum(basis * basis))
@@ -361,8 +345,7 @@ def catalog_op(
         raise RegradeError("cubic-mean power must be positive")
     return BinaryOpSampler(
         fn=partial(fn, a),
-        u_range=domain,
-        v_range=domain,
+        domain=domain,
         grid_n=grid_n,
         partials=(partial(d1, a), partial(d2, a)),
         name=label.format(a),

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .lattice import Event, LatticeConfig
+from .lattice import Event, LatticeConfig, _json_int
 
 
 class SetupError(ValueError):
@@ -239,15 +239,25 @@ def setup_to_dict(setup: Setup) -> dict:
     }
 
 
+def _json_event(data: dict) -> Event:
+    return Event(_json_int(data["site"]), _json_int(data["time"]))
+
+
+def _json_holes(holes: list) -> tuple[int, ...]:
+    if type(holes) is not list:
+        raise TypeError(f"expected a list of hole sites, got {holes!r}")
+    return tuple(map(_json_int, holes))
+
+
 def setup_from_dict(data: dict) -> Setup:
     try:
-        source = Event(int(data["source"]["site"]), int(data["source"]["time"]))
-        detector = Event(int(data["detector"]["site"]), int(data["detector"]["time"]))
+        source = _json_event(data["source"])
+        detector = _json_event(data["detector"])
         filters = tuple(
-            FilterSpec(int(f["time"]), tuple(int(h) for h in f["holes"]))
+            FilterSpec(_json_int(f["time"]), _json_holes(f["holes"]))
             for f in data.get("filters", [])
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SetupError(f"malformed setup object: {exc}") from exc
     return Setup(source, detector, filters)
 

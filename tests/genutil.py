@@ -29,17 +29,17 @@ def reject_constant(token: str):
     raise ValueError(f"not strict JSON: {token}")
 
 
-def random_kernel(num_sites: int, rng: np.random.Generator, label: str = "random") -> Kernel:
+def random_kernel(num_sites: int, rng: np.random.Generator) -> Kernel:
     """Dense complex kernel with entries ~ N(0, 1/L); generally non-unitary."""
     mat = rng.normal(size=(num_sites, num_sites)) + 1j * rng.normal(
         size=(num_sites, num_sites)
     )
-    return Kernel(mat / np.sqrt(2.0 * num_sites), label=label)
+    return Kernel(mat / np.sqrt(2.0 * num_sites))
 
 
-def random_state(num_sites: int, rng: np.random.Generator, time: int = 0) -> WaveFunction:
+def random_state(num_sites: int, rng: np.random.Generator) -> WaveFunction:
     coeffs = rng.normal(size=num_sites) + 1j * rng.normal(size=num_sites)
-    return normalize(WaveFunction(coeffs, time))
+    return normalize(WaveFunction(coeffs))
 
 
 def random_filters(

@@ -153,7 +153,7 @@ def test_criterion_04_linearity_and_schrodinger_order():
         beta = complex(rng.normal(), rng.normal())
         worst_lin = max(worst_lin, linearity_check(kernel, psi1, psi2, alpha, beta))
     h_matrix = tight_binding_hamiltonian(num_sites, hop=1.0, onsite=0.0)
-    hamiltonian = Hamiltonian(h_matrix, hermitian_flag=True)
+    hamiltonian = Hamiltonian(h_matrix)
     psi = random_state(num_sites, np.random.default_rng(3))
     ratios = []
     for dt in (1e-1, 1e-2, 1e-3):
@@ -247,8 +247,7 @@ def eta_round_trip_deviation(seed: int) -> float:
         fn=lambda u, v: brentq(
             lambda x: eta(x) - (eta(u) + eta(v)), 0.0, 16.0, xtol=1e-15
         ),
-        u_range=(0.4, 1.4),
-        v_range=(0.4, 1.4),
+        domain=(0.4, 1.4),
         grid_n=128,
     )
     result = recover_regrade(sampler)
@@ -314,12 +313,12 @@ def test_criterion_09_product_rule_uniqueness():
     )
     addition = product_rule_residual(
         BinaryOpSampler(
-            fn=lambda u, v: u + v, u_range=(0.0, 2.0), v_range=(0.0, 2.0)
+            fn=lambda u, v: u + v, domain=(0.0, 2.0)
         )
     )
     shifted = product_rule_residual(
         BinaryOpSampler(
-            fn=lambda u, v: u * v + 0.1, u_range=(0.0, 1.0), v_range=(0.0, 1.0)
+            fn=lambda u, v: u * v + 0.1, domain=(0.0, 1.0)
         )
     )
     addition_fails = (

@@ -172,15 +172,33 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
         ("evolve", "kernel.json", '{"L": 1e400, "entries": []}'),
         ("evolve", "kernel.json", '{"L": 1, "entries": [[%s, 0]]}' % HUGE_INT),
         ("evolve", "psi.json", "[[%s, 0], [0, 0], [0, 0], [0, 0]]" % HUGE_INT),
+        ("evolve", "kernel.json", '{"L": 2, "entries": null}'),
+        ("evolve", "kernel.json", '{"L": 2, "entries": 5}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0.9, "time": 0}, "detector": {"site": 1, "time": 4}}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": "4"}}'),
+        ("evolve", "kernel.json", json.dumps({"L": 4.9, "entries": [[1, 0]] * 16})),
+        ("evolve", "kernel.json", '{"L": true, "entries": [[1, 0]]}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 4}, '
+         '"filters": [{"time": 2, "holes": "1"}]}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 4}, '
+         '"filters": [{"time": 2, "holes": ""}]}'),
     ],
     ids=[
         "source-site", "detector-time", "hole", "kernel-L", "evolve-kernel-L",
-        "kernel-entry-huge-int", "psi-entry-huge-int",
+        "kernel-entry-huge-int", "psi-entry-huge-int", "kernel-entries-null",
+        "kernel-entries-number", "source-site-float", "detector-time-string",
+        "kernel-L-float", "kernel-L-bool", "holes-string", "holes-empty-string",
     ],
 )
 def test_nonfinite_integer_field_exits_1(tmp_path, capsys, subcommand, name, text):
     # JSON reads 1e400 as infinity, which no integer holds, and a 400-digit
-    # integer exactly, which no float holds
+    # integer exactly, which no float holds.  An integer field takes a JSON
+    # integer only, never truncating a float or parsing a string, and a hole
+    # set a JSON list only
     kernel_path, setup_path = write_inputs(tmp_path)
     psi_path = tmp_path / "psi.json"
     save_wavefunction(WaveFunction([1.0, 0.0, 0.0, 0.0]), psi_path)

@@ -34,7 +34,6 @@ def test_evolve_zero_steps_is_identity():
     psi = random_state(4, rng)
     out = evolve(psi, kernel, 0)
     assert np.array_equal(out.coeffs, psi.coeffs)
-    assert out.time == psi.time
 
 
 def test_two_level_closed_form():
@@ -60,13 +59,13 @@ def test_delta_state_evolution_reproduces_amplitudes():
 
 def test_hamiltonian_flag_validation():
     with pytest.raises(ValueError):
-        Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian_flag=True)
+        Hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert hermiticity_defect(TWO_LEVEL) == 0.0
 
 
 def test_schrodinger_residual_zero_for_trivial_dynamics():
     kernel = Kernel(np.eye(3, dtype=complex))
-    h = Hamiltonian(np.zeros((3, 3)), hermitian_flag=True)
+    h = Hamiltonian(np.zeros((3, 3)))
     psi = WaveFunction(np.array([1.0, 0.0, 0.0]))
     assert schrodinger_residual(psi, h, kernel, dt=0.1) == 0.0
 
@@ -78,7 +77,7 @@ def test_schrodinger_residual_taylor_bound():
     h_mat = (raw + raw.conj().T) / 2
     dt = 1e-3
     kernel = kernel_from_hamiltonian(h_mat, dt=dt)
-    h = Hamiltonian(h_mat, hermitian_flag=True)
+    h = Hamiltonian(h_mat)
     psi = random_state(n, rng)
     residual = schrodinger_residual(psi, h, kernel, dt=dt)
     h_norm = float(np.linalg.norm(h_mat, 2))
@@ -86,7 +85,7 @@ def test_schrodinger_residual_taylor_bound():
 
 
 def test_schrodinger_residual_first_order_convergence():
-    h = Hamiltonian(TWO_LEVEL, hermitian_flag=True)
+    h = Hamiltonian(TWO_LEVEL)
     psi = normalize(WaveFunction(np.array([0.8, 0.6j])))
     for dt in (1e-1, 1e-2, 1e-3):
         r_full = schrodinger_residual(
@@ -132,7 +131,6 @@ def test_semigroup_property():
     once = evolve(psi, kernel, 5)
     twice = evolve(evolve(psi, kernel, 2), kernel, 3)
     assert np.max(np.abs(once.coeffs - twice.coeffs)) <= 1e-12
-    assert once.time == twice.time == psi.time + 5
 
 
 def test_norm_behaviour_under_masks():
