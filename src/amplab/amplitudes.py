@@ -77,7 +77,8 @@ def detector_vector(setup: Setup, kernel: Kernel) -> np.ndarray:
     """Masked transfer-matrix evolution of ``setup`` up to its detector time.
 
     A unit vector at the source site is threaded through the one-step kernel,
-    each filter applied as a 0/1 mask at its time.  Entry ``x`` of the result
+    each filter that closes a site applied as a 0/1 mask at its time; an
+    all-holes filter is inert and applies no mask.  Entry ``x`` of the result
     is the amplitude of the setup with its detector moved to site ``x``.
     """
     num_sites = kernel.num_sites
@@ -88,7 +89,8 @@ def detector_vector(setup: Setup, kernel: Kernel) -> np.ndarray:
     for t in range(setup.source.time + 1, setup.detector.time + 1):
         psi = kernel.step @ psi
         f = by_time.get(t)
-        if f is not None:
+        # holes are unique and in range (check_sites): num_sites of them open every site
+        if f is not None and len(f.holes) < num_sites:
             psi = psi * mask_vector(num_sites, f.holes)
     return psi
 

@@ -48,6 +48,7 @@ from .lattice import (
 from .regrade import (
     CATALOG_NAMES,
     NonAssociativeError,
+    RegradeError,
     catalog_op,
     product_rule_residual,
     recover_regrade,
@@ -352,11 +353,18 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
         refusal, assoc = None, result.assoc_residual
     except NonAssociativeError as exc:
         result, refusal, assoc = None, exc, exc.residual
+    except RegradeError as exc:
+        # any other refusal is recorded too, then reported by main as an error
+        run.write_report({"op": sampler.name, "refusal": str(exc)})
+        run.finish()
+        raise
     payload = {
         "op": sampler.name,
         "assoc_residual": assoc,
         "associative": refusal is None,
     }
+    if refusal is not None:
+        payload["refusal"] = str(refusal)
     if args.check_product_rule:
         report = product_rule_residual(sampler)
         payload["product_rule"] = {**asdict(report), "passes": report.passes()}

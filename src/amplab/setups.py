@@ -28,6 +28,7 @@ degenerate test case (its amplitude is zero) but is rejected as an operand of
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from collections.abc import Iterable
@@ -166,7 +167,8 @@ def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Se
 
     Each time must lie strictly between source and detector and be free: no
     filter of ``setup`` and no earlier entry of ``times`` may sit there.  The
-    widened setup is built once, whatever the number of times.
+    widened setup is built once, whatever the number of times, and each sigma
+    filter once per time and lattice size.
     """
     times = tuple(times) if isinstance(times, Iterable) else (times,)
     occupied = set(setup.filter_times)
@@ -178,9 +180,16 @@ def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Se
         if time in occupied:
             raise SetupError(f"a filter already exists at time {time}")
         occupied.add(time)
-    everywhere = tuple(range(num_sites))
-    sigmas = tuple(FilterSpec(time, everywhere) for time in times)
+    sigmas = tuple(_sigma_filter(time, num_sites) for time in times)
     return Setup(setup.source, setup.detector, setup.filters + sigmas)
+
+
+@functools.cache
+def _sigma_filter(time: int, num_sites: int) -> FilterSpec:
+    """The all-holes filter at ``time`` on ``num_sites`` sites, built once and
+    shared: a FilterSpec is frozen.  The keys are bounded by the lattice's
+    interior times, not by the number of setups."""
+    return FilterSpec(time, tuple(range(num_sites)))
 
 
 def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:
@@ -243,10 +252,10 @@ def _json_event(data: dict) -> Event:
     return Event(_json_int(data["site"]), _json_int(data["time"]))
 
 
-def _json_holes(holes: list) -> tuple[int, ...]:
-    if type(holes) is not list:
-        raise TypeError(f"expected a list of hole sites, got {holes!r}")
-    return tuple(map(_json_int, holes))
+def _json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise TypeError(f"expected a list of {what}, got {value!r}")
+    return value
 
 
 def setup_from_dict(data: dict) -> Setup:
@@ -254,8 +263,11 @@ def setup_from_dict(data: dict) -> Setup:
         source = _json_event(data["source"])
         detector = _json_event(data["detector"])
         filters = tuple(
-            FilterSpec(_json_int(f["time"]), _json_holes(f["holes"]))
-            for f in data.get("filters", [])
+            FilterSpec(
+                _json_int(f["time"]),
+                tuple(map(_json_int, _json_list(f["holes"], "hole sites"))),
+            )
+            for f in _json_list(data.get("filters", []), "filters")
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SetupError(f"malformed setup object: {exc}") from exc

@@ -38,6 +38,7 @@ from amplab import (
     save_setup,
 )
 from amplab.cli import _fuzz_kernel, main
+from amplab.setups import _sigma_filter
 from amplab.lattice import mask_vector
 
 from genutil import random_and_pair, random_kernel, random_or_pair, reject_constant
@@ -541,9 +542,11 @@ def test_fuzz_exits_2_on_nonlinear_evolution(nonlinear, shape, tmp_path, monkeyp
     assert "transfer_matrix|decompose_all" in breaches
 
 
-def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(tmp_path, monkeypatch, capsys):
-    # an inserted sigma filter without site 0 is no longer inert; only the
-    # sigma_all strategy runs through it
+@pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
+def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(shape, tmp_path, monkeypatch, capsys):
+    # an inserted sigma filter without site 0 is no longer inert, so its mask
+    # is applied; only the sigma_all strategy runs through it.  At the long
+    # shape brute force is skipped, and sigma_all alone sees the dropped hole
     def insert_sigma_dropping_a_hole(setup, times, num_sites):
         widened = insert_sigma(setup, times, num_sites)
         filters = tuple(
@@ -554,18 +557,57 @@ def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(amplitudes, "insert_sigma", insert_sigma_dropping_a_hole)
     out = tmp_path / "fz"
-    assert main(["fuzz", "--count", "50", "--out", str(out)]) == 2
+    argv = ["fuzz", "--count", "50", *_FUZZ_SHAPES[shape], "--out", str(out)]
+    assert main(argv) == 2
     assert "consistency violation" in capsys.readouterr().err
     with open(f"{out}.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
-    assert breaches == {
-        "transfer_matrix|sigma_all",
-        "decompose_all|sigma_all",
-        "sigma_all|brute_force",
-    }
+    expected = {"transfer_matrix|sigma_all", "decompose_all|sigma_all"}
+    if shape == "default":
+        expected.add("sigma_all|brute_force")
+    assert breaches == expected
     manifest = json.loads(Path(f"{out}.manifest.json").read_text())
     assert "sigma_all" in manifest["worst_pair"].split("|")
+
+
+@pytest.mark.parametrize("num_sites, num_steps, max_filters", [(8, 6, 3), (16, 24, 8)])
+def test_explicit_all_holes_filters_leave_detector_vector_unchanged(
+    num_sites, num_steps, max_filters
+):
+    # the two fuzz shapes; an all-holes filter is inert, so adding one at
+    # every free time leaves every byte of the detector vector as it was
+    config = LatticeConfig(num_sites, num_steps)
+    kernel = _fuzz_kernel(config)
+    everywhere = tuple(range(num_sites))
+    for seed in range(100):
+        setup = random_setup(config, seed, max_filters)
+        free = set(range(1, num_steps)) - set(setup.filter_times)
+        sigmas = tuple(FilterSpec(t, everywhere) for t in sorted(free))
+        widened = Setup(setup.source, setup.detector, setup.filters + sigmas)
+        assert len(widened.filters) == num_steps - 1
+        assert (
+            detector_vector(widened, kernel).tobytes()
+            == detector_vector(setup, kernel).tobytes()
+        )
+
+
+def test_sigma_filters_are_built_once_per_time_and_lattice_size(tmp_path):
+    # the memo's keys are the interior times 1..23 of T = 24 at L = 16,
+    # however many setups the fuzz widens
+    _sigma_filter.cache_clear()
+    sizes = []
+    for count in ("10", "300"):
+        out = tmp_path / f"fz{count}"
+        argv = ["fuzz", "--L", "16", "--T", "24", "--max-filters", "8"]
+        assert main(argv + ["--count", count, "--out", str(out)]) == 0
+        sizes.append(_sigma_filter.cache_info().currsize)
+    assert 0 < sizes[0] <= sizes[1] <= 23
+    setup = Setup(Event(3, 0), Event(5, 24), (FilterSpec(4, (1, 2)),))
+    widened = insert_sigma(setup, [2, 7, 23], 16)
+    for t in (2, 7, 23):
+        assert widened.filter_at(t) == FilterSpec(t, tuple(range(16)))
+    assert insert_sigma(setup, 7, 16).filter_at(7) is widened.filter_at(7)
 
 
 def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):

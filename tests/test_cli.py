@@ -186,19 +186,26 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
         ("amplitude", "setup.json",
          '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 4}, '
          '"filters": [{"time": 2, "holes": ""}]}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 4}, '
+         '"filters": ""}'),
+        ("amplitude", "setup.json",
+         '{"source": {"site": 0, "time": 0}, "detector": {"site": 1, "time": 4}, '
+         '"filters": {}}'),
     ],
     ids=[
         "source-site", "detector-time", "hole", "kernel-L", "evolve-kernel-L",
         "kernel-entry-huge-int", "psi-entry-huge-int", "kernel-entries-null",
         "kernel-entries-number", "source-site-float", "detector-time-string",
         "kernel-L-float", "kernel-L-bool", "holes-string", "holes-empty-string",
+        "filters-string", "filters-object",
     ],
 )
 def test_nonfinite_integer_field_exits_1(tmp_path, capsys, subcommand, name, text):
     # JSON reads 1e400 as infinity, which no integer holds, and a 400-digit
     # integer exactly, which no float holds.  An integer field takes a JSON
     # integer only, never truncating a float or parsing a string, and a hole
-    # set a JSON list only
+    # set or a filter list a JSON list only
     kernel_path, setup_path = write_inputs(tmp_path)
     psi_path = tmp_path / "psi.json"
     save_wavefunction(WaveFunction([1.0, 0.0, 0.0, 0.0]), psi_path)
@@ -478,7 +485,7 @@ def test_regrade_rejects_broken_op(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"operation broken-assoc(k=2) is not associative "
         f"(residual {payload['assoc_residual']:.3e}); no regrade exists\n"
-    )
+    ) == payload["refusal"] + "\n"
     # a negative parameter is a value, not an option, and reaches catalog_op
     argv = ["regrade", "--op", "cubic-mean", "--param", "-1e5"]
     assert main(argv + ["--out", str(out)]) == 1
@@ -489,8 +496,16 @@ def test_regrade_without_a_monotone_regrade_exits_1(tmp_path, capsys):
     # S1 = 1 - 1.5 v vanishes at v = 2/3, inside the domain (0.1, 1.0)
     argv = ["regrade", "--op", "uv-shift", "--param", "-1.5"]
     assert main(argv + ["--out", str(tmp_path / "rg")]) == 1
-    assert "not strictly monotone" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: recovered regrade is not strictly monotone\n"
     assert not (tmp_path / "rg_xi.csv").exists()
+    # the refusal is recorded in the report and the manifest lists it
+    payload = json.loads((tmp_path / "rg.json").read_text())
+    assert payload == {
+        "op": "uv-shift(c=-1.5)",
+        "refusal": "recovered regrade is not strictly monotone",
+    }
+    manifest = json.loads((tmp_path / "rg.manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / "rg.json")]
 
 
 def test_unallocatable_input_exits_1(tmp_path, capsys):
