@@ -10,6 +10,7 @@ binary operation.
 """
 
 from .amplitudes import (
+    BlockReport,
     BruteForcePaths,
     ConsistencyReport,
     EvalStrategy,

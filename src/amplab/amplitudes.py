@@ -1,16 +1,18 @@
 """Amplitude assignment for setups: sum rule, product rule, consistency.
 
 Every setup gets a complex amplitude.  The production evaluator,
-``detector_vector``, threads a source vector through the one-step kernel,
-applying each filter as a 0/1 diagonal mask at its time; the detector-site
-component of the final vector is the amplitude.  That evaluation is
+``detector_vector``, threads one source vector per setup of a batch, as the
+columns of one array, through the one-step kernel, applying each filter as a
+0/1 diagonal mask on its own column at its time; the detector-site component
+of a column's final vector is the amplitude.  That evaluation is
 mathematically identical to a sum over all hole-threading paths weighted by
 products of single-step kernel entries, and ``amplitude_bruteforce`` computes
 that sum literally as an independent oracle.
 
-``consistency_check`` evaluates one setup by several independent strategies
-(transfer matrix, brute-force path sum, decomposition at single-hole filters
-via the product rule, insertion of all-holes sigma filters) and reports the
+``consistency_check`` evaluates a block of setups by several independent
+strategies (transfer matrix, brute-force path sum, decomposition at
+single-hole filters via the product rule, insertion of all-holes sigma
+filters), each strategy once over the whole block, and reports each setup's
 maximal pairwise deviation.  Agreement across strategies is the package's
 headline correctness alarm.
 """
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .lattice import Kernel, mask_vector
+from .lattice import Kernel
 from .setups import Setup, check_sites, decompose_at, insert_sigma
 
 DEFAULT_PATH_GUARD = 10_000_000
@@ -38,7 +42,7 @@ class PathExplosionError(RuntimeError):
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """Evaluate by masked matrix-vector products (the production path)."""
+    """Evaluate by masked transfer-matrix products (the production path)."""
 
     label: ClassVar[str] = "transfer_matrix"
 
@@ -73,31 +77,66 @@ class SigmaInsert:
 EvalStrategy = TransferMatrix | BruteForcePaths | RecursiveDecompose | SigmaInsert
 
 
-def detector_vector(setup: Setup, kernel: Kernel) -> np.ndarray:
-    """Masked transfer-matrix evolution of ``setup`` up to its detector time.
+def detector_vector(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
+    """Masked transfer-matrix evolution of a batch of setups, one column each.
 
-    A unit vector at the source site is threaded through the one-step kernel,
-    each filter that closes a site applied as a 0/1 mask at its time; an
-    all-holes filter is inert and applies no mask.  Entry ``x`` of the result
-    is the amplitude of the setup with its detector moved to site ``x``.
+    Column ``b`` starts as a unit vector at the source site of ``setups[b]``
+    and is multiplied by the one-step kernel over its own span only, from its
+    source time to its detector time.  At each time, a column's filter is
+    applied to that column as a 0/1 mask if it closes a site; an all-holes
+    filter is inert and applies no mask.  Entry ``[x, b]`` of the (L, B)
+    result is the amplitude of ``setups[b]`` with its detector moved to site
+    ``x``.  One setup is a batch of one, and a step that one column takes
+    alone is a matrix-vector product; the bits of a column of a wider
+    product depend on the number of columns multiplied with it.
     """
     num_sites = kernel.num_sites
-    check_sites(setup, num_sites)
-    by_time = {f.time: f for f in setup.filters}
-    psi = np.zeros(num_sites, dtype=complex)
-    psi[setup.source.site] = 1.0
-    for t in range(setup.source.time + 1, setup.detector.time + 1):
-        psi = kernel.step @ psi
-        f = by_time.get(t)
-        # holes are unique and in range (check_sites): num_sites of them open every site
-        if f is not None and len(f.holes) < num_sites:
-            psi = psi * mask_vector(num_sites, f.holes)
+    for setup in setups:
+        check_sites(setup, num_sites)
+    starts = np.array([s.source.time for s in setups])
+    stops = np.array([s.detector.time for s in setups])
+    # (time, column, holes) of each filter that closes a site, by time; holes
+    # are unique and in range (check_sites): num_sites of them open every site
+    closing = sorted(
+        (f.time, b, f.holes)
+        for b, setup in enumerate(setups)
+        for f in setup.filters
+        if len(f.holes) < num_sites
+    )
+    masks = np.zeros((len(closing), num_sites))
+    masks[
+        np.repeat(np.arange(len(closing)), [len(holes) for _, _, holes in closing]),
+        np.fromiter(itertools.chain.from_iterable(c[2] for c in closing), np.intp),
+    ] = 1.0
+    mask_columns = np.array([b for _, b, _ in closing], dtype=np.intp)
+    times = range(starts.min() + 1, stops.max() + 1)
+    bounds = np.searchsorted([t for t, _, _ in closing], [*times, times.stop])
+    # the columns a step multiplies change only after a source or detector time
+    changes = set(starts.tolist()) | set(stops.tolist())
+    psi = np.zeros((num_sites, len(setups)), dtype=complex)
+    psi[[s.source.site for s in setups], np.arange(len(setups))] = 1.0
+    for i, t in enumerate(times):
+        if t - 1 in changes:
+            active = np.flatnonzero((starts < t) & (t <= stops))
+        if len(active) == len(setups):
+            psi = kernel.step @ psi
+        elif len(active):
+            psi[:, active] = kernel.step @ psi[:, active]
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo < hi:
+            psi[:, mask_columns[lo:hi]] *= masks[lo:hi].T
     return psi
+
+
+def _amplitudes(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
+    """The amplitude of each setup: its detector-site entry of its column."""
+    vectors = detector_vector(setups, kernel)
+    return vectors[[s.detector.site for s in setups], np.arange(len(setups))]
 
 
 def amplitude(setup: Setup, kernel: Kernel) -> complex:
     """Amplitude of ``setup`` by masked transfer-matrix evolution."""
-    return complex(detector_vector(setup, kernel)[setup.detector.site])
+    return complex(detector_vector((setup,), kernel)[setup.detector.site, 0])
 
 
 def amplitude_bruteforce(
@@ -170,37 +209,74 @@ def _grow_paths(
     return amps
 
 
-def _amplitude_decomposed(setup: Setup, kernel: Kernel) -> complex:
-    # split at the first single-hole filter and recurse on the later part:
-    # the right-nested product a0 * (a1 * (... * rest))
-    split = next((f.time for f in setup.filters if len(f.holes) == 1), None)
-    if split is None:
-        return amplitude(setup, kernel)
-    earlier, later = decompose_at(setup, split)
-    return amplitude(earlier, kernel) * _amplitude_decomposed(later, kernel)
+def _split_times(setup: Setup) -> list[int]:
+    """The times of the single-hole filters, where decompose_all splits."""
+    return [f.time for f in setup.filters if len(f.holes) == 1]
 
 
-def _amplitude_sigma(setup: Setup, kernel: Kernel) -> complex:
+def _amplitudes_decomposed(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
+    # split each setup at every single-hole filter, evaluate every part of
+    # every setup as one batch, and multiply each setup's parts right-nested:
+    # a0 * (a1 * (... * ak))
+    parts, counts = [], []
+    for setup in setups:
+        first = len(parts)
+        for split in _split_times(setup):
+            earlier, setup = decompose_at(setup, split)
+            parts.append(earlier)
+        parts.append(setup)
+        counts.append(len(parts) - first)
+    factors = iter(_amplitudes(parts, kernel).tolist())
+    products = []
+    for count in counts:
+        head = [next(factors) for _ in range(count - 1)]
+        product = next(factors)
+        for factor in reversed(head):
+            product = factor * product
+        products.append(product)
+    return np.array(products, dtype=complex)
+
+
+def _widened(setup: Setup, num_sites: int) -> Setup:
     occupied = set(setup.filter_times)
     times = [
         t
         for t in range(setup.source.time + 1, setup.detector.time)
         if t not in occupied
     ]
-    return amplitude(insert_sigma(setup, times, kernel.num_sites), kernel)
+    return insert_sigma(setup, times, num_sites)
 
 
-def evaluate(setup: Setup, kernel: Kernel, strategy: EvalStrategy) -> complex:
-    """Amplitude of ``setup`` under one evaluation strategy."""
+def evaluate(
+    setups: Sequence[Setup], kernel: Kernel, strategy: EvalStrategy
+) -> np.ndarray:
+    """Amplitude of each setup of a batch under one evaluation strategy.
+
+    Every strategy but the path sum makes one ``detector_vector`` call for
+    the whole batch; the path sum evaluates each setup on its own and raises
+    ``PathExplosionError`` for the first whose path guard trips.
+    """
     if isinstance(strategy, TransferMatrix):
-        return amplitude(setup, kernel)
+        return _amplitudes(setups, kernel)
     if isinstance(strategy, BruteForcePaths):
-        return amplitude_bruteforce(setup, kernel, strategy.max_paths)
+        return np.array(
+            [amplitude_bruteforce(s, kernel, strategy.max_paths) for s in setups],
+            dtype=complex,
+        )
     if isinstance(strategy, RecursiveDecompose):
-        return _amplitude_decomposed(setup, kernel)
+        return _amplitudes_decomposed(setups, kernel)
     if isinstance(strategy, SigmaInsert):
-        return _amplitude_sigma(setup, kernel)
+        return _amplitudes([_widened(s, kernel.num_sites) for s in setups], kernel)
     raise TypeError(f"unknown strategy {strategy!r}")
+
+
+def _core_columns(setups: Sequence[Setup], strategy: EvalStrategy) -> int:
+    """The number of ``detector_vector`` columns ``evaluate`` spends."""
+    if isinstance(strategy, BruteForcePaths):
+        return 0
+    if isinstance(strategy, RecursiveDecompose):
+        return sum(1 + len(_split_times(s)) for s in setups)
+    return len(setups)
 
 
 def relative_deviation(z1: complex, z2: complex) -> float:
@@ -231,34 +307,84 @@ class ConsistencyReport:
         raise KeyError(label)
 
 
+@dataclass(frozen=True)
+class BlockReport:
+    """The report of each setup of a block, in order, and what each strategy
+    spent on the whole block."""
+
+    reports: tuple[ConsistencyReport, ...]
+    max_deviation: float  # the worst over the block; NaN if any is NaN
+    strategy_s: tuple[tuple[str, float], ...]  # (label, wall seconds)
+    core_columns: tuple[tuple[str, int], ...]  # (label, detector_vector columns)
+
+
 def consistency_check(
-    setup: Setup,
+    setups: Setup | Sequence[Setup],
     kernel: Kernel,
     strategies: tuple[EvalStrategy, ...] | list[EvalStrategy],
-) -> ConsistencyReport:
-    """Evaluate ``setup`` under every strategy and report pairwise deviations.
+) -> ConsistencyReport | BlockReport:
+    """Evaluate a block of setups under every strategy and report, for each
+    setup, the pairwise deviations.
 
-    Each strategy is evaluated once.  A brute-force path sum whose path guard
-    trips is skipped, and its label and reason are recorded in the report's
-    ``skipped``; at least two strategies must run.
+    Each strategy is evaluated once over the whole block.  A brute-force path
+    sum whose path guard trips on a setup is skipped for that setup, and its
+    label and reason are recorded in that setup's ``skipped``; at least two
+    strategies must run on every setup.  One ``Setup`` is the block of one:
+    its ``ConsistencyReport`` is returned in place of a ``BlockReport``.
     """
-    values = []
-    skipped = []
-    for strategy in strategies:
-        try:
-            values.append((strategy.label, evaluate(setup, kernel, strategy)))
-        except PathExplosionError as exc:
-            skipped.append((strategy.label, str(exc)))
-    if len(values) < 2:
-        raise ValueError(
-            f"consistency check needs at least two strategies to run; "
-            f"{len(values)} ran, skipped: {skipped}"
-        )
-    pairs = [
-        (name_a, name_b, relative_deviation(val_a, val_b))
-        for (name_a, val_a), (name_b, val_b) in itertools.combinations(values, 2)
-    ]
-    devs = [dev for _, _, dev in pairs]
+    if isinstance(setups, Setup):
+        return _check_block((setups,), kernel, strategies).reports[0]
+    return _check_block(setups, kernel, strategies)
+
+
+def _worst(deviations: list[float]) -> float:
     # max() would drop a NaN deviation as agreement; NaN is the worst
-    worst = math.nan if any(map(math.isnan, devs)) else max(devs)
-    return ConsistencyReport(tuple(values), tuple(pairs), worst, tuple(skipped))
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+
+
+def _check_block(
+    setups: Sequence[Setup],
+    kernel: Kernel,
+    strategies: tuple[EvalStrategy, ...] | list[EvalStrategy],
+) -> BlockReport:
+    columns = []  # (label, value per setup, None where skipped)
+    skipped: list[list[tuple[str, str]]] = [[] for _ in setups]
+    strategy_s, core_columns = [], []
+    for strategy in strategies:
+        started = time.perf_counter()
+        if isinstance(strategy, BruteForcePaths):
+            # one setup at a time: its path guard may skip any one of them
+            values = []
+            for setup, reasons in zip(setups, skipped):
+                try:
+                    values.append(complex(evaluate((setup,), kernel, strategy)[0]))
+                except PathExplosionError as exc:
+                    values.append(None)
+                    reasons.append((strategy.label, str(exc)))
+        else:
+            values = evaluate(setups, kernel, strategy).tolist()
+        strategy_s.append((strategy.label, time.perf_counter() - started))
+        core_columns.append((strategy.label, _core_columns(setups, strategy)))
+        columns.append((strategy.label, values))
+    reports = []
+    for b, reasons in enumerate(skipped):
+        values = [(label, vals[b]) for label, vals in columns if vals[b] is not None]
+        if len(values) < 2:
+            raise ValueError(
+                f"consistency check needs at least two strategies to run; "
+                f"{len(values)} ran, skipped: {reasons}"
+            )
+        pairs = [
+            (name_a, name_b, relative_deviation(val_a, val_b))
+            for (name_a, val_a), (name_b, val_b) in itertools.combinations(values, 2)
+        ]
+        worst = _worst([dev for _, _, dev in pairs])
+        reports.append(
+            ConsistencyReport(tuple(values), tuple(pairs), worst, tuple(reasons))
+        )
+    return BlockReport(
+        tuple(reports),
+        _worst([r.max_deviation for r in reports]),
+        tuple(strategy_s),
+        tuple(core_columns),
+    )

@@ -77,12 +77,12 @@ def test_detector_vector_holds_every_detector_site():
     kernel = random_kernel(config.num_sites, rng)
     setup = random_setup(config, 6, max_filters=3)
     assert len(setup.filters) == 3
-    vector = detector_vector(setup, kernel)
-    assert vector.shape == (config.num_sites,)
+    vector = detector_vector([setup], kernel)
+    assert vector.shape == (config.num_sites, 1)
     for x in range(config.num_sites):
         moved = Setup(setup.source, Event(x, setup.detector.time), setup.filters)
-        assert vector[x] == amplitude(moved, kernel)
-        assert relative_deviation(vector[x], amplitude_bruteforce(moved, kernel)) <= 1e-12
+        assert vector[x, 0] == amplitude(moved, kernel)
+        assert relative_deviation(vector[x, 0], amplitude_bruteforce(moved, kernel)) <= 1e-12
 
 
 def test_blocking_filter_gives_zero():
@@ -218,9 +218,11 @@ def test_evaluate_dispatch_and_labels():
     reference = amplitude(setup, kernel)
     strategies = (TransferMatrix(), BruteForcePaths(), RecursiveDecompose(), SigmaInsert())
     for strategy in strategies:
-        assert relative_deviation(evaluate(setup, kernel, strategy), reference) <= 1e-12
+        values = evaluate([setup, setup], kernel, strategy)
+        assert values.shape == (2,)
+        assert all(relative_deviation(v, reference) <= 1e-12 for v in values)
     with pytest.raises(TypeError):
-        evaluate(setup, kernel, "transfer")  # type: ignore[arg-type]
+        evaluate([setup], kernel, "transfer")  # type: ignore[arg-type]
     # the benchmark tracer attributes time to a strategy by its label
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
@@ -402,9 +404,9 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
     kernel = random_kernel(4, np.random.default_rng(47))
     setup = Setup(Event(0, 0), Event(3, 9))  # 4 ** 8 paths
     calls = []
-    original = amplitudes.amplitude
+    original = amplitudes.detector_vector
     monkeypatch.setattr(
-        amplitudes, "amplitude", lambda *args: calls.append(1) or original(*args)
+        amplitudes, "detector_vector", lambda *args: calls.append(1) or original(*args)
     )
     strategies = (
         TransferMatrix(),
@@ -420,7 +422,8 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
         "sigma_all",
     ]
     assert len(report.pair_deviations) == 3
-    # no filter to split at and no retry: one amplitude() call per strategy run
+    # no filter to split at and no retry: one core call per strategy that
+    # uses the core; the path sum never calls it
     assert len(calls) == 3
     with pytest.raises(ValueError):
         consistency_check(setup, kernel, (TransferMatrix(), BruteForcePaths(max_paths=100)))
@@ -446,11 +449,36 @@ def test_fuzz_exits_2_on_conjugated_path_sum(tmp_path, monkeypatch, capsys):
     assert "brute_force" in manifest["worst_pair"].split("|")
 
 
-def _mutant_detector_vector(defect):
-    """``detector_vector`` with one planted defect: the mask applied before
-    the step, each filter applied one step late, or the first hole of each
-    filter dropped."""
+def _by_column(column_vector):
+    """A batched ``detector_vector`` that computes each column on its own by
+    ``column_vector(setup, kernel)``: the loop reference of the batch axis."""
 
+    def batched(setups, kernel):
+        return np.column_stack([column_vector(setup, kernel) for setup in setups])
+
+    return batched
+
+
+def _column(source, start, stop, filters, kernel, state_map=lambda psi: psi):
+    """One column of the transfer core, stepped from ``start`` to ``stop``,
+    with each filter of ``filters`` at its time, all-holes ones included."""
+    by_time = {f.time: f for f in filters}
+    psi = np.zeros(kernel.num_sites, dtype=complex)
+    psi[source] = 1.0
+    for t in range(start + 1, stop + 1):
+        psi = state_map(kernel.step @ psi)
+        f = by_time.get(t)
+        if f is not None:
+            psi = psi * mask_vector(kernel.num_sites, f.holes)
+    return psi
+
+
+def _mutant_detector_vector(defect):
+    """``detector_vector`` with one planted defect, applied column by column:
+    the mask applied before the step, each filter applied one step late, or
+    the first hole of each filter dropped."""
+
+    @_by_column
     def mutant(setup, kernel):
         num_sites = kernel.num_sites
         by_time = {f.time: f for f in setup.filters}
@@ -519,17 +547,12 @@ def test_fuzz_exits_2_on_nonlinear_evolution(nonlinear, shape, tmp_path, monkeyp
     # so splitting at a single-hole filter no longer reproduces the amplitude
     state_map = _NONLINEAR_MAPS[nonlinear]
 
+    @_by_column
     def nonlinear_detector_vector(setup, kernel):
-        num_sites = kernel.num_sites
-        by_time = {f.time: f for f in setup.filters}
-        psi = np.zeros(num_sites, dtype=complex)
-        psi[setup.source.site] = 1.0
-        for t in range(setup.source.time + 1, setup.detector.time + 1):
-            psi = state_map(kernel.step @ psi)
-            f = by_time.get(t)
-            if f is not None:
-                psi = psi * mask_vector(num_sites, f.holes)
-        return psi
+        return _column(
+            setup.source.site, setup.source.time, setup.detector.time,
+            setup.filters, kernel, state_map,
+        )
 
     monkeypatch.setattr(amplitudes, "detector_vector", nonlinear_detector_vector)
     out = tmp_path / "fz"
@@ -540,6 +563,74 @@ def test_fuzz_exits_2_on_nonlinear_evolution(nonlinear, shape, tmp_path, monkeyp
         rows = list(csv.reader(fh))[1:]
     breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
     assert "transfer_matrix|decompose_all" in breaches
+
+
+def _batching_mutant(defect):
+    """A batched ``detector_vector`` with one batching defect, computed column
+    by column: every column started at the block's earliest source time,
+    every column read at the block's latest detector time, or each column
+    masked by the filters of its neighbouring column."""
+
+    def mutant(setups, kernel):
+        start = min(setup.source.time for setup in setups)
+        stop = max(setup.detector.time for setup in setups)
+        columns = []
+        for b, setup in enumerate(setups):
+            neighbour = setups[(b + 1) % len(setups)]
+            columns.append(
+                _column(
+                    setup.source.site,
+                    start if defect == "start" else setup.source.time,
+                    stop if defect == "read" else setup.detector.time,
+                    neighbour.filters if defect == "neighbour" else setup.filters,
+                    kernel,
+                )
+            )
+        return np.column_stack(columns)
+
+    return mutant
+
+
+@pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
+@pytest.mark.parametrize("defect", ["start", "read", "neighbour"])
+def test_fuzz_exits_2_on_batching_mutants(defect, shape, tmp_path, monkeypatch, capsys):
+    # the transfer and sigma batches hold setups of one span, so a wrong
+    # start or read time shows only in the decomposition, whose parts each
+    # have their own span; a mask on the wrong column breaks every batch
+    monkeypatch.setattr(amplitudes, "detector_vector", _batching_mutant(defect))
+    out = tmp_path / "fz"
+    argv = ["fuzz", "--count", "50", *_FUZZ_SHAPES[shape], "--out", str(out)]
+    assert main(argv) == 2
+    assert "consistency violation" in capsys.readouterr().err
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
+    if defect == "neighbour":
+        assert breaches
+    else:
+        assert breaches == {pair for _, pair, _ in rows if "decompose_all" in pair}
+
+
+def test_each_column_equals_its_batch_of_one():
+    kernel = _fuzz_kernel(LatticeConfig(5, 9))
+    everywhere = tuple(range(5))
+    batch = [
+        Setup(Event(0, 0), Event(3, 6), (FilterSpec(2, (1, 4)), FilterSpec(4, (2,)))),
+        Setup(Event(4, 2), Event(1, 5), (FilterSpec(3, everywhere),)),
+        Setup(Event(2, 1), Event(2, 7), (FilterSpec(4, ()),)),  # blocking
+        Setup(Event(3, 4), Event(0, 5)),  # one step
+        Setup(Event(1, 3), Event(4, 9), (FilterSpec(5, (0, 2, 3)), FilterSpec(8, everywhere))),
+    ]
+    vectors = detector_vector(batch, kernel)
+    assert vectors.shape == (5, len(batch))
+    assert not vectors[:, 2].any()
+    for b, setup in enumerate(batch):
+        alone = detector_vector([setup], kernel)[:, 0]
+        assert np.linalg.norm(vectors[:, b] - alone) <= 1e-15 * np.linalg.norm(alone)
+        # the batch of one is the loop reference, all-holes filters skipped
+        inert = [f for f in setup.filters if len(f.holes) < 5]
+        reference = _column(setup.source.site, setup.source.time, setup.detector.time, inert, kernel)
+        assert alone.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
@@ -580,15 +671,19 @@ def test_explicit_all_holes_filters_leave_detector_vector_unchanged(
     config = LatticeConfig(num_sites, num_steps)
     kernel = _fuzz_kernel(config)
     everywhere = tuple(range(num_sites))
+    setups, widened = [], []
     for seed in range(100):
         setup = random_setup(config, seed, max_filters)
         free = set(range(1, num_steps)) - set(setup.filter_times)
         sigmas = tuple(FilterSpec(t, everywhere) for t in sorted(free))
-        widened = Setup(setup.source, setup.detector, setup.filters + sigmas)
-        assert len(widened.filters) == num_steps - 1
+        setups.append(setup)
+        widened.append(Setup(setup.source, setup.detector, setup.filters + sigmas))
+        assert len(widened[-1].filters) == num_steps - 1
+    # as one batch, as the fuzz evaluates them, and as a batch of one
+    for batch in (slice(None), slice(7, 8)):
         assert (
-            detector_vector(widened, kernel).tobytes()
-            == detector_vector(setup, kernel).tobytes()
+            detector_vector(widened[batch], kernel).tobytes()
+            == detector_vector(setups[batch], kernel).tobytes()
         )
 
 
@@ -615,9 +710,11 @@ def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
     # finite deviations of later setups must not replace it as the worst
     original = amplitudes.detector_vector
 
-    def nan_at_site_0(setup, kernel):
-        psi = original(setup, kernel)
-        return psi * np.nan if setup.source.site == 0 else psi
+    def nan_at_site_0(setups, kernel):
+        psi = original(setups, kernel)
+        at_0 = [b for b, setup in enumerate(setups) if setup.source.site == 0]
+        psi[:, at_0] *= np.nan
+        return psi
 
     monkeypatch.setattr(amplitudes, "detector_vector", nan_at_site_0)
     out = tmp_path / "fz"

@@ -292,6 +292,35 @@ def test_fuzz_manifest_names_worst_case(tmp_path, capsys):
     ]
 
 
+def test_fuzz_crosses_a_block_edge(tmp_path):
+    # setups are evaluated in blocks of FUZZ_BLOCK; the rows and the
+    # manifest's work counters run on across the edge
+    count = cli.FUZZ_BLOCK + 3
+    out = tmp_path / "fz"
+    argv = ["fuzz", "--seed", "11", "--count", str(count), "--L", "4", "--T", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = read_csv(f"{out}.csv")[1:]
+    # four strategies: six pairs per setup
+    assert [int(seed) for seed, _, _ in rows] == [
+        seed for seed in range(11, 11 + count) for _ in range(6)
+    ]
+    config = LatticeConfig(4, 3)
+    parts = sum(
+        1 + sum(len(f.holes) == 1 for f in random_setup(config, seed, 2).filters)
+        for seed in range(11, 11 + count)
+    )
+    assert parts > count
+    manifest = json.loads((tmp_path / "fz.manifest.json").read_text())
+    assert manifest["core_columns"] == {
+        "transfer_matrix": count,
+        "decompose_all": parts,
+        "sigma_all": count,
+        "brute_force": 0,
+    }
+    assert sorted(manifest["strategy_s"]) == sorted(manifest["core_columns"])
+    assert all(s > 0 for s in manifest["strategy_s"].values())
+
+
 def test_fuzz_json_format(tmp_path):
     out = tmp_path / "fz"
     code = main(
@@ -660,10 +689,12 @@ def reference_table(header, rows):
 def _fuzz_table(tmp_path):
     config = LatticeConfig(num_sites=5, num_steps=4)
     kernel, strategies = _fuzz_kernel(config), _all_strategies(10_000_000)
+    # the block-level call that fuzz makes: a column's bits depend on the
+    # number of setups evaluated with it
+    setups = [random_setup(config, seed, max_filters=3) for seed in range(3, 13)]
+    block = consistency_check(setups, kernel, strategies)
     rows = []
-    for seed in range(3, 13):
-        setup = random_setup(config, seed, max_filters=3)
-        report = consistency_check(setup, kernel, strategies)
+    for seed, report in zip(range(3, 13), block.reports):
         rows += [[seed, f"{a}|{b}", dev] for a, b, dev in report.pair_deviations]
     argv = ["fuzz", "--seed", "3", "--count", "10", "--L", "5", "--T", "4"]
     return argv, "", ["seed", "strategy_pair", "deviation"], rows
@@ -707,7 +738,7 @@ def _regrade_table(tmp_path):
 def _double_slit_table(tmp_path):
     kernel = make_tight_binding_kernel(LatticeConfig(16, 8, dt=0.35), hop=1.0)
     slits = [Setup(Event(8, 0), Event(8, 8), (FilterSpec(4, (h,)),)) for h in (5, 10)]
-    a, b, both = (detector_vector(s, kernel) for s in (*slits, or_compose(*slits)))
+    a, b, both = (detector_vector([s], kernel)[:, 0] for s in (*slits, or_compose(*slits)))
     rows = [
         [i, a[i].real, a[i].imag, b[i].real, b[i].imag, both[i].real,
          both[i].imag, abs(both[i] - a[i] - b[i])]
