@@ -288,23 +288,17 @@ def relative_deviation(z1: complex, z2: complex) -> float:
     m = max(abs(z1), abs(z2))
     if m <= NEAR_ZERO:
         return abs(z1 - z2)
-    return abs(z1 - z2) / max(m, 1e-300)
+    return abs(z1 - z2) / m
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Per-strategy amplitudes and all pairwise deviations for one setup."""
 
-    values: tuple[tuple[str, complex], ...]
-    pair_deviations: tuple[tuple[str, str, float], ...]
+    values: dict[str, complex]  # label -> amplitude, in strategy order
+    pair_deviations: tuple[tuple[str, str, float], ...]  # in CSV row order
     max_deviation: float
-    skipped: tuple[tuple[str, str], ...]  # (label, reason) of each strategy not run
-
-    def value(self, label: str) -> complex:
-        for name, v in self.values:
-            if name == label:
-                return v
-        raise KeyError(label)
+    skipped: dict[str, str]  # label -> reason of each strategy not run
 
 
 @dataclass(frozen=True)
@@ -314,27 +308,8 @@ class BlockReport:
 
     reports: tuple[ConsistencyReport, ...]
     max_deviation: float  # the worst over the block; NaN if any is NaN
-    strategy_s: tuple[tuple[str, float], ...]  # (label, wall seconds)
-    core_columns: tuple[tuple[str, int], ...]  # (label, detector_vector columns)
-
-
-def consistency_check(
-    setups: Setup | Sequence[Setup],
-    kernel: Kernel,
-    strategies: tuple[EvalStrategy, ...] | list[EvalStrategy],
-) -> ConsistencyReport | BlockReport:
-    """Evaluate a block of setups under every strategy and report, for each
-    setup, the pairwise deviations.
-
-    Each strategy is evaluated once over the whole block.  A brute-force path
-    sum whose path guard trips on a setup is skipped for that setup, and its
-    label and reason are recorded in that setup's ``skipped``; at least two
-    strategies must run on every setup.  One ``Setup`` is the block of one:
-    its ``ConsistencyReport`` is returned in place of a ``BlockReport``.
-    """
-    if isinstance(setups, Setup):
-        return _check_block((setups,), kernel, strategies).reports[0]
-    return _check_block(setups, kernel, strategies)
+    strategy_s: dict[str, float]  # label -> wall seconds
+    core_columns: dict[str, int]  # label -> detector_vector columns
 
 
 def _worst(deviations: list[float]) -> float:
@@ -342,49 +317,62 @@ def _worst(deviations: list[float]) -> float:
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
-def _check_block(
-    setups: Sequence[Setup],
+def consistency_check(
+    setups: Setup | Sequence[Setup],
     kernel: Kernel,
-    strategies: tuple[EvalStrategy, ...] | list[EvalStrategy],
+    strategies: Sequence[EvalStrategy],
 ) -> BlockReport:
-    columns = []  # (label, value per setup, None where skipped)
-    skipped: list[list[tuple[str, str]]] = [[] for _ in setups]
-    strategy_s, core_columns = [], []
-    for strategy in strategies:
-        started = time.perf_counter()
-        if isinstance(strategy, BruteForcePaths):
-            # one setup at a time: its path guard may skip any one of them
-            values = []
-            for setup, reasons in zip(setups, skipped):
-                try:
-                    values.append(complex(evaluate((setup,), kernel, strategy)[0]))
-                except PathExplosionError as exc:
-                    values.append(None)
-                    reasons.append((strategy.label, str(exc)))
-        else:
-            values = evaluate(setups, kernel, strategy).tolist()
-        strategy_s.append((strategy.label, time.perf_counter() - started))
-        core_columns.append((strategy.label, _core_columns(setups, strategy)))
-        columns.append((strategy.label, values))
+    """Evaluate a block of setups under every strategy and report, for each
+    setup, the pairwise deviations.  One ``Setup`` is a block of one.
+
+    Each strategy, one per label, is evaluated once over the whole block.  A
+    brute-force path sum whose path guard trips on a setup is skipped for
+    that setup, and its label and reason are recorded in that setup's
+    ``skipped``; at least two strategies must run on every setup.  Overflow
+    raises no numpy warning: a non-finite amplitude gives a NaN deviation,
+    which is a breach.
+    """
+    if isinstance(setups, Setup):
+        setups = (setups,)
+    columns = {}  # label -> value per setup, None where skipped
+    skipped: list[dict[str, str]] = [{} for _ in setups]
+    strategy_s, core_columns = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for strategy in strategies:
+            started = time.perf_counter()
+            if isinstance(strategy, BruteForcePaths):
+                # one setup at a time: its path guard may skip any one of them
+                values = []
+                for setup, reasons in zip(setups, skipped):
+                    try:
+                        values.append(complex(evaluate((setup,), kernel, strategy)[0]))
+                    except PathExplosionError as exc:
+                        values.append(None)
+                        reasons[strategy.label] = str(exc)
+            else:
+                values = evaluate(setups, kernel, strategy).tolist()
+            strategy_s[strategy.label] = time.perf_counter() - started
+            core_columns[strategy.label] = _core_columns(setups, strategy)
+            columns[strategy.label] = values
     reports = []
     for b, reasons in enumerate(skipped):
-        values = [(label, vals[b]) for label, vals in columns if vals[b] is not None]
+        values = {name: col[b] for name, col in columns.items() if col[b] is not None}
         if len(values) < 2:
             raise ValueError(
                 f"consistency check needs at least two strategies to run; "
                 f"{len(values)} ran, skipped: {reasons}"
             )
-        pairs = [
+        pairs = tuple(
             (name_a, name_b, relative_deviation(val_a, val_b))
-            for (name_a, val_a), (name_b, val_b) in itertools.combinations(values, 2)
-        ]
-        worst = _worst([dev for _, _, dev in pairs])
-        reports.append(
-            ConsistencyReport(tuple(values), tuple(pairs), worst, tuple(reasons))
+            for (name_a, val_a), (name_b, val_b) in itertools.combinations(
+                values.items(), 2
+            )
         )
+        worst = _worst([dev for _, _, dev in pairs])
+        reports.append(ConsistencyReport(values, pairs, worst, reasons))
     return BlockReport(
         tuple(reports),
         _worst([r.max_deviation for r in reports]),
-        tuple(strategy_s),
-        tuple(core_columns),
+        strategy_s,
+        core_columns,
     )

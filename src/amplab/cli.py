@@ -232,17 +232,17 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     run = _Run(args)
     setup = load_setup(args.setup)
     kernel = load_kernel(args.kernel)
-    report = consistency_check(setup, kernel, strategies)
-    value = report.value("transfer_matrix")
+    (report,) = consistency_check(setup, kernel, strategies).reports
+    value = report.values["transfer_matrix"]
     payload = {
         "setup": setup_to_dict(setup),  # normalized: filters and holes sorted
         "amplitude": [value.real, value.imag],
-        "strategies": {name: [v.real, v.imag] for name, v in report.values},
+        "strategies": {name: [v.real, v.imag] for name, v in report.values.items()},
         "pair_deviations": {
             f"{a}|{b}": dev for a, b, dev in report.pair_deviations
         },
         "max_deviation": report.max_deviation,
-        "skipped": dict(report.skipped),
+        "skipped": report.skipped,
         "tolerance": CONSISTENCY_TOL,
     }
     run.write_report(payload)
@@ -269,13 +269,13 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         block_seeds = range(first, min(first + FUZZ_BLOCK, end))
         setups = [random_setup(config, seed, max_filters) for seed in block_seeds]
         block = consistency_check(setups, kernel, strategies)
-        for label, seconds in block.strategy_s:
+        for label, seconds in block.strategy_s.items():
             strategy_s[label] = strategy_s.get(label, 0.0) + seconds
-        for label, columns in block.core_columns:
+        for label, columns in block.core_columns.items():
             core_columns[label] = core_columns.get(label, 0) + columns
         for seed, report in zip(block_seeds, block.reports):
             oracle_ran += not report.skipped
-            for _, reason in report.skipped:
+            for reason in report.skipped.values():
                 skipped_reasons[reason] = skipped_reasons.get(reason, 0) + 1
             for name_a, name_b, dev in report.pair_deviations:
                 seeds.append(seed)

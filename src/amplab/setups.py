@@ -79,16 +79,12 @@ class Setup:
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.filters, key=lambda f: f.time))
-        if self.source.time >= self.detector.time:
-            raise SetupError("detector must be strictly later than source")
-        times = [f.time for f in ordered]
-        if len(set(times)) != len(times):
-            raise SetupError("at most one filter per time index")
-        for f in ordered:
-            if not self.source.time < f.time < self.detector.time:
-                raise SetupError(
-                    f"filter time {f.time} not strictly between source and detector"
-                )
+        # one rule: a later detector, one filter per time, filters inside
+        times = [self.source.time, *(f.time for f in ordered), self.detector.time]
+        if any(a >= b for a, b in zip(times, times[1:])):
+            raise SetupError(
+                f"source, filter and detector times must rise strictly: {times}"
+            )
         object.__setattr__(self, "filters", ordered)
 
     def filter_at(self, time: int) -> FilterSpec | None:
@@ -165,21 +161,18 @@ def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Se
     """Insert a filter with holes everywhere (equivalent to no filter) at
     ``times``, one time or an iterable of times.
 
-    Each time must lie strictly between source and detector and be free: no
-    filter of ``setup`` and no earlier entry of ``times`` may sit there.  The
+    Each time must lie strictly between source and detector, so that sigma
+    filters are memoized at interior times only, and be free: a time taken
+    by a filter of ``setup`` or named twice fails ``Setup``'s time rule.  The
     widened setup is built once, whatever the number of times, and each sigma
     filter once per time and lattice size.
     """
     times = tuple(times) if isinstance(times, Iterable) else (times,)
-    occupied = set(setup.filter_times)
     for time in times:
         if not setup.source.time < time < setup.detector.time:
             raise SetupError(
                 f"sigma time {time} not strictly between source and detector"
             )
-        if time in occupied:
-            raise SetupError(f"a filter already exists at time {time}")
-        occupied.add(time)
     sigmas = tuple(_sigma_filter(time, num_sites) for time in times)
     return Setup(setup.source, setup.detector, setup.filters + sigmas)
 

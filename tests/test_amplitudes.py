@@ -260,14 +260,28 @@ def test_consistency_check_needs_two_strategies():
         consistency_check(setup, kernel, (TransferMatrix(),))
 
 
+def test_one_setup_is_a_block_of_one():
+    kernel = random_kernel(4, np.random.default_rng(15))
+    setup = Setup(
+        Event(1, 0), Event(2, 5), (FilterSpec(2, (3,)), FilterSpec(3, (0, 1, 2)))
+    )
+    strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
+    single = consistency_check(setup, kernel, strategies)
+    block = consistency_check([setup], kernel, strategies)
+    assert single.reports == block.reports
+    assert single.max_deviation == block.max_deviation
+    assert list(single.reports[0].values) == [s.label for s in strategies]
+
+
 def test_consistency_report_value_lookup():
     rng = np.random.default_rng(14)
     kernel = random_kernel(3, rng)
     setup = Setup(Event(0, 0), Event(2, 2))
-    report = consistency_check(setup, kernel, (TransferMatrix(), BruteForcePaths()))
-    assert report.value("transfer_matrix") == amplitude(setup, kernel)
+    strategies = (TransferMatrix(), BruteForcePaths())
+    (report,) = consistency_check(setup, kernel, strategies).reports
+    assert report.values["transfer_matrix"] == amplitude(setup, kernel)
     with pytest.raises(KeyError):
-        report.value("unknown")
+        report.values["unknown"]
 
 
 def bruteforce_reference(setup, kernel):
@@ -414,9 +428,9 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
         SigmaInsert(),
         BruteForcePaths(max_paths=100),
     )
-    report = consistency_check(setup, kernel, strategies)
-    assert report.skipped == (("brute_force", "path count exceeds guard of 100 paths"),)
-    assert [name for name, _ in report.values] == [
+    (report,) = consistency_check(setup, kernel, strategies).reports
+    assert report.skipped == {"brute_force": "path count exceeds guard of 100 paths"}
+    assert list(report.values) == [
         "transfer_matrix",
         "decompose_all",
         "sigma_all",

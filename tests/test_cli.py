@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -151,11 +152,22 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
     kernel_path.write_text(json.dumps({"L": 3, "entries": [[1e200, 0.0]] * 9}))
     save_setup(Setup(Event(0, 0), Event(1, 4)), setup_path)
     argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
-    with np.errstate(all="ignore"):
-        assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
+    assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
     assert "consistency violation" in capsys.readouterr().err
     payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
     assert payload["max_deviation"] is None  # strict JSON: NaN is null
+
+
+def test_overflowing_amplitude_warns_nothing(tmp_path, capsys):
+    # the NaN deviation is the whole signal: one stderr line, no RuntimeWarning
+    kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
+    kernel_path.write_text(json.dumps({"L": 3, "entries": [[1e200, 0.0]] * 9}))
+    save_setup(Setup(Event(0, 0), Event(1, 4)), setup_path)
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["consistency violation: nan"]
 
 
 @pytest.mark.parametrize(

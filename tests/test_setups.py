@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -121,6 +122,23 @@ def test_or_compose_rejections():
     b_holes = Setup(Event(0, 0), Event(3, 4), (FilterSpec(1, (1,)),))
     with pytest.raises(NotCombinableError):
         or_compose(a_block, b_holes)
+
+
+@pytest.mark.parametrize(
+    "source_time, filter_times, detector_time",
+    [
+        pytest.param(2, (), 2, id="detector-at-source"),
+        pytest.param(3, (), 1, id="detector-before-source"),
+        pytest.param(0, (2, 2), 4, id="two-filters-at-one-time"),
+        pytest.param(0, (0,), 4, id="filter-at-source"),
+        pytest.param(0, (4,), 4, id="filter-at-detector"),
+    ],
+)
+def test_setup_times_must_rise_strictly(source_time, filter_times, detector_time):
+    filters = tuple(FilterSpec(t, (k,)) for k, t in enumerate(filter_times))
+    times = [source_time, *filter_times, detector_time]
+    with pytest.raises(SetupError, match=re.escape(f"must rise strictly: {times}")):
+        Setup(Event(0, source_time), Event(1, detector_time), filters)
 
 
 def test_insert_sigma():
