@@ -284,11 +284,21 @@ def relative_deviation(z1: complex, z2: complex) -> float:
 
     Amplitudes can vanish by interference, so two values whose magnitudes are
     both below 1e-14 are compared absolutely instead of relatively.
+
+    ``abs`` raises OverflowError on a finite value whose modulus is past the
+    float range.  The ratio does not depend on a common scale, so such a pair
+    is compared at a quarter of its size, where every modulus and difference
+    is finite; dividing by four is exact in binary floating point.
     """
-    m = max(abs(z1), abs(z2))
-    if m <= NEAR_ZERO:
-        return abs(z1 - z2)
-    return abs(z1 - z2) / m
+    try:
+        m = max(abs(z1), abs(z2))
+        if m <= NEAR_ZERO:
+            return abs(z1 - z2)
+        return abs(z1 - z2) / m
+    except OverflowError:
+        return relative_deviation(
+            complex(z1.real / 4, z1.imag / 4), complex(z2.real / 4, z2.imag / 4)
+        )
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from functools import reduce
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .composite import TENSOR_GUARD, product_state
 from .lattice import WaveFunction, is_normalized
@@ -102,6 +101,10 @@ def _log_pmf_span(N: int, p: float, lo: int, hi: int) -> np.ndarray:
     the exact term ratio (N - n) p / ((n + 1)(1 - p)), so any anchor error is
     a common factor that cancels when window mass is normalized by bulk mass.
     """
+    # imported here, not at module level, so that commands which never reach
+    # a binomial sum start without scipy
+    from scipy.special import gammaln
+
     n0 = min(max(int(round(N * p)), lo), hi)
     anchor = (
         gammaln(N + 1)

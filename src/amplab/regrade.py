@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 ASSOC_GATE = 1e-8
 
@@ -146,6 +147,11 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     Rejects non-associative input (gate ``ASSOC_GATE``), vanishing first
     partials, and non-monotone results (a G that changes sign).
     """
+    # imported here, not at module level, so that commands which never
+    # recover a regrade start without scipy
+    from scipy.integrate import cumulative_simpson
+    from scipy.interpolate import CubicSpline
+
     residual = associativity_residual(sampler)
     if not residual <= ASSOC_GATE:
         raise NonAssociativeError(

@@ -209,6 +209,16 @@ def test_relative_deviation_metric():
     # interference-cancelled values compare absolutely
     assert relative_deviation(1e-16, 0.0) == pytest.approx(1e-16)
     assert relative_deviation(1e-13, 2e-13) == pytest.approx(0.5)
+    # |1.5e308 (1 + i)| is past the float range, so abs() of it raises
+    big = complex(1.5e308, 1.5e308)
+    assert relative_deviation(big, big) == 0.0
+    # a real difference at that size is measured, not hidden by an inf modulus
+    other = complex(1.0e308, 1.5e308)
+    expected = abs(0.5e308 / 4) / abs(big / 4)
+    assert relative_deviation(big, other) == pytest.approx(expected, rel=1e-15)
+    assert relative_deviation(other, big) == pytest.approx(expected, rel=1e-15)
+    # opposite values: their difference overflows at full size
+    assert relative_deviation(big, -big) == pytest.approx(2.0, rel=1e-15)
 
 
 def test_evaluate_dispatch_and_labels():

@@ -2,12 +2,16 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import amplab.amplitudes as amplitudes
 import amplab.cli as cli
 import amplab.lattice as lattice
 from amplab import (
@@ -168,6 +172,35 @@ def test_overflowing_amplitude_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
     assert capsys.readouterr().err.splitlines() == ["consistency violation: nan"]
+
+
+def _write_huge_one_step(tmp_path):
+    # |1.5e308 (1 + i)| is past the float range: abs() of the amplitude raises
+    kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
+    kernel_path.write_text(json.dumps({"L": 1, "entries": [[1.5e308, 1.5e308]]}))
+    save_setup(Setup(Event(0, 0), Event(0, 1)), setup_path)
+    return ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path),
+            "--out", str(tmp_path / "amp")]
+
+
+def test_amplitude_past_the_float_range_agrees(tmp_path, capsys):
+    assert main(_write_huge_one_step(tmp_path)) == 0
+    assert capsys.readouterr().err == ""
+    payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
+    assert payload["max_deviation"] == 0.0
+    assert payload["amplitude"] == [1.5e308, 1.5e308]
+
+
+def test_amplitude_past_the_float_range_differs_exits_2(tmp_path, monkeypatch, capsys):
+    # a path sum off by a third of its real part at that size is a breach;
+    # an infinite modulus in the denominator would hide it as 0.0
+    monkeypatch.setattr(
+        amplitudes, "amplitude_bruteforce", lambda *a: complex(1.0e308, 1.5e308)
+    )
+    assert main(_write_huge_one_step(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("consistency violation: ")
+    payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
+    assert payload["max_deviation"] == pytest.approx(0.5 / abs(1.5 + 1.5j))
 
 
 @pytest.mark.parametrize(
@@ -825,3 +858,43 @@ def test_kernel_construction_failure_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lattice, "expm_series", diverge)
     assert main(argv) == 1
     assert "error: matrix exponential series failed" in capsys.readouterr().err
+
+
+_SCIPY_PROBE = """
+import sys
+
+import amplab
+import amplab.cli
+
+SCIPY = ("scipy.special", "scipy.integrate", "scipy.interpolate")
+out, kernel, setup, psi = sys.argv[1:]
+runs = [
+    ["fuzz", "--count", "20"],
+    ["amplitude", "--setup", setup, "--kernel", kernel],
+    ["evolve", "--kernel", kernel, "--psi", psi, "--steps", "3"],
+    ["double-slit", "--holes", "5,10"],
+]
+for argv in runs:
+    assert amplab.cli.main(argv + ["--out", out]) == 0, argv
+    loaded = [name for name in SCIPY if name in sys.modules]
+    assert not loaded, (argv, loaded)
+born = ["born", "--p", "0.5", "--f", "0.5", "--eps", "0.1", "--N-list", "10"]
+assert amplab.cli.main(born + ["--out", out]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_born_and_regrade_load_scipy(tmp_path):
+    # a fresh interpreter: this test process has imported scipy already
+    kernel_path, setup_path = write_inputs(tmp_path)
+    psi_path = tmp_path / "psi.json"
+    save_wavefunction(normalize(WaveFunction(np.array([1.0, 1.0, 0.0, 0.0]))), psi_path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "x"),
+         str(kernel_path), str(setup_path), str(psi_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
