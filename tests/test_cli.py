@@ -896,5 +896,6 @@ def test_only_born_and_regrade_load_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
+        timeout=300,
     )
     assert result.returncode == 0, result.stderr
