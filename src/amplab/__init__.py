@@ -57,7 +57,6 @@ from .lattice import (
     is_normalized,
     kernel_from_dict,
     kernel_from_hamiltonian,
-    kernel_to_dict,
     load_kernel,
     load_wavefunction,
     make_tight_binding_kernel,

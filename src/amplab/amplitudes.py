@@ -80,25 +80,23 @@ EvalStrategy = TransferMatrix | BruteForcePaths | RecursiveDecompose | SigmaInse
 def detector_vector(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
     """Masked transfer-matrix evolution of a batch of setups, one column each.
 
-    Column ``b`` starts as a unit vector at the source site of ``setups[b]``
-    and is multiplied by the one-step kernel over its own span only, from its
-    source time to its detector time.  At each time, a column's filter is
-    applied to that column as a 0/1 mask if it closes a site; an all-holes
-    filter is inert and applies no mask.  Entry ``[x, b]`` of the (L, B)
-    result is the amplitude of ``setups[b]`` with its detector moved to site
-    ``x``.  One setup is a batch of one, and a step that one column takes
-    alone is a matrix-vector product; the bits of a column of a wider
-    product depend on the number of columns multiplied with it.
+    Column ``b`` starts as a unit vector at the source site of ``setups[b]``,
+    and counts its steps, and the times of its filters, from its source time.
+    Every step multiplies every column by the one-step kernel, then applies
+    each column's filter of that step as a 0/1 mask if it closes a site; an
+    all-holes filter is inert and applies no mask.  A column is read off
+    after the last step of its span.  Entry ``[x, b]`` of the (L, B) result
+    is the amplitude of ``setups[b]`` with its detector moved to site ``x``.
+    One setup is a batch of one, stepped by matrix-vector products; the bits
+    of a column depend only on the number of columns in its batch.
     """
     num_sites = kernel.num_sites
     for setup in setups:
         check_sites(setup, num_sites)
-    starts = np.array([s.source.time for s in setups])
-    stops = np.array([s.detector.time for s in setups])
-    # (time, column, holes) of each filter that closes a site, by time; holes
+    # (step, column, holes) of each filter that closes a site, by step; holes
     # are unique and in range (check_sites): num_sites of them open every site
     closing = sorted(
-        (f.time, b, f.holes)
+        (f.time - setup.source.time, b, f.holes)
         for b, setup in enumerate(setups)
         for f in setup.filters
         if len(f.holes) < num_sites
@@ -109,23 +107,21 @@ def detector_vector(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
         np.fromiter(itertools.chain.from_iterable(c[2] for c in closing), np.intp),
     ] = 1.0
     mask_columns = np.array([b for _, b, _ in closing], dtype=np.intp)
-    times = range(starts.min() + 1, stops.max() + 1)
-    bounds = np.searchsorted([t for t, _, _ in closing], [*times, times.stop])
-    # the columns a step multiplies change only after a source or detector time
-    changes = set(starts.tolist()) | set(stops.tolist())
+    ends: dict[int, list[int]] = {}  # span -> the columns read off after it
+    for b, setup in enumerate(setups):
+        ends.setdefault(setup.detector.time - setup.source.time, []).append(b)
+    bounds = np.searchsorted([k for k, _, _ in closing], range(1, max(ends) + 2))
     psi = np.zeros((num_sites, len(setups)), dtype=complex)
     psi[[s.source.site for s in setups], np.arange(len(setups))] = 1.0
-    for i, t in enumerate(times):
-        if t - 1 in changes:
-            active = np.flatnonzero((starts < t) & (t <= stops))
-        if len(active) == len(setups):
-            psi = kernel.step @ psi
-        elif len(active):
-            psi[:, active] = kernel.step @ psi[:, active]
-        lo, hi = bounds[i], bounds[i + 1]
+    vectors = np.empty_like(psi)
+    for k in range(1, max(ends) + 1):
+        psi = kernel.step @ psi
+        lo, hi = bounds[k - 1], bounds[k]
         if lo < hi:
             psi[:, mask_columns[lo:hi]] *= masks[lo:hi].T
-    return psi
+        if k in ends:
+            vectors[:, ends[k]] = psi[:, ends[k]]
+    return vectors
 
 
 def _amplitudes(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:

@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, astuple
 from pathlib import Path
 
@@ -261,22 +262,17 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     max_filters = min(args.max_filters, args.T - 1)
     seeds, pairs, devs = [], [], []
     oracle_ran = 0
-    skipped_reasons: dict[str, int] = {}
-    strategy_s: dict[str, float] = {}
-    core_columns: dict[str, int] = {}
+    skipped_reasons, strategy_s, core_columns = Counter(), Counter(), Counter()
     end = args.seed + args.count
     for first in range(args.seed, end, FUZZ_BLOCK):
         block_seeds = range(first, min(first + FUZZ_BLOCK, end))
         setups = [random_setup(config, seed, max_filters) for seed in block_seeds]
         block = consistency_check(setups, kernel, strategies)
-        for label, seconds in block.strategy_s.items():
-            strategy_s[label] = strategy_s.get(label, 0.0) + seconds
-        for label, columns in block.core_columns.items():
-            core_columns[label] = core_columns.get(label, 0) + columns
+        strategy_s.update(block.strategy_s)
+        core_columns.update(block.core_columns)
         for seed, report in zip(block_seeds, block.reports):
             oracle_ran += not report.skipped
-            for reason in report.skipped.values():
-                skipped_reasons[reason] = skipped_reasons.get(reason, 0) + 1
+            skipped_reasons.update(report.skipped.values())
             for name_a, name_b, dev in report.pair_deviations:
                 seeds.append(seed)
                 pairs.append(f"{name_a}|{name_b}")
@@ -313,7 +309,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     amps = np.concatenate([state.coeffs for state in states])
     step, site = np.divmod(np.arange(amps.size), kernel.num_sites)
     # scalar abs: the array np.abs may differ in the last bit
-    prob = [abs(z) ** 2 for z in amps.tolist()]
+    try:
+        prob = [abs(z) ** 2 for z in amps.tolist()]
+    except OverflowError as exc:
+        raise ValueError("an amplitude's squared modulus overflows a float") from exc
     run.write_table(
         "", {"step": step, "site": site, "re": amps.real, "im": amps.imag, "prob": prob}
     )

@@ -49,8 +49,11 @@ def evolve(psi: WaveFunction, kernel: Kernel, steps: int) -> WaveFunction:
     if psi.num_sites != kernel.num_sites:
         raise ValueError("wave function and kernel dimensions differ")
     coeffs = psi.coeffs
-    for _ in range(steps):
-        coeffs = kernel.step @ coeffs
+    # a step that overflows leaves a non-finite coefficient, which
+    # WaveFunction rejects: numpy's warning would only repeat that error
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            coeffs = kernel.step @ coeffs
     return WaveFunction(coeffs)
 
 

@@ -248,9 +248,19 @@ def _json_int(value) -> int:
     return value
 
 
-def kernel_to_dict(kernel: Kernel) -> dict:
-    entries = [[float(z.real), float(z.imag)] for z in kernel.step.reshape(-1)]
-    return {"L": kernel.num_sites, "entries": entries}
+def _write_pairs(values: np.ndarray) -> list:
+    """``values`` in C order as the ``[re, im]`` pairs of kernel and
+    wave-function files."""
+    return np.stack((values.real, values.imag), axis=-1).reshape(-1, 2).tolist()
+
+
+def _read_pairs(pairs, error: type[ValueError], noun: str) -> np.ndarray:
+    """The complex values of a list of ``[re, im]`` pairs; anything else is
+    an ``error`` that names the file's ``noun``."""
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"malformed {noun}, expected [re, im] pairs: {exc}") from exc
 
 
 def kernel_from_dict(data: dict) -> Kernel:
@@ -266,41 +276,25 @@ def kernel_from_dict(data: dict) -> Kernel:
         raise KernelFormatError(
             f"expected {num_sites * num_sites} entries, got {count}"
         )
-    try:
-        flat = np.array(
-            [complex(re, im) for re, im in entries], dtype=complex
-        ).reshape(num_sites, num_sites)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise KernelFormatError(
-            f"malformed kernel entries, expected [re, im] pairs: {exc}"
-        ) from exc
-    return Kernel(flat)
+    flat = _read_pairs(entries, KernelFormatError, "kernel entries")
+    return Kernel(flat.reshape(num_sites, num_sites))
 
 
 def save_kernel(kernel: Kernel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(kernel_to_dict(kernel)))
+    data = {"L": kernel.num_sites, "entries": _write_pairs(kernel.step)}
+    Path(path).write_text(json.dumps(data))
 
 
 def load_kernel(path: str | Path) -> Kernel:
     return kernel_from_dict(json.loads(Path(path).read_text()))
 
 
-def wavefunction_to_list(psi: WaveFunction) -> list:
-    return [[float(z.real), float(z.imag)] for z in psi.coeffs]
-
-
 def wavefunction_from_list(data: list) -> WaveFunction:
-    try:
-        coeffs = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(
-            f"malformed wave function, expected [re, im] pairs: {exc}"
-        ) from exc
-    return WaveFunction(coeffs)
+    return WaveFunction(_read_pairs(data, ValueError, "wave function"))
 
 
 def save_wavefunction(psi: WaveFunction, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(wavefunction_to_list(psi)))
+    Path(path).write_text(json.dumps(_write_pairs(psi.coeffs)))
 
 
 def load_wavefunction(path: str | Path) -> WaveFunction:

@@ -657,6 +657,23 @@ def test_each_column_equals_its_batch_of_one():
         assert alone.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("num_sites", [5, 8, 16, 64])
+def test_a_column_does_not_depend_on_the_spans_of_its_batch(num_sites):
+    # every step multiplies every column, so a column's bits depend only on
+    # the width of its batch, never on when its neighbour starts or stops
+    kernel = _fuzz_kernel(LatticeConfig(num_sites, 12))
+    a = Setup(Event(1, 0), Event(3, 12), (FilterSpec(4, (0, 2, 3)), FilterSpec(9, (1,))))
+    b = Setup(Event(2, 0), Event(0, 12), (FilterSpec(6, (1, 4)),))
+    neighbours = {
+        "shorter": Setup(Event(2, 0), Event(0, 7), (FilterSpec(3, (1, 4)),)),
+        "later": Setup(Event(2, 5), Event(0, 12), (FilterSpec(6, (1, 4)),)),
+        "same span": Setup(Event(4, 0), Event(1, 12), (FilterSpec(2, (0, 3)),)),
+    }
+    column = detector_vector([a, b], kernel)[:, 0].tobytes()
+    for name, c in neighbours.items():
+        assert detector_vector([a, c], kernel)[:, 0].tobytes() == column, name
+
+
 @pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
 def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(shape, tmp_path, monkeypatch, capsys):
     # an inserted sigma filter without site 0 is no longer inert, so its mask

@@ -444,6 +444,26 @@ def test_evolve_dimension_mismatch_exits_1(tmp_path, capsys, steps):
     assert not (tmp_path / "ev.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "psi, steps",
+    [
+        ("[[1, 0], [0, 0], [0, 0]]", "1"),  # |3e200|^2 is past the float range
+        ("[[1e300, 0], [1e300, 0], [1e300, 0]]", "0"),  # |1e300|^2 too
+        ("[[1, 0], [0, 0], [0, 0]]", "2"),  # the amplitudes themselves overflow
+    ],
+    ids=["squared-modulus", "steps-0", "amplitude"],
+)
+@pytest.mark.filterwarnings("error")  # the error line is all that is said
+def test_evolve_overflow_exits_1(tmp_path, capsys, psi, steps):
+    kernel_path, psi_path = tmp_path / "kernel.json", tmp_path / "psi.json"
+    kernel_path.write_text(json.dumps({"L": 3, "entries": [[1e200, 0.0]] * 9}))
+    psi_path.write_text(psi)
+    argv = ["evolve", "--kernel", str(kernel_path), "--psi", str(psi_path)]
+    assert main(argv + ["--steps", steps, "--out", str(tmp_path / "ev")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "ev.csv").exists()
+
+
 def test_born_subcommand(tmp_path):
     out = tmp_path / "born"
     code = main(

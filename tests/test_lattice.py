@@ -15,6 +15,7 @@ from amplab import (
     kernel_from_dict,
     kernel_from_hamiltonian,
     load_kernel,
+    load_wavefunction,
     make_tight_binding_kernel,
     mask_vector,
     masked_kernel,
@@ -22,9 +23,11 @@ from amplab import (
     normalize,
     propagator,
     save_kernel,
+    save_wavefunction,
     tight_binding_hamiltonian,
     unitarity_defect,
 )
+from amplab.lattice import wavefunction_from_list
 
 
 def test_config_validation():
@@ -181,6 +184,16 @@ def test_kernel_json_roundtrip(tmp_path):
     # older kernel files carry a "label", which is ignored
     old = {**json.loads(path.read_text()), "label": "tight_binding(hop=1)"}
     assert np.array_equal(kernel_from_dict(old).step, kernel.step)
+    psi = WaveFunction([0.6, -0.0, 0.8j, -1e-300 + 2.5j])
+    save_wavefunction(psi, path)
+    assert json.loads(path.read_text()) == [[0.6, 0], [-0.0, 0], [0, 0.8], [-1e-300, 2.5]]
+    assert load_wavefunction(path).coeffs.tobytes() == psi.coeffs.tobytes()
+    # a pair that is not two numbers names the file type
+    pairs = r", expected \[re, im\] pairs: "
+    with pytest.raises(KernelFormatError, match="^malformed kernel entries" + pairs):
+        kernel_from_dict({"L": 1, "entries": [[1, 0, 0]]})
+    with pytest.raises(ValueError, match="^malformed wave function" + pairs):
+        wavefunction_from_list([[1, 0], ["1", 0]])
 
 
 def test_kernel_json_validation(tmp_path):
