@@ -11,6 +11,7 @@ malformed input files), 2 internal tolerance breach -- the consistency alarm.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -205,9 +206,12 @@ def _gate(what: str, worst: float, tol: float) -> int:
     return EXIT_TOLERANCE
 
 
+@functools.lru_cache(maxsize=4)
 def _fuzz_kernel(config: LatticeConfig):
     # fixed non-uniform onsite profile: breaks translation symmetry so the
-    # fuzz covers structurally distinct amplitudes while staying reproducible
+    # fuzz covers structurally distinct amplitudes while staying reproducible.
+    # Built once per shape and shared, as a Kernel is read-only; the cache
+    # keeps the last four shapes, and a build that raises is not kept
     onsite = 0.5 * np.sin(
         2.0 * np.pi * np.arange(config.num_sites) / config.num_sites
     )
@@ -446,7 +450,11 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     return _gate("sum-rule", worst, SUM_CHECK_TOL)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first call and shared by every later
+    one: parsing never changes it, and each parse returns a fresh Namespace.
+    Nothing is built at import."""
     parser = _Parser(
         prog="amplab",
         description="Lattice amplitude simulator and consistency checks",

@@ -214,8 +214,12 @@ def random_setup(
 
     Source sits at time 0 and the detector at time ``num_steps``; between one
     and all sites are opened on each of up to ``max_filters`` filters.  The
-    same seed always yields the same setup.
+    same seed always yields the same setup.  An int seed must be
+    non-negative: ``random.Random`` seeds ``-s`` exactly like ``s``, so a
+    negative seed would repeat the setup of its absolute value.
     """
+    if isinstance(rng_seed, int) and rng_seed < 0:
+        raise SetupError(f"seed must be non-negative, got {rng_seed}")
     rng = random.Random(rng_seed) if isinstance(rng_seed, int) else rng_seed
     num_sites, num_steps = config.num_sites, config.num_steps
     if max_filters < 0 or max_filters > num_steps - 1:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import amplab
 import amplab.amplitudes as amplitudes
 import amplab.cli as cli
 import amplab.lattice as lattice
@@ -270,6 +271,87 @@ def test_fuzz_count_below_one_exits_1(tmp_path, capsys, count):
     assert main(["fuzz", "--count", count, "--out", str(tmp_path / "fz")]) == 1
     assert "error: --count must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "fz.csv").exists()
+
+
+@pytest.mark.parametrize("seed, count", [("-1", "1"), ("-3", "7")])
+def test_fuzz_negative_seed_exits_1(tmp_path, capsys, seed, count):
+    out = tmp_path / "fz"
+    assert main(["fuzz", "--seed", seed, "--count", count, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed must be non-negative, got {seed}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_cached_parser_keeps_no_state(tmp_path, capsys):
+    # one parser serves every main call in a process: no parse may leak into
+    # a later one
+    assert cli._build_parser() is cli._build_parser()
+    argv = ["fuzz", "--seed", "9", "--count", "3", "--L", "5", "--T", "4", "--format", "json"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a.json").is_file()
+    assert main(["fuzz", "--count", "2", "--out", str(tmp_path / "b")]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "--bogus"])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: amplab [-h] [--version]")
+    assert err.endswith("amplab: error: unrecognized arguments: --bogus\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == f"{amplab.__version__}\n"
+    assert main(["fuzz", "--count", "2", "--out", str(tmp_path / "c")]) == 0
+    flags = []
+    for prefix in ("b", "c"):
+        manifest = json.loads((tmp_path / f"{prefix}.manifest.json").read_text())
+        assert manifest["seed"] == 0
+        flags.append({k: v for k, v in manifest["flags"].items() if k != "out"})
+    assert flags[0] == flags[1]
+    assert {k: flags[0][k] for k in ("seed", "count", "L", "T", "format")} == {
+        "seed": 0, "count": 2, "L": 8, "T": 6, "format": "csv"
+    }
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+
+
+def test_fuzz_kernel_cache_keeps_outputs(tmp_path, capsys):
+    # one kernel per shape is shared by every fuzz call in a process: a call
+    # of another shape in between changes nothing, and a fresh process
+    # writes the same table
+    argv = ["fuzz", "--seed", "4", "--count", "6", "--L", "6", "--T", "5"]
+    runs = [argv + ["--out", str(tmp_path / "a")],
+            ["fuzz", "--count", "3", "--L", "7", "--T", "4", "--out", str(tmp_path / "b")],
+            argv + ["--out", str(tmp_path / "c")]]
+    printed = []
+    for run in runs:
+        assert main(run) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[2]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "c.csv").read_bytes()
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "amplab.cli", *argv, "--out", str(tmp_path / "d")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == printed[0]
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "d.csv").read_bytes()
+
+
+def test_failed_fuzz_kernel_build_is_not_kept(tmp_path, monkeypatch, capsys):
+    def diverge(matrix):
+        raise RuntimeError("matrix exponential series failed to converge")
+
+    cli._fuzz_kernel.cache_clear()
+    argv = ["fuzz", "--count", "2", "--L", "9", "--T", "3", "--out", str(tmp_path / "fz")]
+    monkeypatch.setattr(lattice, "expm_series", diverge)
+    assert main(argv) == 1
+    assert "error: matrix exponential series failed" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert (tmp_path / "fz.csv").is_file()
 
 
 def test_fuzz_deterministic_output(tmp_path):

@@ -191,6 +191,16 @@ def test_random_setup_deterministic():
         random_setup(CONFIG, 1, CONFIG.num_steps)
 
 
+def test_random_setup_rejects_a_negative_seed():
+    # random.Random(-s) seeds exactly like Random(s): a negative seed would
+    # repeat the setup of its absolute value
+    assert random.Random(-5).random() == random.Random(5).random()
+    for seed in (-1, -5):
+        with pytest.raises(SetupError, match="seed must be non-negative"):
+            random_setup(CONFIG, seed, 3)
+    assert random_setup(CONFIG, 0, 3) == random_setup(CONFIG, 0, 3)
+
+
 def test_random_setup_always_valid():
     config = LatticeConfig(num_sites=8, num_steps=6)
     for seed in range(1000):
