@@ -316,6 +316,9 @@ class BlockReport:
     max_deviation: float  # the worst over the block; NaN if any is NaN
     strategy_s: dict[str, float]  # label -> wall seconds
     core_columns: dict[str, int]  # label -> detector_vector columns
+    # setups on which some pair compared two different computations: the
+    # path sum ran, or decompose_all split at a single-hole filter
+    independent_setups: int
 
 
 def _worst(deviations: list[float]) -> float:
@@ -334,9 +337,12 @@ def consistency_check(
     Each strategy, one per label, is evaluated once over the whole block.  A
     brute-force path sum whose path guard trips on a setup is skipped for
     that setup, and its label and reason are recorded in that setup's
-    ``skipped``; at least two strategies must run on every setup.  Overflow
-    raises no numpy warning: a non-finite amplitude gives a NaN deviation,
-    which is a breach.
+    ``skipped``; at least two strategies must run on every setup.
+    ``independent_setups`` counts the setups on which the path sum ran or the
+    decomposition split: on any other, every strategy that ran is the one
+    core on the same filters, which compares a computation with itself.
+    Overflow raises no numpy warning: a non-finite amplitude gives a NaN
+    deviation, which is a breach.
     """
     if isinstance(setups, Setup):
         setups = (setups,)
@@ -360,9 +366,12 @@ def consistency_check(
             strategy_s[strategy.label] = time.perf_counter() - started
             core_columns[strategy.label] = _core_columns(setups, strategy)
             columns[strategy.label] = values
-    reports = []
-    for b, reasons in enumerate(skipped):
+    decomposes = any(isinstance(s, RecursiveDecompose) for s in strategies)
+    reports, independent = [], 0
+    for b, (setup, reasons) in enumerate(zip(setups, skipped)):
         values = {name: col[b] for name, col in columns.items() if col[b] is not None}
+        split = decomposes and bool(_split_times(setup))
+        independent += split or BruteForcePaths.label in values
         if len(values) < 2:
             raise ValueError(
                 f"consistency check needs at least two strategies to run; "
@@ -381,4 +390,5 @@ def consistency_check(
         _worst([r.max_deviation for r in reports]),
         strategy_s,
         core_columns,
+        independent,
     )

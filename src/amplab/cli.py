@@ -265,7 +265,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     kernel = _fuzz_kernel(config)
     max_filters = min(args.max_filters, args.T - 1)
     seeds, pairs, devs = [], [], []
-    oracle_ran = 0
+    oracle_ran = independent = 0
     skipped_reasons, strategy_s, core_columns = Counter(), Counter(), Counter()
     end = args.seed + args.count
     for first in range(args.seed, end, FUZZ_BLOCK):
@@ -274,6 +274,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         block = consistency_check(setups, kernel, strategies)
         strategy_s.update(block.strategy_s)
         core_columns.update(block.core_columns)
+        independent += block.independent_setups
         for seed, report in zip(block_seeds, block.reports):
             oracle_ran += not report.skipped
             skipped_reasons.update(report.skipped.values())
@@ -290,6 +291,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         skipped_reasons=skipped_reasons,
         strategy_s=strategy_s,
         core_columns=core_columns,
+        independent_setups=independent,
         worst_deviation=worst,
         worst_seed=worst_seed,
         worst_pair=worst_pair,

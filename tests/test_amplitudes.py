@@ -39,9 +39,9 @@ from amplab import (
 )
 from amplab.cli import _fuzz_kernel, main
 from amplab.setups import _sigma_filter
-from amplab.lattice import mask_vector
 
 from genutil import random_and_pair, random_kernel, random_or_pair, reject_constant
+from mutants import MUTANTS, TARGETS, Blind, breaches, column
 
 
 def test_single_site_unit_kernel():
@@ -453,186 +453,86 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
         consistency_check(setup, kernel, (TransferMatrix(), BruteForcePaths(max_paths=100)))
 
 
-def test_fuzz_exits_2_on_conjugated_path_sum(tmp_path, monkeypatch, capsys):
-    # a path sum on the conjugated (time-reversed) kernel must trip the alarm
-    original = amplitudes.amplitude_bruteforce
-    monkeypatch.setattr(
-        amplitudes,
-        "amplitude_bruteforce",
-        lambda setup, kernel, *rest: original(setup, Kernel(kernel.step.conj()), *rest),
-    )
-    out = tmp_path / "fz"
-    assert main(["fuzz", "--count", "10", "--out", str(out)]) == 2
-    assert "consistency violation" in capsys.readouterr().err
-    with open(f"{out}.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
-    assert breaches
-    assert all("brute_force" in pair.split("|") for pair in breaches)
-    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-    assert "brute_force" in manifest["worst_pair"].split("|")
-
-
-def _by_column(column_vector):
-    """A batched ``detector_vector`` that computes each column on its own by
-    ``column_vector(setup, kernel)``: the loop reference of the batch axis."""
-
-    def batched(setups, kernel):
-        return np.column_stack([column_vector(setup, kernel) for setup in setups])
-
-    return batched
-
-
-def _column(source, start, stop, filters, kernel, state_map=lambda psi: psi):
-    """One column of the transfer core, stepped from ``start`` to ``stop``,
-    with each filter of ``filters`` at its time, all-holes ones included."""
-    by_time = {f.time: f for f in filters}
-    psi = np.zeros(kernel.num_sites, dtype=complex)
-    psi[source] = 1.0
-    for t in range(start + 1, stop + 1):
-        psi = state_map(kernel.step @ psi)
-        f = by_time.get(t)
-        if f is not None:
-            psi = psi * mask_vector(kernel.num_sites, f.holes)
-    return psi
-
-
-def _mutant_detector_vector(defect):
-    """``detector_vector`` with one planted defect, applied column by column:
-    the mask applied before the step, each filter applied one step late, or
-    the first hole of each filter dropped."""
-
-    @_by_column
-    def mutant(setup, kernel):
-        num_sites = kernel.num_sites
-        by_time = {f.time: f for f in setup.filters}
-        psi = np.zeros(num_sites, dtype=complex)
-        psi[setup.source.site] = 1.0
-        for t in range(setup.source.time + 1, setup.detector.time + 1):
-            f = by_time.get(t - 1 if defect == "late" else t)
-            holes = () if f is None else f.holes[1:] if defect == "drop" else f.holes
-            mask = mask_vector(num_sites, holes) if f is not None else 1.0
-            if defect == "before":
-                psi = kernel.step @ (psi * mask)
-            else:
-                psi = (kernel.step @ psi) * mask
-        return psi
-
-    return mutant
-
-
-@pytest.mark.parametrize("defect", ["before", "late", "drop"])
-def test_fuzz_exits_2_on_production_core_mutants(defect, tmp_path, monkeypatch, capsys):
-    # amplitude(), the decomposition and the sigma insertion all run through
-    # the mutant; only the path sum, which never calls it, can see it
-    monkeypatch.setattr(amplitudes, "detector_vector", _mutant_detector_vector(defect))
-    out = tmp_path / "fz"
-    assert main(["fuzz", "--count", "50", "--out", str(out)]) == 2
-    assert "consistency violation" in capsys.readouterr().err
-    with open(f"{out}.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
-    assert "transfer_matrix|brute_force" in breaches
-
-
-@pytest.mark.parametrize("defect", ["before", "late", "drop"])
-def test_amplitude_exits_2_on_production_core_mutants(defect, tmp_path, monkeypatch, capsys):
-    kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
-    save_kernel(_fuzz_kernel(LatticeConfig(8, 6)), kernel_path)
+@pytest.fixture(scope="module")
+def alarm_argv(tmp_path_factory):
+    """The argv of each target of the mutant catalogue; the amplitude setup
+    and the default fuzz kernel are written once."""
+    path = tmp_path_factory.mktemp("alarm")
+    save_kernel(_fuzz_kernel(LatticeConfig(8, 6)), path / "kernel.json")
     setup = Setup(Event(2, 0), Event(5, 6), (FilterSpec(2, (1, 4, 6)), FilterSpec(4, (0, 3, 5))))
-    save_setup(setup, setup_path)
-    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
-    assert main(argv + ["--out", str(tmp_path / "ok")]) == 0
-    monkeypatch.setattr(amplitudes, "detector_vector", _mutant_detector_vector(defect))
-    assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
-    assert "consistency violation" in capsys.readouterr().err
-    payload = json.loads((tmp_path / "amp.json").read_text())
-    assert payload["skipped"] == {}
-    assert payload["pair_deviations"]["transfer_matrix|brute_force"] > 1e-10
+    save_setup(setup, path / "setup.json")
+    return {
+        "fuzz-default": ["fuzz", "--count", "50"],
+        "fuzz-long": ["fuzz", "--count", "50", "--L", "16", "--T", "24", "--max-filters", "8",
+                      "--seed", "5000000"],
+        "amplitude": ["amplitude", "--setup", str(path / "setup.json"),
+                      "--kernel", str(path / "kernel.json")],
+    }
 
 
-_NONLINEAR_MAPS = {
-    "kerr": lambda psi: psi * np.exp(-0.01j * np.abs(psi) ** 2),
-    "norm": lambda psi: psi / np.linalg.norm(psi),
-    "cubic": lambda psi: psi + 0.01 * psi * np.abs(psi) ** 2,
-}
-
-_FUZZ_SHAPES = {
-    "default": [],
-    "long": ["--L", "16", "--T", "24", "--max-filters", "8", "--seed", "5000000"],
-}
-
-
-@pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
-@pytest.mark.parametrize("nonlinear", sorted(_NONLINEAR_MAPS))
-def test_fuzz_exits_2_on_nonlinear_evolution(nonlinear, shape, tmp_path, monkeypatch, capsys):
-    # the paper's consequence that nonlinear variants of quantum mechanics are
-    # inconsistent: a step followed by a nonlinear map breaks the product rule,
-    # so splitting at a single-hole filter no longer reproduces the amplitude
-    state_map = _NONLINEAR_MAPS[nonlinear]
-
-    @_by_column
-    def nonlinear_detector_vector(setup, kernel):
-        return _column(
-            setup.source.site, setup.source.time, setup.detector.time,
-            setup.filters, kernel, state_map,
-        )
-
-    monkeypatch.setattr(amplitudes, "detector_vector", nonlinear_detector_vector)
-    out = tmp_path / "fz"
-    argv = ["fuzz", "--count", "50", *_FUZZ_SHAPES[shape], "--out", str(out)]
-    assert main(argv) == 2
-    assert "consistency violation" in capsys.readouterr().err
-    with open(f"{out}.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
-    assert "transfer_matrix|decompose_all" in breaches
-
-
-def _batching_mutant(defect):
-    """A batched ``detector_vector`` with one batching defect, computed column
-    by column: every column started at the block's earliest source time,
-    every column read at the block's latest detector time, or each column
-    masked by the filters of its neighbouring column."""
-
-    def mutant(setups, kernel):
-        start = min(setup.source.time for setup in setups)
-        stop = max(setup.detector.time for setup in setups)
-        columns = []
-        for b, setup in enumerate(setups):
-            neighbour = setups[(b + 1) % len(setups)]
-            columns.append(
-                _column(
-                    setup.source.site,
-                    start if defect == "start" else setup.source.time,
-                    stop if defect == "read" else setup.detector.time,
-                    neighbour.filters if defect == "neighbour" else setup.filters,
-                    kernel,
-                )
-            )
-        return np.column_stack(columns)
-
-    return mutant
-
-
-@pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
-@pytest.mark.parametrize("defect", ["start", "read", "neighbour"])
-def test_fuzz_exits_2_on_batching_mutants(defect, shape, tmp_path, monkeypatch, capsys):
-    # the transfer and sigma batches hold setups of one span, so a wrong
-    # start or read time shows only in the decomposition, whose parts each
-    # have their own span; a mask on the wrong column breaks every batch
-    monkeypatch.setattr(amplitudes, "detector_vector", _batching_mutant(defect))
-    out = tmp_path / "fz"
-    argv = ["fuzz", "--count", "50", *_FUZZ_SHAPES[shape], "--out", str(out)]
-    assert main(argv) == 2
-    assert "consistency violation" in capsys.readouterr().err
-    with open(f"{out}.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
-    if defect == "neighbour":
-        assert breaches
+def _alarm(argv, out):
+    """The exit code of one run, its pairs over 1e-10 and its worst pair."""
+    code = main(argv + ["--out", str(out)])
+    if argv[0] == "amplitude":
+        rows = json.loads(Path(f"{out}.json").read_text())["pair_deviations"].items()
+        worst = max(rows, key=lambda row: row[1])[0]
     else:
-        assert breaches == {pair for _, pair, _ in rows if "decompose_all" in pair}
+        with open(f"{out}.csv", newline="") as fh:
+            rows = [(pair, float(dev)) for _, pair, dev in list(csv.reader(fh))[1:]]
+        worst = json.loads(Path(f"{out}.manifest.json").read_text())["worst_pair"]
+    return code, {pair for pair, dev in rows if dev > 1e-10}, worst
+
+
+def test_every_target_passes_unmutated(alarm_argv, tmp_path):
+    for target, argv in alarm_argv.items():
+        assert _alarm(argv, tmp_path / target)[:2] == (0, set()), target
+
+
+_CELLS = [
+    pytest.param(name, target, id=f"{name}-{target}", marks=pytest.mark.xfail(
+        strict=True, reason=cell, raises=AssertionError) if isinstance(cell, Blind) else ())
+    for name, (_, *cells) in MUTANTS.items()
+    for target, cell in zip(TARGETS, cells)
+]
+
+
+@pytest.mark.parametrize("name, target", _CELLS)
+def test_alarm_coverage(name, target, alarm_argv, tmp_path, monkeypatch, capsys):
+    # a firing cell exits 2 with exactly its pairs over 1e-10, the worst among
+    # them; a blind cell fails here until a new check sees its defect, then
+    # passes as a strict XPASS and is written as a firing cell
+    patch, *cells = MUTANTS[name]
+    cell = cells[TARGETS.index(target)]
+    monkeypatch.setattr(*patch)
+    code, pairs, worst = _alarm(alarm_argv[target], tmp_path / "out")
+    assert code == 2 and "consistency violation" in capsys.readouterr().err
+    assert pairs == (pairs if isinstance(cell, Blind) else breaches(cell))
+    assert worst in pairs
+
+
+def test_every_mutant_moves_a_value(monkeypatch):
+    # a blind cell misses a real defect, never a patch that changes nothing:
+    # on a kernel that is not its own transpose and a batch of mixed spans
+    # with single- and multi-hole filters, built under the patch, each mutant
+    # moves some strategy's value
+    kernel = random_kernel(8, np.random.default_rng(61))
+    strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
+
+    def values():
+        batch = [
+            Setup(Event(1, 0), Event(6, 5), (FilterSpec(2, (0, 3, 5)), FilterSpec(3, (4,)))),
+            Setup(Event(3, 1), Event(2, 4), (FilterSpec(2, (1, 2, 6, 7)),)),
+            Setup(Event(0, 2), Event(5, 7), (FilterSpec(4, (2,)), FilterSpec(5, (1, 3)))),
+        ]
+        reports = consistency_check(batch, kernel, strategies).reports
+        return [value for report in reports for value in report.values.values()]
+
+    clean = values()
+    for name, (patch, *_) in MUTANTS.items():
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            moved = max(map(relative_deviation, values(), clean))
+        assert moved > 1e-10, name
 
 
 def test_each_column_equals_its_batch_of_one():
@@ -653,7 +553,7 @@ def test_each_column_equals_its_batch_of_one():
         assert np.linalg.norm(vectors[:, b] - alone) <= 1e-15 * np.linalg.norm(alone)
         # the batch of one is the loop reference, all-holes filters skipped
         inert = [f for f in setup.filters if len(f.holes) < 5]
-        reference = _column(setup.source.site, setup.source.time, setup.detector.time, inert, kernel)
+        reference = column(kernel, setup.source.site, setup.source.time, setup.detector.time, inert)
         assert alone.tobytes() == reference.tobytes()
 
 
@@ -672,35 +572,6 @@ def test_a_column_does_not_depend_on_the_spans_of_its_batch(num_sites):
     column = detector_vector([a, b], kernel)[:, 0].tobytes()
     for name, c in neighbours.items():
         assert detector_vector([a, c], kernel)[:, 0].tobytes() == column, name
-
-
-@pytest.mark.parametrize("shape", sorted(_FUZZ_SHAPES))
-def test_fuzz_exits_2_on_sigma_filter_missing_a_hole(shape, tmp_path, monkeypatch, capsys):
-    # an inserted sigma filter without site 0 is no longer inert, so its mask
-    # is applied; only the sigma_all strategy runs through it.  At the long
-    # shape brute force is skipped, and sigma_all alone sees the dropped hole
-    def insert_sigma_dropping_a_hole(setup, times, num_sites):
-        widened = insert_sigma(setup, times, num_sites)
-        filters = tuple(
-            f if f in setup.filters else FilterSpec(f.time, f.holes[1:])
-            for f in widened.filters
-        )
-        return Setup(setup.source, setup.detector, filters)
-
-    monkeypatch.setattr(amplitudes, "insert_sigma", insert_sigma_dropping_a_hole)
-    out = tmp_path / "fz"
-    argv = ["fuzz", "--count", "50", *_FUZZ_SHAPES[shape], "--out", str(out)]
-    assert main(argv) == 2
-    assert "consistency violation" in capsys.readouterr().err
-    with open(f"{out}.csv", newline="") as fh:
-        rows = list(csv.reader(fh))[1:]
-    breaches = {pair for _, pair, dev in rows if float(dev) > 1e-10}
-    expected = {"transfer_matrix|sigma_all", "decompose_all|sigma_all"}
-    if shape == "default":
-        expected.add("sigma_all|brute_force")
-    assert breaches == expected
-    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-    assert "sigma_all" in manifest["worst_pair"].split("|")
 
 
 @pytest.mark.parametrize("num_sites, num_steps, max_filters", [(8, 6, 3), (16, 24, 8)])

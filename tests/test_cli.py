@@ -419,6 +419,28 @@ def test_fuzz_manifest_names_worst_case(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "shape, count, independent",
+    [([], 20, 20), (["--L", "16", "--T", "24", "--max-filters", "8"], 100, 29)],
+    ids=["default", "long"],
+)
+def test_fuzz_manifest_counts_independent_setups(tmp_path, shape, count, independent):
+    # the path sum runs on every default setup; at the long shape the path
+    # guard skips it, and only a setup with a single-hole filter, where
+    # decompose_all splits, compares two different computations
+    out = tmp_path / "fz"
+    assert main(["fuzz", "--count", str(count), *shape, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "fz.manifest.json").read_text())
+    assert manifest["independent_setups"] == independent
+    if shape:
+        assert manifest["brute_force_ran"] == 0
+        config = LatticeConfig(16, 24)
+        assert independent == sum(
+            any(len(f.holes) == 1 for f in random_setup(config, seed, 8).filters)
+            for seed in range(count)
+        )
+
+
 def test_fuzz_crosses_a_block_edge(tmp_path):
     # setups are evaluated in blocks of FUZZ_BLOCK; the rows and the
     # manifest's work counters run on across the edge
