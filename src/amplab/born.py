@@ -10,10 +10,11 @@ the filtered state with the unfiltered one is a binomial window mass
 summed over replica counts n inside the window.  As N grows the mass
 concentrates at fraction p: the filter becomes inert exactly when the window
 contains p, which is the content of the Born rule.  This module computes the
-overlap three independent ways: the exact binomial sum in log space
-(``overlap_exact``), its Gaussian limit (``overlap_gaussian``), and a literal
-tensor-product construction for small N (``small_N_direct``), which lists every
-configuration but builds the tensor one block of rows at a time.
+overlap three independent ways: the exact binomial sum, with every term taken
+relative to the mode and normalized by the bulk mass (``overlap_exact``), its
+Gaussian limit (``overlap_gaussian``), and a literal tensor-product
+construction for small N (``small_N_direct``), which lists every configuration
+but builds the tensor one block of rows at a time.
 """
 
 from __future__ import annotations
@@ -37,9 +38,18 @@ _BLOCK_ENTRIES = 1 << 16
 # the truncated mass is below exp(-2*144*p(1-p)) and never matters
 _BULK_SIGMAS = 12.0
 
-# absolute snap applied before ceil/floor so that window endpoints that are
-# integers up to float noise land on the intended bin
-_EDGE_SNAP = 1e-9
+# snap applied before ceil/floor, as a share of (|f| + eps) N: (f -/+ eps) N
+# is rounded by a few 2**-53 of that, so an endpoint that is an integer up to
+# float noise lands on the intended bin; at N = 1e9 the snap is under 1e-5
+_EDGE_SNAP = 2.0**-48
+
+
+def _check_replica_count(N: int) -> None:
+    if N < 1:
+        raise ValueError("N must be a positive integer")
+    # past 2**53 replica counts are not exact floats and no exact sum exists
+    if N > 2**53:
+        raise ValueError(f"N must not exceed 2**53 = {2**53}")
 
 
 @dataclass(frozen=True)
@@ -55,8 +65,7 @@ class BornExperiment:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.N < 1:
-            raise ValueError("N must be a positive integer")
+        _check_replica_count(self.N)
         if not 0.0 <= self.f <= 1.0:
             raise ValueError("f must lie in [0, 1]")
         if not self.epsilon > 0.0:
@@ -85,47 +94,12 @@ def _window_bounds(f: float, epsilon: float, N: int) -> tuple[int, int]:
     snapped bounds to [-1, N + 1] changes no window and keeps an infinite
     bound (a huge epsilon) out of ceil and floor.
     """
-    x_lo = (f - epsilon) * N
-    x_hi = (f + epsilon) * N
-    x_lo -= _EDGE_SNAP * max(1.0, abs(x_lo))
-    x_hi += _EDGE_SNAP * max(1.0, abs(x_hi))
+    snap = _EDGE_SNAP * max(1.0, (abs(f) + epsilon) * N)
+    x_lo = (f - epsilon) * N - snap
+    x_hi = (f + epsilon) * N + snap
     lo = math.ceil(min(max(x_lo, -1.0), N + 1.0))
     hi = math.floor(min(max(x_hi, -1.0), N + 1.0))
     return max(lo, 0), min(hi, N)
-
-
-def _log_pmf_span(N: int, p: float, lo: int, hi: int) -> np.ndarray:
-    """log of the binomial pmf on lo..hi inclusive, anchored at the mode.
-
-    One log-gamma evaluation fixes the anchor; neighbouring values follow from
-    the exact term ratio (N - n) p / ((n + 1)(1 - p)), so any anchor error is
-    a common factor that cancels when window mass is normalized by bulk mass.
-    """
-    # imported here, not at module level, so that commands which never reach
-    # a binomial sum start without scipy
-    from scipy.special import gammaln
-
-    n0 = min(max(int(round(N * p)), lo), hi)
-    anchor = (
-        gammaln(N + 1)
-        - gammaln(n0 + 1)
-        - gammaln(N - n0 + 1)
-        + n0 * math.log(p)
-        + (N - n0) * math.log1p(-p)
-    )
-    log_odds = math.log(p) - math.log1p(-p)
-    out = np.empty(hi - lo + 1, dtype=float)
-    i0 = n0 - lo
-    out[i0] = anchor
-    if i0 < out.size - 1:
-        ns = np.arange(n0, hi, dtype=float)
-        ratios = np.log(N - ns) - np.log(ns + 1.0) + log_odds
-        out[i0 + 1 :] = anchor + np.cumsum(ratios)
-    if i0 > 0:
-        ns = np.arange(lo, n0, dtype=float)
-        ratios = np.log(N - ns) - np.log(ns + 1.0) + log_odds
-        out[:i0] = anchor - np.cumsum(ratios[::-1])[::-1]
-    return out
 
 
 def _overlap_from_bounds(p: float, N: int, n_lo: int, n_hi: int) -> float:
@@ -143,19 +117,28 @@ def _overlap_from_bounds(p: float, N: int, n_lo: int, n_hi: int) -> float:
         # the window holds the bulk, so its mass is at least the bulk's
         return 1.0
     span_lo, span_hi = min(n_lo, bulk_lo), max(n_hi, bulk_hi)
-    log_pmf = _log_pmf_span(N, p, span_lo, span_hi)
-    terms = np.exp(log_pmf)
+    # log of the term ratio (N - n) p / ((n + 1)(1 - p)) from n to n + 1,
+    # summed outward from the mode: each term is taken relative to the
+    # mode's, a common factor that cancels in window mass / bulk mass
+    ns = np.arange(span_lo, span_hi, dtype=float)
+    log_ratios = np.log(N - ns) - np.log(ns + 1.0) + (math.log(p) - math.log1p(-p))
+    i0 = mode - span_lo
+    log_terms = np.zeros(span_hi - span_lo + 1)
+    np.cumsum(log_ratios[i0:], out=log_terms[i0 + 1 :])
+    log_terms[:i0] = -np.cumsum(log_ratios[:i0][::-1])[::-1]
+    terms = np.exp(log_terms)
     bulk_mass = math.fsum(terms[bulk_lo - span_lo : bulk_hi - span_lo + 1])
     window_mass = math.fsum(terms[n_lo - span_lo : n_hi - span_lo + 1])
     return min(1.0, max(0.0, window_mass / bulk_mass))
 
 
 def overlap_exact(experiment: BornExperiment) -> float:
-    """Exact binomial window mass (Psi_N, P Psi_N), computed in log space.
+    """Exact binomial window mass (Psi_N, P Psi_N).
 
-    Stable up to N ~ 1e7: log-gamma anchoring avoids overflow, compensated
-    summation keeps the absolute error near 1e-12, and normalizing by the
-    bulk mass cancels the anchor's rounding bias.
+    Each term is taken relative to the mode's term, so none overflows;
+    compensated summation keeps the absolute error near 1e-12, and dividing
+    by the bulk mass cancels the mode's own probability, which is never
+    computed.  Refuses N above 2**53, where counts are not exact floats.
     """
     n_lo, n_hi = _window_bounds(experiment.f, experiment.epsilon, experiment.N)
     return _overlap_from_bounds(experiment.p, experiment.N, n_lo, n_hi)
@@ -166,8 +149,7 @@ def overlap_for_window(p: float, N: int, window: ProjectorWindow) -> float:
     :func:`overlap_exact` but skips the fraction-to-count rounding."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if N < 1:
-        raise ValueError("N must be a positive integer")
+    _check_replica_count(N)
     return _overlap_from_bounds(p, N, window.n_min, min(window.n_max, N))
 
 

@@ -42,6 +42,12 @@ def test_experiment_validation():
         BornExperiment(p=0.5, N=10, f=0.5, epsilon=0.0)
     with pytest.raises(ValueError):
         BornExperiment(p=0.5, N=10, f=1.5, epsilon=0.1)
+    # past 2**53 replica counts are not exact floats
+    assert overlap_for_window(0.5, 2**53, ProjectorWindow(0, 2**53)) == 1.0
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        BornExperiment(p=0.5, N=2**53 + 1, f=0.5, epsilon=0.1)
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        overlap_for_window(0.5, 2**53 + 1, ProjectorWindow(0, 1))
 
 
 def test_window_construction():
@@ -72,13 +78,26 @@ def test_overlap_against_high_precision_oracle():
         # window 4..6; a window wider than [0, 1] is clipped to 0..10
         (0.36, 10, 0.5, 0.1),
         (0.36, 10, 0.5, 2.0),
+        # windows that cut the bulk at large N
+        (0.36, 10**6, 0.3605, 0.0005),
+        (0.36, 10**7, 0.3601, 0.0001),
     ]
     for p, N, f, eps in cases:
         e = BornExperiment(p=p, N=N, f=f, epsilon=eps)
-        n_lo = math.ceil((f - eps) * N - 1e-9 * max(1, abs((f - eps) * N)))
-        n_hi = math.floor((f + eps) * N + 1e-9 * max(1, abs((f + eps) * N)))
+        snap = 2.0**-48 * max(1, (abs(f) + eps) * N)
+        n_lo = math.ceil((f - eps) * N - snap)
+        n_hi = math.floor((f + eps) * N + snap)
         oracle = binomial_window_oracle(p, N, max(n_lo, 0), min(n_hi, N))
         assert abs(overlap_exact(e) - oracle) <= 1e-12
+
+
+def test_window_edges_stay_inside_the_interval_at_large_N():
+    # the real interval is [499984189.3, 500015810.7]: counts 499984190 and
+    # 500015810 are its edges, however far out N puts them
+    e = BornExperiment(p=0.5, N=10**9, f=0.5, epsilon=1.58107e-05)
+    inner = overlap_for_window(0.5, 10**9, ProjectorWindow(499984190, 500015810))
+    assert overlap_exact(e) == inner
+    assert abs(inner - 0.68266230302) <= 1e-8
 
 
 def test_concentration_at_target_fraction():
