@@ -95,6 +95,7 @@ from .setups import (
     load_setup,
     or_compose,
     random_setup,
+    random_setups,
     save_setup,
 )
 

@@ -43,6 +43,10 @@ _BULK_SIGMAS = 12.0
 # float noise lands on the intended bin; at N = 1e9 the snap is under 1e-5
 _EDGE_SNAP = 2.0**-48
 
+# the snap never reaches half a replica, so it can take in at most the count
+# nearest an edge; it binds only where (|f| + eps) N passes 2**47
+_EDGE_SNAP_CAP = math.nextafter(0.5, 0.0)
+
 
 def _check_replica_count(N: int) -> None:
     if N < 1:
@@ -94,7 +98,7 @@ def _window_bounds(f: float, epsilon: float, N: int) -> tuple[int, int]:
     snapped bounds to [-1, N + 1] changes no window and keeps an infinite
     bound (a huge epsilon) out of ceil and floor.
     """
-    snap = _EDGE_SNAP * max(1.0, (abs(f) + epsilon) * N)
+    snap = min(_EDGE_SNAP * max(1.0, (abs(f) + epsilon) * N), _EDGE_SNAP_CAP)
     x_lo = (f - epsilon) * N - snap
     x_hi = (f + epsilon) * N + snap
     lo = math.ceil(min(max(x_lo, -1.0), N + 1.0))

@@ -59,9 +59,10 @@ from .setups import (
     FilterSpec,
     Setup,
     SetupError,
+    check_seed_range,
     load_setup,
     or_compose,
-    random_setup,
+    random_setups,
     setup_to_dict,
 )
 
@@ -259,6 +260,7 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    check_seed_range(args.seed, args.seed + args.count)
     strategies = _all_strategies(args.max_paths)
     run = _Run(args)
     config = LatticeConfig(num_sites=args.L, num_steps=args.T)
@@ -270,7 +272,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     end = args.seed + args.count
     for first in range(args.seed, end, FUZZ_BLOCK):
         block_seeds = range(first, min(first + FUZZ_BLOCK, end))
-        setups = [random_setup(config, seed, max_filters) for seed in block_seeds]
+        setups = random_setups(config, block_seeds, max_filters)
         block = consistency_check(setups, kernel, strategies)
         strategy_s.update(block.strategy_s)
         core_columns.update(block.core_columns)

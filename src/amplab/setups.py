@@ -29,11 +29,14 @@ degenerate test case (its amplitude is zero) but is rejected as an operand of
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .lattice import Event, LatticeConfig, _json_int
 
@@ -205,36 +208,103 @@ def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:
     return earlier, later
 
 
-def random_setup(
-    config: LatticeConfig,
-    rng_seed: int | random.Random,
-    max_filters: int,
-) -> Setup:
-    """Deterministic random setup spanning the full time range of ``config``.
+# seeds of random setups lie in [0, SEED_LIMIT): each is one 64-bit key
+SEED_LIMIT = 2**64
 
-    Source sits at time 0 and the detector at time ``num_steps``; between one
-    and all sites are opened on each of up to ``max_filters`` filters.  The
-    same seed always yields the same setup.  An int seed must be
-    non-negative: ``random.Random`` seeds ``-s`` exactly like ``s``, so a
-    negative seed would repeat the setup of its absolute value.
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and the
+# two multipliers of its output mixer
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def check_seed_range(first: int, stop: int) -> None:
+    """Raise ``SetupError`` unless the seeds ``first .. stop - 1`` all lie in
+    ``[0, SEED_LIMIT)``.  A seed past the range would wrap onto the key of
+    another seed, and a negative one onto a large one."""
+    if first < 0:
+        raise SetupError(f"seed must be non-negative, got {first}")
+    if stop > SEED_LIMIT:
+        raise SetupError(f"seeds must lie below 2**64, got {stop - 1}")
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output mixer, a bijection on uint64, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def random_setups(
+    config: LatticeConfig,
+    seeds: Sequence[int],
+    max_filters: int,
+) -> list[Setup]:
+    """One deterministic random setup per seed, drawn for the whole block at
+    once; each setup depends on its seed alone, never on its block.
+
+    Source sits at time 0 and the detector at time ``num_steps``, each at a
+    uniform site.  The filter count is uniform in ``0..max_filters``, the
+    filter times a uniform subset of ``1..num_steps-1`` of that size, and
+    each filter opens a uniform number ``1..num_sites`` of holes, a uniform
+    subset of the sites.  Draw ``d`` of seed ``s`` is output ``d`` of the
+    SplitMix64 stream keyed by ``mix64(s)``: ``mix64(mix64(s) + (d + 1)
+    GAMMA)`` modulo 2**64, a counter-based generator.  An integer in
+    ``0..n-1`` is a draw modulo ``n`` (bias below n / 2**64), and a uniform
+    k-subset is the first k entries of a stable argsort of uniform draws, so
+    even a tie of two draws orders the same on every machine.  The draws of
+    a setup are, in order: source site, detector site, filter count, one key
+    per interior time, and per filter slot its hole count, then one key per
+    site.  Filter j takes entry j of the time argsort and the draws of slot j.
     """
-    if isinstance(rng_seed, int) and rng_seed < 0:
-        raise SetupError(f"seed must be non-negative, got {rng_seed}")
-    rng = random.Random(rng_seed) if isinstance(rng_seed, int) else rng_seed
     num_sites, num_steps = config.num_sites, config.num_steps
     if max_filters < 0 or max_filters > num_steps - 1:
         raise SetupError(
             f"max_filters must lie in [0, {num_steps - 1}] for {num_steps} steps"
         )
-    source = Event(rng.randrange(num_sites), 0)
-    detector = Event(rng.randrange(num_sites), num_steps)
-    count = rng.randint(0, max_filters)
-    times = sorted(rng.sample(range(1, num_steps), count))
-    filters = []
-    for t in times:
-        n_holes = rng.randint(1, num_sites)
-        filters.append(FilterSpec(t, tuple(rng.sample(range(num_sites), n_holes))))
-    return Setup(source, detector, tuple(filters))
+    if not seeds:
+        return []
+    check_seed_range(min(seeds), max(seeds) + 1)
+    interior = num_steps - 1
+    keys = _mix64(np.array(seeds, dtype=np.uint64))
+    num_draws = 3 + interior + max_filters * (1 + num_sites)
+    counters = np.arange(1, num_draws + 1, dtype=np.uint64)
+    draws = _mix64(keys[:, None] + counters * _GAMMA)
+    sites = (draws[:, :2] % np.uint64(num_sites)).tolist()
+    counts = (draws[:, 2] % np.uint64(max_filters + 1)).astype(np.intp)
+    times = np.argsort(draws[:, 3 : 3 + interior], axis=1, kind="stable") + 1
+    # hole counts and hole orders of the slots in use, in the order they are
+    # read: setup by setup, filter by filter
+    used = np.arange(max_filters) < counts[:, None]
+    slot_draws = draws[:, 3 + interior :].reshape(len(seeds), max_filters, 1 + num_sites)
+    slot_draws = slot_draws[used]
+    n_holes = (slot_draws[:, 0] % np.uint64(num_sites) + 1).tolist()
+    orders = np.argsort(slot_draws[:, 1:], axis=1, kind="stable").tolist()
+    holes = iter(zip(n_holes, orders))
+    out = []
+    for (src, det), count, ts in zip(sites, counts.tolist(), times.tolist()):
+        filters = tuple(
+            FilterSpec(t, tuple(order[:n]))
+            for t, (n, order) in zip(ts, itertools.islice(holes, count))
+        )
+        out.append(Setup(Event(src, 0), Event(det, num_steps), filters))
+    return out
+
+
+def random_setup(
+    config: LatticeConfig,
+    rng_seed: int | random.Random,
+    max_filters: int,
+) -> Setup:
+    """Deterministic random setup spanning the full time range of ``config``:
+    ``random_setups`` on a block of one seed, so the same seed gives the same
+    setup in any block.  An int seed must lie in ``[0, 2**64)``.  A
+    ``random.Random`` gives a 63-bit seed drawn from it."""
+    seed = rng_seed if isinstance(rng_seed, int) else rng_seed.getrandbits(63)
+    return random_setups(config, (seed,), max_filters)[0]
 
 
 def setup_to_dict(setup: Setup) -> dict:

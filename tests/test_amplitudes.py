@@ -33,6 +33,7 @@ from amplab import (
     or_compose,
     propagator,
     random_setup,
+    random_setups,
     relative_deviation,
     save_kernel,
     save_setup,
@@ -75,8 +76,9 @@ def test_detector_vector_holds_every_detector_site():
     rng = np.random.default_rng(6)
     config = LatticeConfig(num_sites=5, num_steps=4)
     kernel = random_kernel(config.num_sites, rng)
-    setup = random_setup(config, 6, max_filters=3)
-    assert len(setup.filters) == 3
+    # a filter at every interior time
+    filters = (FilterSpec(1, (3, 4)), FilterSpec(2, (0, 1, 2)), FilterSpec(3, (0, 1, 2, 3)))
+    setup = Setup(Event(4, 0), Event(0, 4), filters)
     vector = detector_vector([setup], kernel)
     assert vector.shape == (config.num_sites, 1)
     for x in range(config.num_sites):
@@ -618,24 +620,32 @@ def test_sigma_filters_are_built_once_per_time_and_lattice_size(tmp_path):
 
 
 def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
-    # NaN from the production core on setups with the source at site 0; the
-    # finite deviations of later setups must not replace it as the worst
+    # NaN from the production core on every column that starts at the site
+    # where setup 10 starts, so a NaN falls at or before the middle of the
+    # run; the finite deviations of later setups must not replace it as the
+    # worst
+    setups = random_setups(LatticeConfig(8, 6), range(20), 3)
+    site = setups[10].source.site
     original = amplitudes.detector_vector
 
-    def nan_at_site_0(setups, kernel):
-        psi = original(setups, kernel)
-        at_0 = [b for b, setup in enumerate(setups) if setup.source.site == 0]
-        psi[:, at_0] *= np.nan
+    def nan_at_site(columns, kernel):
+        psi = original(columns, kernel)
+        hit = [b for b, column in enumerate(columns) if column.source.site == site]
+        psi[:, hit] *= np.nan
         return psi
 
-    monkeypatch.setattr(amplitudes, "detector_vector", nan_at_site_0)
+    def starts_a_column_at_site(setup):
+        # transfer_matrix and sigma_all start their column at the source, and
+        # decompose_all starts one more part at each single-hole filter
+        return setup.source.site == site or any(f.holes == (site,) for f in setup.filters)
+
+    monkeypatch.setattr(amplitudes, "detector_vector", nan_at_site)
     out = tmp_path / "fz"
     assert main(["fuzz", "--count", "20", "--out", str(out)]) == 2
     assert "max deviation nan" in capsys.readouterr().out
-    first_nan = next(
-        seed for seed in range(20) if random_setup(LatticeConfig(8, 6), seed, 3).source.site == 0
-    )
-    assert first_nan < 19  # finite setups follow it
+    nan_seeds = [seed for seed, setup in enumerate(setups) if starts_a_column_at_site(setup)]
+    first_nan = nan_seeds[0]
+    assert first_nan <= 10 and len(nan_seeds) < 20 - first_nan  # finite setups follow it
     manifest = json.loads(
         Path(f"{out}.manifest.json").read_text(), parse_constant=reject_constant
     )

@@ -17,6 +17,7 @@ from amplab import (
     product_state,
     small_N_direct,
 )
+from amplab.born import _window_bounds
 
 from genutil import random_state
 
@@ -98,6 +99,25 @@ def test_window_edges_stay_inside_the_interval_at_large_N():
     inner = overlap_for_window(0.5, 10**9, ProjectorWindow(499984190, 500015810))
     assert overlap_exact(e) == inner
     assert abs(inner - 0.68266230302) <= 1e-8
+
+
+def test_window_edge_snap_stays_below_half_a_replica():
+    # at N = 2**52 a snap of 2**-48 (|f| + eps) N would be 12 replicas and
+    # take 12 counts past each edge 2**50 and 3 * 2**50
+    assert _window_bounds(0.5, 0.25, 2**52) == (2**50, 3 * 2**50)
+    # below (|f| + eps) N = 2**47 the cap never binds: every window is the
+    # one of the uncapped snap
+    rng = np.random.default_rng(47)
+    cases = [(0.5, 0.5, 2**47 - 1), (0.36, 0.02, 10**7)]
+    for _ in range(2000):
+        f = float(rng.uniform(0.0, 1.0))
+        eps = float(rng.uniform(0.0, 1.0 - f)) or 1e-3
+        cases.append((f, eps, int(2.0 ** rng.uniform(0.0, 47.0))))
+    for f, eps, N in cases:
+        snap = 2.0**-48 * max(1, (abs(f) + eps) * N)
+        lo = max(math.ceil(max((f - eps) * N - snap, -1.0)), 0)
+        hi = min(math.floor(min((f + eps) * N + snap, N + 1.0)), N)
+        assert _window_bounds(f, eps, N) == (lo, hi), (f, eps, N)
 
 
 def test_concentration_at_target_fraction():

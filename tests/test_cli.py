@@ -281,6 +281,22 @@ def test_fuzz_negative_seed_exits_1(tmp_path, capsys, seed, count):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "seed, count", [(2**64, 1), (2**64 - 1, 2), (10**30, 1)], ids=["2**64", "crossing", "10**30"]
+)
+def test_fuzz_seed_past_the_key_range_exits_1(tmp_path, capsys, seed, count):
+    # a seed is one 64-bit key: past the range it would wrap onto another
+    # seed's setup
+    out = tmp_path / "fz"
+    argv = ["fuzz", "--seed", str(seed), "--count", str(count), "--out", str(out)]
+    assert main(argv) == 1
+    last = seed + count - 1
+    assert capsys.readouterr().err == f"error: seeds must lie below 2**64, got {last}\n"
+    assert not list(tmp_path.iterdir())
+    argv = ["fuzz", "--seed", str(2**64 - 1), "--count", "1", "--out", str(out)]
+    assert main(argv) == 0
+
+
 def test_cached_parser_keeps_no_state(tmp_path, capsys):
     # one parser serves every main call in a process: no parse may leak into
     # a later one
@@ -421,7 +437,7 @@ def test_fuzz_manifest_names_worst_case(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "shape, count, independent",
-    [([], 20, 20), (["--L", "16", "--T", "24", "--max-filters", "8"], 100, 29)],
+    [([], 20, 20), (["--L", "16", "--T", "24", "--max-filters", "8"], 100, 23)],
     ids=["default", "long"],
 )
 def test_fuzz_manifest_counts_independent_setups(tmp_path, shape, count, independent):

@@ -1,6 +1,8 @@
 import random
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,9 +21,11 @@ from amplab import (
     load_setup,
     or_compose,
     random_setup,
+    random_setups,
     save_setup,
 )
-from amplab.setups import check_sites
+from amplab.cli import FUZZ_BLOCK
+from amplab.setups import _GAMMA, SEED_LIMIT, _mix64, check_sites
 
 CONFIG = LatticeConfig(num_sites=4, num_steps=4)
 
@@ -192,13 +196,110 @@ def test_random_setup_deterministic():
 
 
 def test_random_setup_rejects_a_negative_seed():
-    # random.Random(-s) seeds exactly like Random(s): a negative seed would
-    # repeat the setup of its absolute value
-    assert random.Random(-5).random() == random.Random(5).random()
+    # a seed is one 64-bit key: a negative seed has no key of its own, and
+    # modulo 2**64 it would wrap onto the key of a large seed
     for seed in (-1, -5):
         with pytest.raises(SetupError, match="seed must be non-negative"):
             random_setup(CONFIG, seed, 3)
     assert random_setup(CONFIG, 0, 3) == random_setup(CONFIG, 0, 3)
+
+
+def test_random_setup_refuses_a_seed_past_the_key_range():
+    assert random_setup(CONFIG, SEED_LIMIT - 1, 3) != random_setup(CONFIG, 0, 3)
+    for seeds in ([SEED_LIMIT], [5, SEED_LIMIT + 5], range(SEED_LIMIT - 2, SEED_LIMIT + 1)):
+        with pytest.raises(SetupError, match=r"seeds must lie below 2\*\*64"):
+            random_setups(CONFIG, seeds, 3)
+    with pytest.raises(SetupError, match="seed must be non-negative"):
+        random_setups(CONFIG, [3, -1], 3)
+    assert random_setups(CONFIG, [], 3) == []
+
+
+@pytest.mark.parametrize("shape", [(8, 6, 3), (16, 24, 8)], ids=["default", "long"])
+def test_random_setups_draw_the_documented_distribution(shape):
+    # each count lies within 5 sigma of its mean: sites, filter and hole
+    # counts are uniform, and every interior time and every site is as likely
+    # as any other to be a filter time or a hole
+    num_sites, num_steps, max_filters = shape
+    setups = random_setups(LatticeConfig(num_sites, num_steps), range(20_000), max_filters)
+    filters = [f for s in setups for f in s.filters]
+
+    def assert_near(counts, means, variances):
+        for count, mean, variance in zip(counts, means, variances):
+            assert abs(count - mean) <= 5 * variance**0.5, (counts, means)
+
+    def assert_uniform(values, low, high):
+        n, k = len(values), high - low + 1
+        counts = Counter(values)
+        assert set(counts) <= set(range(low, high + 1))
+        assert_near([counts[v] for v in range(low, high + 1)], [n / k] * k,
+                    [n / k * (1 - 1 / k)] * k)
+
+    assert_uniform([s.source.site for s in setups], 0, num_sites - 1)
+    assert_uniform([s.detector.site for s in setups], 0, num_sites - 1)
+    assert_uniform([len(s.filters) for s in setups], 0, max_filters)
+    assert_uniform([len(f.holes) for f in filters], 1, num_sites)
+    assert all(s.source.time == 0 and s.detector.time == num_steps for s in setups)
+    # membership: given the sizes drawn, time t is a filter time of a setup
+    # with k filters with probability k / (T - 1), site x a hole of a filter
+    # with n holes with probability n / L
+    for members, universe, sizes in (
+        ([f.time for f in filters], range(1, num_steps),
+         [len(s.filters) for s in setups]),
+        ([h for f in filters for h in f.holes], range(num_sites),
+         [len(f.holes) for f in filters]),
+    ):
+        counts = Counter(members)
+        assert set(counts) <= set(universe)
+        ps = [size / len(universe) for size in sizes]
+        mean, variance = sum(ps), sum(p * (1 - p) for p in ps)
+        assert_near([counts[x] for x in universe], [mean] * len(universe),
+                    [variance] * len(universe))
+
+
+@pytest.mark.parametrize(
+    "first",
+    [0, 1, FUZZ_BLOCK - 5, SEED_LIMIT - FUZZ_BLOCK - 10],
+    ids=["0", "1", "block-edge", "range-end"],
+)
+def test_random_setups_depend_on_the_seed_alone(first):
+    # a block that crosses a FUZZ_BLOCK edge, from any start, gives each seed
+    # the setup of its block of one
+    for shape, max_filters in (((8, 6), 3), ((16, 24), 8)):
+        config = LatticeConfig(*shape)
+        seeds = range(first, first + FUZZ_BLOCK + 10)
+        block = random_setups(config, seeds, max_filters)
+        assert block == [random_setup(config, seed, max_filters) for seed in seeds]
+        assert block[7:20] == random_setups(config, seeds[7:20], max_filters)
+
+
+def test_random_setup_keeps_its_stream():
+    # SplitMix64's published outputs for state 1234567 ...
+    state = np.uint64(1234567) + np.arange(1, 6, dtype=np.uint64) * _GAMMA
+    assert _mix64(state).tolist() == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423,
+        4593380528125082431, 16408922859458223821,
+    ]
+    # ... and one setup: a change to the key, the draws or their layout
+    # fails here
+    assert random_setup(LatticeConfig(16, 24), 2026, 8) == Setup(
+        Event(9, 0),
+        Event(9, 24),
+        (
+            FilterSpec(1, (0, 3, 10, 11, 13, 14)),
+            FilterSpec(2, (3, 5, 6, 13)),
+            FilterSpec(6, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 15)),
+            FilterSpec(21, (3, 4, 7, 11, 15)),
+        ),
+    )
+
+
+def test_random_setup_takes_a_63_bit_seed_from_a_random_generator():
+    rng, twin = random.Random(11), random.Random(11)
+    setup = random_setup(CONFIG, rng, 3)
+    assert setup == random_setup(CONFIG, twin.getrandbits(63), 3)
+    # the generator moved on by exactly that one draw
+    assert rng.getstate() == twin.getstate()
+    assert random_setup(CONFIG, rng, 3) == random_setup(CONFIG, twin.getrandbits(63), 3)
 
 
 def test_random_setup_always_valid():
