@@ -223,16 +223,14 @@ def test_random_setups_draw_the_documented_distribution(shape):
     setups = random_setups(LatticeConfig(num_sites, num_steps), range(20_000), max_filters)
     filters = [f for s in setups for f in s.filters]
 
-    def assert_near(counts, means, variances):
-        for count, mean, variance in zip(counts, means, variances):
-            assert abs(count - mean) <= 5 * variance**0.5, (counts, means)
+    def assert_near(counts, mean, variance):
+        assert all(abs(c - mean) <= 5 * variance**0.5 for c in counts), (counts, mean)
 
     def assert_uniform(values, low, high):
         n, k = len(values), high - low + 1
         counts = Counter(values)
         assert set(counts) <= set(range(low, high + 1))
-        assert_near([counts[v] for v in range(low, high + 1)], [n / k] * k,
-                    [n / k * (1 - 1 / k)] * k)
+        assert_near([counts[v] for v in range(low, high + 1)], n / k, n / k * (1 - 1 / k))
 
     assert_uniform([s.source.site for s in setups], 0, num_sites - 1)
     assert_uniform([s.detector.site for s in setups], 0, num_sites - 1)
@@ -251,9 +249,7 @@ def test_random_setups_draw_the_documented_distribution(shape):
         counts = Counter(members)
         assert set(counts) <= set(universe)
         ps = [size / len(universe) for size in sizes]
-        mean, variance = sum(ps), sum(p * (1 - p) for p in ps)
-        assert_near([counts[x] for x in universe], [mean] * len(universe),
-                    [variance] * len(universe))
+        assert_near([counts[x] for x in universe], sum(ps), sum(p * (1 - p) for p in ps))
 
 
 @pytest.mark.parametrize(
