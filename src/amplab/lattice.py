@@ -100,6 +100,29 @@ class WaveFunction:
         return self.coeffs.shape[0]
 
 
+def _band_rows(width: int, n: int) -> np.ndarray:
+    """Row of each entry of a band array: ``band[width + e, c]`` holds
+    ``M[(c + e) % n, c]``, the entry of cyclic diagonal e in column c."""
+    return (np.arange(n) + np.arange(-width, width + 1)[:, None]) % n
+
+
+def _band_to_dense(band: np.ndarray) -> np.ndarray:
+    n = band.shape[1]
+    dense = np.zeros((n, n), dtype=band.dtype)
+    dense[_band_rows(band.shape[0] // 2, n), np.arange(n)] = band
+    return dense
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Band of the product of two band arrays; the widths add.  Diagonal f
+    of b meets column c + f of a, and the roll carries the ring's wrap."""
+    wa, wb = a.shape[0] // 2, b.shape[0] // 2
+    out = np.zeros((2 * (wa + wb) + 1, a.shape[1]), dtype=np.result_type(a, b))
+    for f in range(-wb, wb + 1):
+        out[wb + f : wb + f + 2 * wa + 1] += np.roll(a, -f, axis=1) * b[wb + f]
+    return out
+
+
 def expm_series(matrix: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring of the Taylor series.
 
@@ -112,6 +135,11 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
     a sign per entry).  For a = -i dt H with H real, x = dt H is real, and
     every series product is a real one; the phase (-i)^k goes on as each term
     is added.  Only the squarings multiply complex matrices.
+
+    When every nonzero of x lies on the cyclic diagonals |e| <= w with
+    2w + 1 <= n, the terms and the sum are held as band arrays (see
+    ``_band_rows``), and each product costs the band, not n^3.  The first
+    product whose band would not fit turns every matrix dense for good.
     """
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -125,18 +153,39 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
     x = 1j * (a * 0.5**squarings)  # 2.0**squarings overflows past 1023
     if not x.imag.any():
         x = x.real
-    result = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=x.dtype)
+    n = a.shape[0]
+    # the cyclic distance of each nonzero from the main diagonal
+    rows, cols = np.divmod(np.flatnonzero(x), n)
+    offsets = (rows - cols) % n
+    width = int(np.minimum(offsets, n - offsets).max(initial=0))
+    banded = 2 * width + 1 <= n
+    if banded:
+        x = x[_band_rows(width, n), np.arange(n)]
+    term = np.ones((1, n), dtype=x.dtype) if banded else np.eye(n, dtype=x.dtype)
+    result = term.astype(complex)
     for k in range(1, 80):
-        term = term @ x / k
+        if banded and term.shape[0] + 2 * width > n:  # the product's 2w + 1
+            banded = False
+            x, term, result = map(_band_to_dense, (x, term, result))
+        term = (_band_product(term, x) if banded else term @ x) / k
+        grow = (term.shape[0] - result.shape[0]) // 2
+        if grow:
+            result = np.pad(result, ((grow, grow), (0, 0)))
         result = result + (1, -1j, -1, 1j)[k % 4] * term
-        if np.linalg.norm(term, np.inf) <= 1e-16 * np.linalg.norm(result, np.inf):
+        if banded:  # the infinity norm sums each entry's modulus into its row
+            rows = _band_rows(term.shape[0] // 2, n).ravel()
+            norms = [np.bincount(rows, np.abs(m).ravel(), n).max() for m in (term, result)]
+        else:
+            norms = [np.linalg.norm(m, np.inf) for m in (term, result)]
+        if norms[0] <= 1e-16 * norms[1]:
             break
     else:
         raise RuntimeError("matrix exponential series failed to converge")
     for _ in range(squarings):
-        result = result @ result
-    return result
+        if banded and 2 * result.shape[0] - 1 > n:  # the square's 4w + 1
+            banded, result = False, _band_to_dense(result)
+        result = _band_product(result, result) if banded else result @ result
+    return _band_to_dense(result) if banded else result
 
 
 def tight_binding_hamiltonian(

@@ -27,6 +27,7 @@ from amplab import (
     tight_binding_hamiltonian,
     unitarity_defect,
 )
+from amplab import lattice
 from amplab.lattice import wavefunction_from_list
 
 
@@ -101,6 +102,85 @@ def test_open_chain_kernel_keeps_exact_zeros():
     kernel = kernel_from_hamiltonian(h, dt=0.35)
     assert kernel.step[63, 0] == 0
     assert np.count_nonzero(kernel.step == 0) == 1260
+
+
+@pytest.mark.parametrize("L", [8, 16, 64, 512])
+def test_ring_kernel_matches_closed_form_propagator(L):
+    # the uniform ring is diagonal in plane waves with energies 2 hop cos k,
+    # so K[r, c] = g[(r - c) % L] with g the inverse DFT of the phases; no
+    # series is involved, and a product that drops the ring's wrap fails it
+    hop, dt = 0.7, 0.35
+    kernel = make_tight_binding_kernel(LatticeConfig(L, 1, dt=dt), hop=hop)
+    k = 2 * np.pi * np.arange(L) / L
+    g = np.fft.ifft(np.exp(-1j * dt * 2 * hop * np.cos(k)))
+    sites = np.arange(L)
+    expected = g[(sites[:, None] - sites[None, :]) % L]
+    assert np.max(np.abs(kernel.step - expected)) < 1e-12
+
+
+def _flux_ring(L):
+    # hop e^{0.5i} is a flux through the ring: H stays Hermitian but not real
+    return tight_binding_hamiltonian(L, np.exp(0.5j), np.linspace(-1.0, 1.0, L))
+
+
+def _long_bond(L):
+    h = tight_binding_hamiltonian(L, 1.0, 0.0)
+    h[0, L // 2] = h[L // 2, 0] = 0.3
+    return h
+
+
+@pytest.mark.parametrize(
+    "h, dt, switch",
+    [
+        # the band of the series terms outgrows L=8 (and L=16) mid-series
+        (tight_binding_hamiltonian(8, 1.0, 0.0), 0.35, "series"),
+        (tight_binding_hamiltonian(16, 1.0, 0.0), 40.0, "series"),
+        # the series fits; a later squaring's band outgrows the ring
+        (tight_binding_hamiltonian(32, 1.0, 0.0), 40.0, "squarings"),
+        (tight_binding_hamiltonian(64, 1.0, 0.0), 40.0, "squarings"),
+        # complex band products, and the band fits to the end
+        (_flux_ring(128), 0.35, "end"),
+        # one bond across the ring: the generator's band never fits
+        (_long_bond(16), 0.35, "dense"),
+    ],
+)
+def test_expm_series_band_paths_match_scipy(h, dt, switch, monkeypatch):
+    converted, products = [], []
+    to_dense, band_product = lattice._band_to_dense, lattice._band_product
+
+    def spy_dense(band):
+        converted.append(band.shape[0])
+        return to_dense(band)
+
+    def spy_product(a, b):
+        products.append(b.dtype)
+        return band_product(a, b)
+
+    monkeypatch.setattr(lattice, "_band_to_dense", spy_dense)
+    monkeypatch.setattr(lattice, "_band_product", spy_product)
+    a = -1j * dt * h
+    out = expm_series(a)
+    assert np.max(np.abs(out - scipy.linalg.expm(a))) < 1e-12
+    L = h.shape[0]
+    if products:  # a real H keeps the series products real
+        assert products[0] == (complex if h.imag.any() else float)
+    if switch == "series":  # the generator, term and running sum go dense together
+        assert len(converted) == 3
+    elif switch == "squarings":  # the sum alone, and the dense squarings widen it
+        assert len(converted) == 1 and np.count_nonzero(out) > converted[0] * L
+    elif switch == "end":
+        assert len(converted) == 1 and np.count_nonzero(out) <= converted[0] * L
+    else:
+        assert converted == [] and products == []
+
+
+def test_ring_kernel_keeps_exact_zeros():
+    # 28 cyclic diagonals either side of the main one are nonzero, so
+    # 512 * (512 - 57) = 232,960 entries are exactly zero; the count was
+    # measured on the dense-product series before band storage, and the band
+    # must keep every one of them
+    kernel = make_tight_binding_kernel(LatticeConfig(512, 1, dt=0.35), hop=1.0)
+    assert np.count_nonzero(kernel.step == 0) == 232960
 
 
 def test_tight_binding_unitarity():
