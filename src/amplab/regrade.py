@@ -56,15 +56,19 @@ class NonAssociativeError(RegradeError):
 class BinaryOpSampler:
     """A two-argument operation sampled with both arguments in one interval.
 
-    ``fn`` maps scalars (u, v) to a scalar; ``domain`` is the interval
-    (lo, hi) of both u and v, as the regrade is one function of one variable.
-    ``partials``, when given, are analytic (dS/du, dS/dv) and are evaluated
-    only inside the domain.  Without them, ``fn`` must stay evaluable 1e-5 of
-    the domain width beyond its edges, where the central-difference stencils
-    overstep them.
+    ``fn`` is applied elementwise to numpy arrays (u, v), under
+    ``np.errstate`` raising on overflow, division by zero and invalid values
+    (underflow stays silent); its result is broadcast to their shape, so a
+    constant partial gives a full grid.  Wrap an operation written for
+    scalars only in ``np.vectorize(fn, otypes=[float])``.  ``domain`` is the
+    interval (lo, hi) of both u and v, as the regrade is one function of one
+    variable.  ``partials``, when given, are analytic (dS/du, dS/dv), applied
+    the same way and only inside the domain.  Without them, ``fn`` must stay
+    evaluable 1e-5 of the domain width beyond its edges, where the
+    central-difference stencils overstep them.
     """
 
-    fn: Callable[[float, float], float]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     domain: tuple[float, float]
     grid_n: int = 256
     partials: tuple[Callable, Callable] | None = None
@@ -76,17 +80,18 @@ class BinaryOpSampler:
             raise RegradeError("domain must be finite with lo < hi")
         if self.grid_n < MIN_GRID:
             raise RegradeError(f"grid_n must be at least {MIN_GRID}")
-        object.__setattr__(self, "_eval", np.vectorize(self.fn, otypes=[float]))
 
     def __call__(self, u, v):
-        return self._apply(self._eval, u, v)
+        return self._apply(self.fn, u, v)
 
     def _apply(self, f, u, v):
-        """``f(u, v)`` for ``fn`` or a partial; an overflow or a division by
-        zero there (a catalog parameter out of range) is a RegradeError
-        naming the operation, whose catalog name holds the parameter."""
+        """``f(u, v)`` for ``fn`` or a partial, as floats of the shape of u and v;
+        a floating-point error there (a catalog parameter out of range) is a
+        RegradeError naming the operation, whose catalog name holds the parameter."""
         try:
-            return f(u, v)
+            with np.errstate(all="raise", under="ignore"):
+                values = np.asarray(f(u, v), dtype=float)
+            return np.broadcast_to(values, np.broadcast(u, v).shape)
         except ArithmeticError as exc:
             raise RegradeError(
                 f"operation {self.name or self.fn!r} cannot be evaluated on "
@@ -163,8 +168,7 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     grid = np.linspace(u_lo, u_hi, sampler.grid_n)
     u0 = np.full_like(grid, u_lo)
     if sampler.partials is not None:
-        d1, d2 = (np.vectorize(d, otypes=[float]) for d in sampler.partials)
-        s1, s2 = sampler._apply(d1, u0, grid), sampler._apply(d2, u0, grid)
+        s1, s2 = (sampler._apply(d, u0, grid) for d in sampler.partials)
     else:
         h = 1e-5 * (u_hi - u_lo)
         s1 = (sampler(u0 + h, grid) - sampler(u0 - h, grid)) / (2.0 * h)

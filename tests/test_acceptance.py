@@ -243,12 +243,12 @@ def eta_round_trip_deviation(seed: int) -> float:
     def eta(u):
         return a * u + b * u * u + g * u**3
 
+    def fn(u, v):
+        return brentq(lambda x: eta(x) - (eta(u) + eta(v)), 0.0, 16.0, xtol=1e-15)
+
+    # brentq inverts one point at a time
     sampler = BinaryOpSampler(
-        fn=lambda u, v: brentq(
-            lambda x: eta(x) - (eta(u) + eta(v)), 0.0, 16.0, xtol=1e-15
-        ),
-        domain=(0.4, 1.4),
-        grid_n=128,
+        fn=np.vectorize(fn, otypes=[float]), domain=(0.4, 1.4), grid_n=128
     )
     result = recover_regrade(sampler)
     n = len(result.u_grid)

@@ -38,6 +38,7 @@ from amplab import (
     save_wavefunction,
 )
 from amplab.cli import _all_strategies, _fuzz_kernel, main
+from amplab.regrade import CATALOG_NAMES
 from genutil import reject_constant
 
 HUGE_INT = "1" + "0" * 400
@@ -720,6 +721,43 @@ def test_regrade_without_a_monotone_regrade_exits_1(tmp_path, capsys):
     }
     manifest = json.loads((tmp_path / "rg.manifest.json").read_text())
     assert manifest["outputs"] == [str(tmp_path / "rg.json")]
+
+
+@pytest.mark.parametrize(
+    "op, param, label",
+    [
+        ("cubic-mean", "1e300", "cubic-mean(p=1e+300)"),
+        ("cubic-mean", "1e-300", "cubic-mean(p=1e-300)"),
+        ("cubic-mean", "1e-5", "cubic-mean(p=1e-05)"),
+        ("broken-assoc", "-1e300", "broken-assoc(k=-1e+300)"),
+    ],
+)
+@pytest.mark.filterwarnings("error")  # the error line is all that is said
+def test_regrade_operation_out_of_float_range_is_one_error_line(
+    tmp_path, capsys, op, param, label
+):
+    argv = ["regrade", "--op", op, "--param", param]
+    assert main(argv + ["--out", str(tmp_path / "rg")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: operation '{label}' cannot be evaluated on its domain: ")
+    payload = json.loads((tmp_path / "rg.json").read_text())
+    assert payload == {"op": label, "refusal": err.removeprefix("error: ").rstrip("\n")}
+    manifest = json.loads((tmp_path / "rg.manifest.json").read_text())
+    assert manifest["outputs"] == [str(tmp_path / "rg.json")]
+
+
+@pytest.mark.parametrize("op", CATALOG_NAMES)
+@pytest.mark.filterwarnings("error")
+def test_regrade_catalog_defaults_say_nothing_on_stderr(tmp_path, capsys, op):
+    code = main(["regrade", "--op", op, "--out", str(tmp_path / "rg")])
+    err = capsys.readouterr().err
+    if op == "broken-assoc":
+        # k=2 is not associative: the refusal is the one stderr line
+        payload = json.loads((tmp_path / "rg.json").read_text())
+        assert (code, err) == (1, payload["refusal"] + "\n")
+    else:
+        assert (code, err) == (0, "")
 
 
 def test_unallocatable_input_exits_1(tmp_path, capsys):

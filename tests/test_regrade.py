@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from amplab.regrade import CATALOG_NAMES
 
 
 def eta_operation(a: float, b: float, g: float, lo=0.4, hi=1.4, grid_n=128):
-    """S = eta^{-1}(eta(u) + eta(v)) for eta(u) = a u + b u^2 + g u^3."""
+    """S = eta^{-1}(eta(u) + eta(v)) for eta(u) = a u + b u^2 + g u^3, one
+    brentq inversion per point."""
 
     def eta(u):
         return a * u + b * u * u + g * u**3
@@ -29,7 +31,9 @@ def eta_operation(a: float, b: float, g: float, lo=0.4, hi=1.4, grid_n=128):
         target = eta(u) + eta(v)
         return brentq(lambda x: eta(x) - target, 0.0, 16.0, xtol=1e-15)
 
-    sampler = BinaryOpSampler(fn=fn, domain=(lo, hi), grid_n=grid_n)
+    sampler = BinaryOpSampler(
+        fn=np.vectorize(fn, otypes=[float]), domain=(lo, hi), grid_n=grid_n
+    )
     return sampler, eta
 
 
@@ -107,11 +111,19 @@ def test_regrade_of_product_on_a_fine_grid_is_exact_to_rounding():
 
 
 def _recording(f, calls):
+    """``f``, keeping the (u, v) arrays of every call, flattened."""
+
     def recorded(u, v):
-        calls.append((u, v))
+        calls.append([np.ravel(x) for x in np.broadcast_arrays(u, v)])
         return f(u, v)
 
     return recorded
+
+
+def _recorded_points(calls):
+    """Every u and every v that the recorded calls were applied to."""
+    u, v = (np.concatenate(x) for x in zip(*calls))
+    return u, v
 
 
 def test_analytic_partials_stay_inside_the_domain():
@@ -126,7 +138,7 @@ def test_analytic_partials_stay_inside_the_domain():
         ),
     )
     recover_regrade(sampler)
-    u, v = np.array(calls).T
+    u, v = _recorded_points(calls)
     assert u.size > 0
     assert lo <= u.min() and u.max() <= hi
     assert lo <= v.min() and v.max() <= hi
@@ -140,7 +152,7 @@ def test_sampler_without_partials_oversteps_the_domain_by_at_most_1e_5():
         domain=(lo, hi),
     )
     recover_regrade(sampler)
-    u, v = np.array(calls).T
+    u, v = _recorded_points(calls)
     overstep = max(lo - u.min(), u.max() - hi, lo - v.min(), v.max() - hi)
     assert overstep <= 1e-5 * (hi - lo) * (1 + 1e-9)
 
@@ -293,7 +305,7 @@ def test_catalog_labels_and_partials(name, param, label):
     (lo, hi), h = sampler.domain, 1e-6
     axis = np.linspace(lo, hi, 9)[1:-1]
     u, v = np.meshgrid(axis, axis, indexing="ij")
-    d1, d2 = (np.vectorize(d)(u, v) for d in sampler.partials)
+    d1, d2 = (d(u, v) for d in sampler.partials)
     assert np.max(np.abs(d1 - (sampler(u + h, v) - sampler(u - h, v)) / (2 * h))) <= 1e-6
     assert np.max(np.abs(d2 - (sampler(u, v + h) - sampler(u, v - h)) / (2 * h))) <= 1e-6
 
@@ -301,3 +313,64 @@ def test_catalog_labels_and_partials(name, param, label):
 def test_catalog_names_keep_their_order():
     # argparse prints the names in this order in its usage errors
     assert CATALOG_NAMES == ("add", "cubic-mean", "uv-shift", "product", "broken-assoc")
+
+
+_per_point = partial(np.vectorize, otypes=[float])
+
+# every catalog operation at its default and, where it takes one, at another
+# parameter; broken-assoc's is k=1, as k=3 already rounds like cubic-mean
+_CATALOG_CASES = [
+    ("add", None),
+    ("cubic-mean", None),
+    ("cubic-mean", 3.217),
+    ("uv-shift", None),
+    ("uv-shift", 0.5),
+    ("product", None),
+    ("broken-assoc", None),
+    ("broken-assoc", 1.0),
+]
+
+
+@pytest.mark.parametrize("name, param", _CATALOG_CASES)
+def test_array_evaluation_matches_per_point_evaluation(name, param):
+    sampler = catalog_op(name, param=param)
+    axis = np.linspace(*sampler.domain, 33)
+    u, v = np.meshgrid(axis, axis, indexing="ij")
+    pairs = [(sampler(u, v), _per_point(sampler.fn)(u, v))]
+    pairs += [(sampler._apply(d, u, v), _per_point(d)(u, v)) for d in sampler.partials]
+    for got, want in pairs:
+        # add's constant partials come back as a full grid too
+        assert got.shape == want.shape == u.shape
+        assert got.dtype == want.dtype == float
+        if name == "cubic-mean":
+            # numpy's vectorized power is not libm's pow
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        else:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", ["add", "product", "uv-shift"])
+def test_array_recovery_is_bit_identical_to_per_point_recovery(name):
+    sampler = catalog_op(name, grid_n=16384)
+    per_point = BinaryOpSampler(
+        fn=_per_point(sampler.fn),
+        domain=sampler.domain,
+        grid_n=sampler.grid_n,
+        partials=tuple(map(_per_point, sampler.partials)),
+        name=sampler.name,
+    )
+    got, want = recover_regrade(sampler), recover_regrade(per_point)
+    assert got.xi_values.tobytes() == want.xi_values.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_floating_point_errors_are_regrade_errors():
+    sampler = BinaryOpSampler(fn=lambda u, v: u / v, domain=(0.0, 1.0), name="ratio")
+    with pytest.raises(RegradeError, match="operation 'ratio' cannot be evaluated"):
+        sampler(np.ones(2), np.array([1.0, 0.0]))
+    with pytest.raises(RegradeError, match="invalid value"):
+        sampler(np.zeros(2), np.zeros(2))
+    with pytest.raises(RegradeError, match="overflow"):
+        sampler(np.full(2, 1e300), np.full(2, 1e-300))
+    # underflow is not an error: a tiny result is a result
+    assert sampler(np.full(2, 1e-300), np.full(2, 1e300)).tolist() == [0.0, 0.0]
