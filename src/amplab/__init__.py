@@ -20,6 +20,7 @@ from .amplitudes import (
     TransferMatrix,
     amplitude,
     amplitude_bruteforce,
+    block_vectors,
     consistency_check,
     detector_vector,
     evaluate,
@@ -88,15 +89,18 @@ from .setups import (
     NonConsecutiveError,
     NotCombinableError,
     Setup,
+    SetupBlock,
     SetupError,
     and_compose,
     decompose_at,
     insert_sigma,
     load_setup,
     or_compose,
+    random_block,
     random_setup,
     random_setups,
     save_setup,
+    setup_block,
 )
 
 __version__ = "0.1.0"

@@ -1,20 +1,24 @@
 """Amplitude assignment for setups: sum rule, product rule, consistency.
 
-Every setup gets a complex amplitude.  The production evaluator,
-``detector_vector``, threads one source vector per setup of a batch, as the
-columns of one array, through the one-step kernel, applying each filter as a
-0/1 diagonal mask on its own column at its time; the detector-site component
-of a column's final vector is the amplitude.  That evaluation is
-mathematically identical to a sum over all hole-threading paths weighted by
-products of single-step kernel entries, and ``amplitude_bruteforce`` computes
-that sum literally as an independent oracle.
+Every setup gets a complex amplitude.  The one evaluation core,
+``block_vectors``, takes a ``SetupBlock`` (``setups.py``) and threads one
+vector per column, as the columns of one array, through the one-step kernel:
+a column is a unit vector at its source site from its start step on, each
+filter multiplies its column by its 0/1 hole mask at its step, and a column
+is read after its stop step, before that step's masks.  The detector-site
+entry of a column's vector is the amplitude.  ``detector_vector`` converts
+setups to a block and calls the core.  That evaluation is mathematically
+identical to a sum over all hole-threading paths weighted by products of
+single-step kernel entries, and ``amplitude_bruteforce`` computes that sum
+literally as an independent oracle.
 
-``consistency_check`` evaluates a block of setups by several independent
-strategies (transfer matrix, brute-force path sum, decomposition at
-single-hole filters via the product rule, insertion of all-holes sigma
-filters), each strategy once over the whole block, and reports each setup's
-maximal pairwise deviation.  Agreement across strategies is the package's
-headline correctness alarm.
+An evaluation strategy is one class that evaluates a whole block: the
+transfer matrix (the core on the block), the product rule (the core on the
+block's parts between its single-hole filters, multiplied), sigma insertion
+(the core on the block with an all-holes filter at every free step) and the
+brute-force path sum.  ``consistency_check`` evaluates a block by each
+strategy once and reports each setup's maximal pairwise deviation.
+Agreement across strategies is the package's headline correctness alarm.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import ClassVar
 import numpy as np
 
 from .lattice import Kernel
-from .setups import Setup, check_sites, decompose_at, insert_sigma
+from .setups import Setup, SetupBlock, SetupError, check_sites, setup_block
 
 DEFAULT_PATH_GUARD = 10_000_000
 
@@ -40,94 +44,65 @@ class PathExplosionError(RuntimeError):
     """Brute-force path enumeration would exceed the path guard."""
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Evaluate by masked transfer-matrix products (the production path)."""
-
-    label: ClassVar[str] = "transfer_matrix"
-
-
-@dataclass(frozen=True)
-class BruteForcePaths:
-    """Evaluate by literal enumeration of every hole-threading path."""
-
-    max_paths: int = DEFAULT_PATH_GUARD
-    label: ClassVar[str] = "brute_force"
+def _by_step(steps: np.ndarray) -> dict[int, list[int]]:
+    """The columns at each step of ``steps``, ascending."""
+    columns: dict[int, list[int]] = {}
+    for b, step in enumerate(steps.tolist()):
+        columns.setdefault(step, []).append(b)
+    return columns
 
 
-@dataclass(frozen=True)
-class RecursiveDecompose:
-    """Evaluate by splitting at every single-hole filter and multiplying the
-    parts."""
+def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
+    """Masked transfer-matrix evolution of a block, one column per setup.
 
-    label: ClassVar[str] = "decompose_all"
-
-
-@dataclass(frozen=True)
-class SigmaInsert:
-    """Evaluate after inserting all-holes filters at every free interior time.
-
-    The inserted filters are physically inert, so the value must match the
-    plain evaluation.
-    """
-
-    label: ClassVar[str] = "sigma_all"
-
-
-EvalStrategy = TransferMatrix | BruteForcePaths | RecursiveDecompose | SigmaInsert
-
-
-def detector_vector(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
-    """Masked transfer-matrix evolution of a batch of setups, one column each.
-
-    Column ``b`` starts as a unit vector at the source site of ``setups[b]``,
-    and counts its steps, and the times of its filters, from its source time.
-    Every step multiplies every column by the one-step kernel, then applies
-    each column's filter of that step as a 0/1 mask if it closes a site; an
-    all-holes filter is inert and applies no mask.  A column is read off
-    after the last step of its span.  Entry ``[x, b]`` of the (L, B) result
-    is the amplitude of ``setups[b]`` with its detector moved to site ``x``.
-    One setup is a batch of one, stepped by matrix-vector products; the bits
-    of a column depend only on the number of columns in its batch.
+    Every step multiplies every column by the one-step kernel.  A column
+    that starts after step 0 is zero until its start step, then its unit
+    vector; a column is read off after its stop step, before that step's
+    masks; then each filter of the step that closes a site multiplies its
+    column by its 0/1 mask.  An all-holes filter is inert and applies no
+    mask.  Entry ``[x, b]`` of the (L, B) result is column ``b`` at site
+    ``x``.  One setup is a block of one, stepped by matrix-vector products;
+    the bits of a column depend only on the number of columns in its block.
     """
     num_sites = kernel.num_sites
-    for setup in setups:
-        check_sites(setup, num_sites)
-    # (step, column, holes) of each filter that closes a site, by step; holes
-    # are unique and in range (check_sites): num_sites of them open every site
-    closing = sorted(
-        (f.time - setup.source.time, b, f.holes)
-        for b, setup in enumerate(setups)
-        for f in setup.filters
-        if len(f.holes) < num_sites
-    )
-    masks = np.zeros((len(closing), num_sites))
-    masks[
-        np.repeat(np.arange(len(closing)), [len(holes) for _, _, holes in closing]),
-        np.fromiter(itertools.chain.from_iterable(c[2] for c in closing), np.intp),
-    ] = 1.0
-    mask_columns = np.array([b for _, b, _ in closing], dtype=np.intp)
-    ends: dict[int, list[int]] = {}  # span -> the columns read off after it
-    for b, setup in enumerate(setups):
-        ends.setdefault(setup.detector.time - setup.source.time, []).append(b)
-    bounds = np.searchsorted([k for k, _, _ in closing], range(1, max(ends) + 2))
-    psi = np.zeros((num_sites, len(setups)), dtype=complex)
-    psi[[s.source.site for s in setups], np.arange(len(setups))] = 1.0
+    if block.num_sites != num_sites:
+        raise SetupError(
+            f"block of {block.num_sites} sites on a kernel of {num_sites} sites"
+        )
+    if not len(block):
+        return np.zeros((num_sites, 0), dtype=complex)
+    closing = ~block.masks.all(axis=1)[block.row]
+    columns, masks = block.column[closing], block.masks[block.row[closing]]
+    last = int(block.stop.max())
+    bounds = np.searchsorted(block.time[closing], np.arange(1, last + 2))
+    starts, stops = _by_step(block.start), _by_step(block.stop)
+    psi = np.zeros((num_sites, len(block)), dtype=complex)
+    at_zero = starts.pop(0, [])
+    psi[block.src[at_zero], at_zero] = 1.0
     vectors = np.empty_like(psi)
-    for k in range(1, max(ends) + 1):
+    for k in range(1, last + 1):
         psi = kernel.step @ psi
+        if k in starts:
+            psi[:, starts[k]] = 0.0
+            psi[block.src[starts[k]], starts[k]] = 1.0
+        if k in stops:
+            vectors[:, stops[k]] = psi[:, stops[k]]
         lo, hi = bounds[k - 1], bounds[k]
         if lo < hi:
-            psi[:, mask_columns[lo:hi]] *= masks[lo:hi].T
-        if k in ends:
-            vectors[:, ends[k]] = psi[:, ends[k]]
+            psi[:, columns[lo:hi]] *= masks[lo:hi].T
     return vectors
 
 
-def _amplitudes(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
-    """The amplitude of each setup: its detector-site entry of its column."""
-    vectors = detector_vector(setups, kernel)
-    return vectors[[s.detector.site for s in setups], np.arange(len(setups))]
+def _amplitudes(block: SetupBlock, kernel: Kernel) -> np.ndarray:
+    """The amplitude of each column: its detector-site entry."""
+    vectors = block_vectors(block, kernel)
+    return vectors[block.det, np.arange(len(block))]
+
+
+def detector_vector(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
+    """``block_vectors`` of the block of ``setups``: entry ``[x, b]`` is the
+    amplitude of ``setups[b]`` with its detector moved to site ``x``."""
+    return block_vectors(setup_block(setups, kernel.num_sites), kernel)
 
 
 def amplitude(setup: Setup, kernel: Kernel) -> complex:
@@ -135,26 +110,10 @@ def amplitude(setup: Setup, kernel: Kernel) -> complex:
     return complex(detector_vector((setup,), kernel)[setup.detector.site, 0])
 
 
-def amplitude_bruteforce(
-    setup: Setup, kernel: Kernel, max_paths: int = DEFAULT_PATH_GUARD
-) -> complex:
-    """Amplitude as a literal sum over every path threading the filter holes.
-
-    Exponentially expensive; guarded by ``max_paths``, which counts every
-    full path and is checked before any array exists.  This is the oracle
-    that every other evaluation strategy is checked against.
-
-    A meet in the middle (Horowitz & Sahni 1974) at the intermediate layer
-    with the fewest head plus tail paths: the head holds one literal product
-    of ``step[site, prev]`` entries per path from the source to a join site,
-    the tail one per path from a join site to the detector, and the
-    amplitude is the sum over join sites of summed head times summed tail.
-    That is the only partial sum; the oracle builds no mask, does no
-    matrix-vector product and never calls the transfer matrix it checks.
-    With fewer than two intermediate layers every path is summed at once.
-    """
-    num_sites = kernel.num_sites
-    check_sites(setup, num_sites)
+def _layers(setup: Setup, num_sites: int, max_paths: int) -> list[tuple[int, ...]]:
+    """The sites open at each time between source and detector.  Raises
+    ``PathExplosionError`` as soon as the paths through the layers so far
+    outnumber ``max_paths``."""
     by_time = {f.time: f for f in setup.filters}
     allowed: list[tuple[int, ...]] = []
     n_paths = 1
@@ -167,21 +126,53 @@ def amplitude_bruteforce(
             raise PathExplosionError(
                 f"path count exceeds guard of {max_paths} paths"
             )
-    if n_paths == 0:
+    return allowed
+
+
+def amplitude_bruteforce(
+    setup: Setup, kernel: Kernel, max_paths: int = DEFAULT_PATH_GUARD
+) -> complex:
+    """Amplitude as a literal sum over every path threading the filter holes.
+
+    Exponentially expensive; guarded by ``max_paths``, which ``_layers``
+    checks against the paths through the layers so far before any array
+    exists.  This is the oracle that every other evaluation strategy is
+    checked against; ``_path_sum`` sums the paths.
+    """
+    check_sites(setup, kernel.num_sites)
+    allowed = _layers(setup, kernel.num_sites, max_paths)
+    if not all(allowed):
         return 0.0 + 0.0j  # a blocking filter kills every path
-    step = kernel.step
-    source = np.array([setup.source.site])
-    layers = [np.array(sites) for sites in allowed + [(setup.detector.site,)]]
+    layers = [(setup.source.site,), *allowed, (setup.detector.site,)]
+    return _path_sum(kernel.step, layers)
+
+
+def _path_sum(step: np.ndarray, layers: list[tuple[int, ...]]) -> complex:
+    """The sum over every path through one site of each layer, the first the
+    source alone and the last the detector alone, of the product of its
+    ``step[site, prev]`` entries.
+
+    A meet in the middle (Horowitz & Sahni 1974) at the intermediate layer
+    with the fewest head plus tail paths: the head holds one literal product
+    of step entries per path from the source to a join site, the tail one
+    per path from a join site to the detector, and the sum is the sum over
+    join sites of summed head times summed tail.  That is the only partial
+    sum; it builds no mask, does no matrix-vector product and never calls
+    the transfer matrix it checks.  With fewer than two intermediate layers
+    every path is summed at once.
+    """
+    source, *allowed, detector = (np.array(sites) for sites in layers)
     if len(allowed) < 2:
-        return complex(_grow_paths(step, source, layers).sum())
+        return complex(_grow_paths(step, source, [*allowed, detector]).sum())
     sizes = [len(sites) for sites in allowed]
     k = min(
         range(len(allowed)),
         key=lambda j: math.prod(sizes[: j + 1]) + math.prod(sizes[j:]),
     )
     # the last index of the head runs over the join sites, the first of the tail
-    head = _grow_paths(step, source, layers[: k + 1]).reshape(-1, sizes[k])
-    tail = _grow_paths(step, layers[k], layers[k + 1 :]).reshape(sizes[k], -1)
+    head = _grow_paths(step, source, allowed[: k + 1]).reshape(-1, sizes[k])
+    tail = _grow_paths(step, allowed[k], [*allowed[k + 1 :], detector])
+    tail = tail.reshape(sizes[k], -1)
     return complex(head.sum(axis=0) @ tail.sum(axis=1))
 
 
@@ -205,74 +196,161 @@ def _grow_paths(
     return amps
 
 
-def _split_times(setup: Setup) -> list[int]:
-    """The times of the single-hole filters, where decompose_all splits."""
-    return [f.time for f in setup.filters if len(f.holes) == 1]
+def _guard_trips(block: SetupBlock, max_paths: int) -> np.ndarray:
+    """Whether ``amplitude_bruteforce``'s path guard trips on each column.
+
+    The guard counts the paths through the layers so far, so it trips when
+    the layers before the first blocking filter (all of them if there is
+    none) hold more than ``max_paths`` paths; a blocking first layer holds
+    none.  The count is a sum of log2 hole counts, and a column whose sum is
+    within rounding of the guard is counted exactly, by ``_layers``.
+    """
+    layers = block.stop - block.start - 1
+    holes = block.hole_counts
+    blocked = block.start + 1 + layers  # the first blocking step, or stop
+    np.minimum.at(blocked, block.column[holes == 0], block.time[holes == 0])
+    before = block.time < blocked[block.column]
+    columns = block.column[before]
+    free = blocked - block.start - 1 - np.bincount(columns, minlength=len(block))
+    log_paths = free * math.log2(block.num_sites) + np.bincount(
+        columns, np.log2(holes[before]), minlength=len(block)
+    )
+    log_paths[blocked == block.start + 1] = -math.inf
+    if max_paths < 1:  # every count but 0 trips it, and 0 only below 0
+        return (layers > 0) & ((log_paths > -math.inf) | (max_paths < 0))
+    bound = math.log2(max_paths)
+    trips = (layers > 0) & (log_paths > bound)
+    near = (layers > 0) & (np.abs(log_paths - bound) <= 1e-9 * (1 + bound))
+    for b in np.flatnonzero(near):
+        try:
+            _layers(block.take([b]).setups()[0], block.num_sites, max_paths)
+            trips[b] = False
+        except PathExplosionError:
+            trips[b] = True
+    return trips
 
 
-def _amplitudes_decomposed(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
-    # split each setup at every single-hole filter, evaluate every part of
-    # every setup as one batch, and multiply each setup's parts right-nested:
-    # a0 * (a1 * (... * ak))
-    parts, counts = [], []
-    for setup in setups:
-        first = len(parts)
-        for split in _split_times(setup):
-            earlier, setup = decompose_at(setup, split)
-            parts.append(earlier)
-        parts.append(setup)
-        counts.append(len(parts) - first)
-    factors = iter(_amplitudes(parts, kernel).tolist())
-    products = []
-    for count in counts:
-        head = [next(factors) for _ in range(count - 1)]
-        product = next(factors)
-        for factor in reversed(head):
-            product = factor * product
-        products.append(product)
-    return np.array(products, dtype=complex)
+class EvalStrategy:
+    """One way to evaluate every column of a block.
+
+    ``values`` gives the amplitude of each column; ``skipped`` names the
+    columns the strategy cannot evaluate, each with its reason;
+    ``independent`` marks the columns on which it computes something other
+    than the core on the column's own filters; ``core_columns`` counts the
+    ``block_vectors`` columns that ``values`` spends.
+    """
+
+    label: ClassVar[str]
+
+    def values(self, block: SetupBlock, kernel: Kernel) -> np.ndarray:
+        raise NotImplementedError
+
+    def skipped(self, block: SetupBlock) -> dict[int, str]:
+        return {}
+
+    def independent(self, block: SetupBlock) -> np.ndarray:
+        return np.zeros(len(block), dtype=bool)
+
+    def core_columns(self, block: SetupBlock) -> int:
+        return len(block)
 
 
-def _widened(setup: Setup, num_sites: int) -> Setup:
-    occupied = set(setup.filter_times)
-    times = [
-        t
-        for t in range(setup.source.time + 1, setup.detector.time)
-        if t not in occupied
-    ]
-    return insert_sigma(setup, times, num_sites)
+@dataclass(frozen=True)
+class TransferMatrix(EvalStrategy):
+    """Evaluate by masked transfer-matrix products (the production path)."""
+
+    label: ClassVar[str] = "transfer_matrix"
+
+    def values(self, block: SetupBlock, kernel: Kernel) -> np.ndarray:
+        return _amplitudes(block, kernel)
+
+
+@dataclass(frozen=True)
+class BruteForcePaths(EvalStrategy):
+    """Evaluate by literal enumeration of every hole-threading path.
+
+    The columns whose path guard trips are skipped; ``values`` passes each
+    column to ``amplitude_bruteforce`` as a ``Setup``.
+    """
+
+    max_paths: int = DEFAULT_PATH_GUARD
+    label: ClassVar[str] = "brute_force"
+
+    def values(self, block: SetupBlock, kernel: Kernel) -> np.ndarray:
+        return np.array(
+            [amplitude_bruteforce(s, kernel, self.max_paths) for s in block.setups()],
+            dtype=complex,
+        )
+
+    def skipped(self, block: SetupBlock) -> dict[int, str]:
+        reason = f"path count exceeds guard of {self.max_paths} paths"
+        trips = _guard_trips(block, self.max_paths)
+        return dict.fromkeys(np.flatnonzero(trips).tolist(), reason)
+
+    def independent(self, block: SetupBlock) -> np.ndarray:
+        return np.ones(len(block), dtype=bool)
+
+    def core_columns(self, block: SetupBlock) -> int:
+        return 0
+
+
+@dataclass(frozen=True)
+class RecursiveDecompose(EvalStrategy):
+    """Evaluate by splitting at every single-hole filter and multiplying the
+    parts."""
+
+    label: ClassVar[str] = "decompose_all"
+
+    def values(self, block: SetupBlock, kernel: Kernel) -> np.ndarray:
+        # every part of every column in one core call; each column's parts
+        # multiply right-nested in Python complex: a0 * (a1 * (... * ak))
+        parts, first = block.parts()
+        factors = _amplitudes(parts, kernel).tolist()
+        products = []
+        for lo, hi in itertools.pairwise(first.tolist()):
+            product = factors[hi - 1]
+            for j in range(hi - 2, lo - 1, -1):
+                product = factors[j] * product
+            products.append(product)
+        return np.array(products, dtype=complex)
+
+    def independent(self, block: SetupBlock) -> np.ndarray:
+        splits = block.column[block.hole_counts == 1]
+        return np.bincount(splits, minlength=len(block)) > 0
+
+    def core_columns(self, block: SetupBlock) -> int:
+        return len(block) + int(np.count_nonzero(block.hole_counts == 1))
+
+
+@dataclass(frozen=True)
+class SigmaInsert(EvalStrategy):
+    """Evaluate after inserting all-holes filters at every free interior time.
+
+    The inserted filters are physically inert, so the value must match the
+    plain evaluation.
+    """
+
+    label: ClassVar[str] = "sigma_all"
+
+    def values(self, block: SetupBlock, kernel: Kernel) -> np.ndarray:
+        return _amplitudes(block.widened(), kernel)
 
 
 def evaluate(
-    setups: Sequence[Setup], kernel: Kernel, strategy: EvalStrategy
+    block: SetupBlock | Sequence[Setup], kernel: Kernel, strategy: EvalStrategy
 ) -> np.ndarray:
-    """Amplitude of each setup of a batch under one evaluation strategy.
+    """Amplitude of each setup of a block, or of a sequence of setups, under
+    one evaluation strategy.
 
-    Every strategy but the path sum makes one ``detector_vector`` call for
-    the whole batch; the path sum evaluates each setup on its own and raises
+    Every strategy but the path sum makes one ``block_vectors`` call for the
+    whole block; the path sum evaluates each setup on its own and raises
     ``PathExplosionError`` for the first whose path guard trips.
     """
-    if isinstance(strategy, TransferMatrix):
-        return _amplitudes(setups, kernel)
-    if isinstance(strategy, BruteForcePaths):
-        return np.array(
-            [amplitude_bruteforce(s, kernel, strategy.max_paths) for s in setups],
-            dtype=complex,
-        )
-    if isinstance(strategy, RecursiveDecompose):
-        return _amplitudes_decomposed(setups, kernel)
-    if isinstance(strategy, SigmaInsert):
-        return _amplitudes([_widened(s, kernel.num_sites) for s in setups], kernel)
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def _core_columns(setups: Sequence[Setup], strategy: EvalStrategy) -> int:
-    """The number of ``detector_vector`` columns ``evaluate`` spends."""
-    if isinstance(strategy, BruteForcePaths):
-        return 0
-    if isinstance(strategy, RecursiveDecompose):
-        return sum(1 + len(_split_times(s)) for s in setups)
-    return len(setups)
+    if not isinstance(strategy, EvalStrategy):
+        raise TypeError(f"unknown strategy {strategy!r}")
+    if not isinstance(block, SetupBlock):
+        block = setup_block(block, kernel.num_sites)
+    return strategy.values(block, kernel)
 
 
 def relative_deviation(z1: complex, z2: complex) -> float:
@@ -315,7 +393,7 @@ class BlockReport:
     reports: tuple[ConsistencyReport, ...]
     max_deviation: float  # the worst over the block; NaN if any is NaN
     strategy_s: dict[str, float]  # label -> wall seconds
-    core_columns: dict[str, int]  # label -> detector_vector columns
+    core_columns: dict[str, int]  # label -> block_vectors columns
     # setups on which some pair compared two different computations: the
     # path sum ran, or decompose_all split at a single-hole filter
     independent_setups: int
@@ -327,51 +405,64 @@ def _worst(deviations: list[float]) -> float:
 
 
 def consistency_check(
-    setups: Setup | Sequence[Setup],
+    setups: SetupBlock | Setup | Sequence[Setup],
     kernel: Kernel,
     strategies: Sequence[EvalStrategy],
 ) -> BlockReport:
     """Evaluate a block of setups under every strategy and report, for each
-    setup, the pairwise deviations.  One ``Setup`` is a block of one.
+    setup, the pairwise deviations.  Setups are converted to a block once,
+    and one ``Setup`` is a block of one.
 
     Each strategy, one per label, is evaluated once over the whole block.  A
-    brute-force path sum whose path guard trips on a setup is skipped for
-    that setup, and its label and reason are recorded in that setup's
+    strategy skips the setups it names in ``skipped``, such as those whose
+    path guard trips, and its label and reason are recorded in those setups'
     ``skipped``; at least two strategies must run on every setup.
-    ``independent_setups`` counts the setups on which the path sum ran or the
-    decomposition split: on any other, every strategy that ran is the one
-    core on the same filters, which compares a computation with itself.
-    Overflow raises no numpy warning: a non-finite amplitude gives a NaN
-    deviation, which is a breach.
+    ``independent_setups`` counts the setups on which some strategy that ran
+    is ``independent`` of the core: the path sum ran or the decomposition
+    split.  On any other, every strategy that ran is the one core on the
+    same filters, which compares a computation with itself.  Overflow raises
+    no numpy warning: a non-finite amplitude gives a NaN deviation, which is
+    a breach.
     """
     if isinstance(setups, Setup):
         setups = (setups,)
+    block = (
+        setups
+        if isinstance(setups, SetupBlock)
+        else setup_block(setups, kernel.num_sites)
+    )
     columns = {}  # label -> value per setup, None where skipped
-    skipped: list[dict[str, str]] = [{} for _ in setups]
+    skipped: list[dict[str, str]] = [{} for _ in range(len(block))]
+    independent = np.zeros(len(block), dtype=bool)
     strategy_s, core_columns = {}, {}
     with np.errstate(over="ignore", invalid="ignore"):
         for strategy in strategies:
             started = time.perf_counter()
-            if isinstance(strategy, BruteForcePaths):
-                # one setup at a time: its path guard may skip any one of them
-                values = []
-                for setup, reasons in zip(setups, skipped):
-                    try:
-                        values.append(complex(evaluate((setup,), kernel, strategy)[0]))
-                    except PathExplosionError as exc:
-                        values.append(None)
-                        reasons[strategy.label] = str(exc)
-            else:
-                values = evaluate(setups, kernel, strategy).tolist()
+            reasons = strategy.skipped(block)
+            ran = np.ones(len(block), dtype=bool)
+            ran[list(reasons)] = False
+            ran = np.flatnonzero(ran)
+            try:
+                values = evaluate(
+                    block.take(ran) if reasons else block, kernel, strategy
+                ).tolist()
+            except PathExplosionError as exc:
+                # the path sum's own guard tripped on a setup that the
+                # block's admitted: the path sum is skipped on the block
+                reasons.update(dict.fromkeys(ran.tolist(), str(exc)))
+                ran, values = ran[:0], []
+            column = [None] * len(block)
+            for b, value in zip(ran.tolist(), values):
+                column[b] = value
+            for b, reason in reasons.items():
+                skipped[b][strategy.label] = reason
+            independent[ran] |= strategy.independent(block)[ran]
             strategy_s[strategy.label] = time.perf_counter() - started
-            core_columns[strategy.label] = _core_columns(setups, strategy)
-            columns[strategy.label] = values
-    decomposes = any(isinstance(s, RecursiveDecompose) for s in strategies)
-    reports, independent = [], 0
-    for b, (setup, reasons) in enumerate(zip(setups, skipped)):
+            core_columns[strategy.label] = strategy.core_columns(block)
+            columns[strategy.label] = column
+    reports = []
+    for b, reasons in enumerate(skipped):
         values = {name: col[b] for name, col in columns.items() if col[b] is not None}
-        split = decomposes and bool(_split_times(setup))
-        independent += split or BruteForcePaths.label in values
         if len(values) < 2:
             raise ValueError(
                 f"consistency check needs at least two strategies to run; "
@@ -390,5 +481,5 @@ def consistency_check(
         _worst([r.max_deviation for r in reports]),
         strategy_s,
         core_columns,
-        independent,
+        int(independent.sum()),
     )

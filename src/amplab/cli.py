@@ -62,7 +62,7 @@ from .setups import (
     check_seed_range,
     load_setup,
     or_compose,
-    random_setups,
+    random_block,
     setup_to_dict,
 )
 
@@ -76,8 +76,8 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_TOLERANCE = 2
 
-# fuzz setups evaluated together, one detector_vector column each: memory
-# per block stays fixed whatever --count is
+# fuzz setups drawn and evaluated together, one block_vectors column each:
+# memory per block stays fixed whatever --count is
 FUZZ_BLOCK = 256
 
 
@@ -268,16 +268,19 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     max_filters = min(args.max_filters, args.T - 1)
     seeds, pairs, devs = [], [], []
     oracle_ran = independent = 0
+    draw_s = 0.0
     skipped_reasons, strategy_s, core_columns = Counter(), Counter(), Counter()
     end = args.seed + args.count
     for first in range(args.seed, end, FUZZ_BLOCK):
         block_seeds = range(first, min(first + FUZZ_BLOCK, end))
-        setups = random_setups(config, block_seeds, max_filters)
-        block = consistency_check(setups, kernel, strategies)
-        strategy_s.update(block.strategy_s)
-        core_columns.update(block.core_columns)
-        independent += block.independent_setups
-        for seed, report in zip(block_seeds, block.reports):
+        started = time.perf_counter()
+        block = random_block(config, block_seeds, max_filters)
+        draw_s += time.perf_counter() - started
+        checked = consistency_check(block, kernel, strategies)
+        strategy_s.update(checked.strategy_s)
+        core_columns.update(checked.core_columns)
+        independent += checked.independent_setups
+        for seed, report in zip(block_seeds, checked.reports):
             oracle_ran += not report.skipped
             skipped_reasons.update(report.skipped.values())
             for name_a, name_b, dev in report.pair_deviations:
@@ -291,6 +294,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     run.finish(
         brute_force_ran=oracle_ran,
         skipped_reasons=skipped_reasons,
+        draw_s=draw_s,
         strategy_s=strategy_s,
         core_columns=core_columns,
         independent_setups=independent,

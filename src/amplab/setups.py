@@ -24,6 +24,17 @@ free time or at several at once, building the widened setup once.  A
 filter with an empty hole set blocks everything.  It is representable as a
 degenerate test case (its amplitude is zero) but is rejected as an operand of
 ``or_compose`` and never produced by ``insert_sigma`` or ``random_setup``.
+
+A ``SetupBlock`` holds many setups as a few arrays, one column per setup: the
+source and detector sites, and the first and last step of each column, with
+times counted from each setup's own source time.  Each filter is one entry
+``(time, column, row)``, sorted by time, then column; ``row`` indexes a small
+table of 0/1 hole masks whose row ``SIGMA_ROW`` opens every site and is the
+one row every sigma filter of a block points at.  ``random_block`` draws a
+block straight from its seeds and ``setup_block`` converts setups;
+``random_setups`` builds its setups from a drawn block.  A block holds
+O(setups + filters * sites) numbers: no array of it grows with the product
+of time, sites and setups, or with absolute time.
 """
 
 from __future__ import annotations
@@ -208,6 +219,178 @@ def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:
     return earlier, later
 
 
+# the row of a block's hole table that opens every site
+SIGMA_ROW = 0
+
+
+def _sigma_row(num_sites: int) -> np.ndarray:
+    """Row ``SIGMA_ROW`` of a block's hole table: every site open."""
+    return np.ones(num_sites)
+
+
+def _hole_rows(open_sites: np.ndarray) -> np.ndarray:
+    """The 0/1 hole-mask row of each filter from its open sites, the True
+    entries of its row of ``open_sites``."""
+    return open_sites.astype(float)
+
+
+class SetupBlock:
+    """Setups as arrays, one column each (see the module docstring).
+
+    Column ``b`` is a unit vector at site ``src[b]`` at step ``start[b]`` and
+    is read at site ``det[b]`` after step ``stop[b]``, before that step's
+    filters.  Its filters are the entries ``i`` with ``column[i] == b``: at
+    step ``time[i]`` they keep the sites open in ``masks[row[i]]``.  A block
+    from ``setup_block`` or ``random_block`` starts every column at step 0
+    and gives every filter a row of its own; only sigma filters share one.
+    """
+
+    __slots__ = ("src", "det", "start", "stop", "time", "column", "row", "masks")
+
+    def __init__(self, src, det, start, stop, time, column, row, masks) -> None:
+        self.src = src  # (B,) source sites
+        self.det = det  # (B,) detector sites
+        self.start = start  # (B,) first step of each column
+        self.stop = stop  # (B,) last step of each column
+        self.time = time  # (F,) step of each filter, ascending
+        self.column = column  # (F,) its column, ascending within a step
+        self.row = row  # (F,) its row of masks
+        self.masks = masks  # (R, num_sites) 0/1 hole masks
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    @property
+    def num_sites(self) -> int:
+        return self.masks.shape[1]
+
+    @property
+    def hole_counts(self) -> np.ndarray:
+        """The number of holes of each filter."""
+        return self.masks.sum(axis=1)[self.row]
+
+    def take(self, columns: np.ndarray) -> SetupBlock:
+        """The block of the given columns, in ascending order, with their
+        filters."""
+        index = np.full(len(self), -1)
+        index[columns] = np.arange(len(columns))
+        kept = index[self.column] >= 0
+        return SetupBlock(
+            self.src[columns], self.det[columns], self.start[columns],
+            self.stop[columns], self.time[kept], index[self.column[kept]],
+            self.row[kept], self.masks,
+        )
+
+    def setups(self) -> list[Setup]:
+        """One ``Setup`` per column: source at time ``start``, detector at
+        time ``stop``, and a filter per entry."""
+        entries, sites = np.nonzero(self.masks[self.row])  # sites ascending
+        ends = np.cumsum(np.bincount(entries, minlength=len(self.row))).tolist()
+        sites = sites.tolist()
+        holes = [tuple(sites[a:b]) for a, b in zip([0, *ends], ends)]
+        filters: list[list[FilterSpec]] = [[] for _ in range(len(self))]
+        for t, b, h in zip(self.time.tolist(), self.column.tolist(), holes):
+            filters[b].append(FilterSpec(t, h))
+        columns = zip(
+            self.src.tolist(), self.det.tolist(), self.start.tolist(),
+            self.stop.tolist(), filters,
+        )
+        return [
+            Setup(Event(src, start), Event(det, stop), tuple(fs))
+            for src, det, start, stop, fs in columns
+        ]
+
+    def widened(self) -> SetupBlock:
+        """The block with a sigma filter, on row ``SIGMA_ROW``, at every
+        interior step of every column that has no filter: ``insert_sigma``
+        at every free time, on the whole block."""
+        layers = self.stop - self.start - 1  # interior steps of each column
+        first = np.cumsum(layers) - layers  # index of each column's first one
+        free = np.ones(int(layers.sum()), dtype=bool)
+        free[first[self.column] + self.time - self.start[self.column] - 1] = False
+        column = np.repeat(np.arange(len(self)), layers)
+        time = np.arange(len(free)) - (first - self.start - 1)[column]
+        time = np.concatenate([self.time, time[free]])
+        column = np.concatenate([self.column, column[free]])
+        row = np.concatenate([self.row, np.full(len(time) - len(self.row), SIGMA_ROW)])
+        order = np.lexsort((column, time))
+        return SetupBlock(
+            self.src, self.det, self.start, self.stop,
+            time[order], column[order], row[order], self.masks,
+        )
+
+    def parts(self) -> tuple[SetupBlock, np.ndarray]:
+        """The block split at every single-hole filter, ``decompose_at`` on
+        the whole block by index arithmetic, and the first part of each
+        column; column ``b``'s parts are ``first[b]`` up to ``first[b + 1]``.
+
+        Part ``j`` of a column runs from its ``j``-th split to the next, or
+        from its source or to its detector; a split's hole is the detector of
+        the part before it and the source of the part after it.  The parts
+        keep the filter entries of their columns: an entry goes to the part
+        whose span holds its step, and a split's entry to the part that
+        stops there, which is read before it.
+        """
+        split = np.flatnonzero(self.hole_counts == 1)
+        split = split[np.lexsort((self.time[split], self.column[split]))]
+        span = int(self.stop.max(initial=0)) + 1
+        keys = self.column * span + self.time  # (column, time) order
+        split_keys = keys[split]
+        # a part's index is its column's plus the splits before it in
+        # (column, time) order
+        first = np.arange(len(self) + 1)
+        first += np.searchsorted(split_keys, first * span)
+        stopped = self.column[split] + np.arange(len(split))
+        sites = self.masks[self.row[split]].argmax(axis=1)
+        src = np.empty(len(self) + len(split), dtype=np.intp)
+        det, start, stop = np.empty_like(src), np.empty_like(src), np.empty_like(src)
+        src[first[:-1]], start[first[:-1]] = self.src, self.start
+        det[first[1:] - 1], stop[first[1:] - 1] = self.det, self.stop
+        det[stopped], stop[stopped] = sites, self.time[split]
+        src[stopped + 1], start[stopped + 1] = sites, self.time[split]
+        column = self.column + np.searchsorted(split_keys, keys)
+        parts = SetupBlock(
+            src, det, start, stop, self.time, column, self.row, self.masks
+        )
+        return parts, first
+
+
+def _block(src, det, stop, time, column, open_sites) -> SetupBlock:
+    """The block of columns that start at step 0, with one filter per row of
+    ``open_sites`` at ``time`` on ``column``, each on a row of its own."""
+    order = np.lexsort((column, time))
+    masks = np.vstack([_sigma_row(open_sites.shape[1]), _hole_rows(open_sites[order])])
+    return SetupBlock(
+        src, det, np.zeros_like(src), stop, time[order], column[order],
+        np.arange(1, len(order) + 1), masks,
+    )
+
+
+def setup_block(setups: Sequence[Setup], num_sites: int) -> SetupBlock:
+    """The block of ``setups`` on ``num_sites`` sites, times counted from
+    each setup's source time; ``SetupError`` if a site falls outside."""
+    for setup in setups:
+        check_sites(setup, num_sites)
+    filters = [
+        (f.time - s.source.time, b, f.holes)
+        for b, s in enumerate(setups)
+        for f in s.filters
+    ]
+    open_sites = np.zeros((len(filters), num_sites), dtype=bool)
+    open_sites[
+        np.repeat(np.arange(len(filters)), [len(holes) for _, _, holes in filters]),
+        np.fromiter(itertools.chain.from_iterable(f[2] for f in filters), np.intp),
+    ] = True
+    return _block(
+        np.array([s.source.site for s in setups], dtype=np.intp),
+        np.array([s.detector.site for s in setups], dtype=np.intp),
+        np.array([s.detector.time - s.source.time for s in setups], dtype=np.intp),
+        np.array([t for t, _, _ in filters], dtype=np.intp),
+        np.array([b for _, b, _ in filters], dtype=np.intp),
+        open_sites,
+    )
+
+
 # seeds of random setups lie in [0, SEED_LIMIT): each is one 64-bit key
 SEED_LIMIT = 2**64
 
@@ -238,13 +421,13 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def random_setups(
+def random_block(
     config: LatticeConfig,
     seeds: Sequence[int],
     max_filters: int,
-) -> list[Setup]:
-    """One deterministic random setup per seed, drawn for the whole block at
-    once; each setup depends on its seed alone, never on its block.
+) -> SetupBlock:
+    """One deterministic random setup per seed, drawn as one block; each
+    setup depends on its seed alone, never on its block.
 
     Source sits at time 0 and the detector at time ``num_steps``, each at a
     uniform site.  The filter count is uniform in ``0..max_filters``, the
@@ -255,43 +438,55 @@ def random_setups(
     GAMMA)`` modulo 2**64, a counter-based generator.  An integer in
     ``0..n-1`` is a draw modulo ``n`` (bias below n / 2**64), and a uniform
     k-subset is the first k entries of a stable argsort of uniform draws, so
-    even a tie of two draws orders the same on every machine.  The draws of
-    a setup are, in order: source site, detector site, filter count, one key
-    per interior time, and per filter slot its hole count, then one key per
-    site.  Filter j takes entry j of the time argsort and the draws of slot j.
+    even a tie of two draws orders the same on every machine: the sites
+    whose rank in that argsort is below k.  The draws of a setup are, in
+    order: source site, detector site, filter count, one key per interior
+    time, and per filter slot its hole count, then one key per site.  Filter
+    j takes entry j of the time argsort and the draws of slot j.
     """
     num_sites, num_steps = config.num_sites, config.num_steps
     if max_filters < 0 or max_filters > num_steps - 1:
         raise SetupError(
             f"max_filters must lie in [0, {num_steps - 1}] for {num_steps} steps"
         )
-    if not seeds:
-        return []
-    check_seed_range(min(seeds), max(seeds) + 1)
+    if len(seeds):
+        check_seed_range(min(seeds), max(seeds) + 1)
     interior = num_steps - 1
     keys = _mix64(np.array(seeds, dtype=np.uint64))
     num_draws = 3 + interior + max_filters * (1 + num_sites)
     counters = np.arange(1, num_draws + 1, dtype=np.uint64)
     draws = _mix64(keys[:, None] + counters * _GAMMA)
-    sites = (draws[:, :2] % np.uint64(num_sites)).tolist()
+    sites = (draws[:, :2] % np.uint64(num_sites)).astype(np.intp)
     counts = (draws[:, 2] % np.uint64(max_filters + 1)).astype(np.intp)
     times = np.argsort(draws[:, 3 : 3 + interior], axis=1, kind="stable") + 1
-    # hole counts and hole orders of the slots in use, in the order they are
-    # read: setup by setup, filter by filter
+    # the slots in use, setup by setup: slot j of setup b is filter j of b
     used = np.arange(max_filters) < counts[:, None]
-    slot_draws = draws[:, 3 + interior :].reshape(len(seeds), max_filters, 1 + num_sites)
+    column, slot = np.nonzero(used)
+    slot_draws = draws[:, 3 + interior :].reshape(len(keys), max_filters, 1 + num_sites)
     slot_draws = slot_draws[used]
-    n_holes = (slot_draws[:, 0] % np.uint64(num_sites) + 1).tolist()
-    orders = np.argsort(slot_draws[:, 1:], axis=1, kind="stable").tolist()
-    holes = iter(zip(n_holes, orders))
-    out = []
-    for (src, det), count, ts in zip(sites, counts.tolist(), times.tolist()):
-        filters = tuple(
-            FilterSpec(t, tuple(order[:n]))
-            for t, (n, order) in zip(ts, itertools.islice(holes, count))
-        )
-        out.append(Setup(Event(src, 0), Event(det, num_steps), filters))
-    return out
+    n_holes = (slot_draws[:, 0] % np.uint64(num_sites)).astype(np.intp) + 1
+    order = np.argsort(slot_draws[:, 1:], axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(
+        ranks, order, np.broadcast_to(np.arange(num_sites), order.shape), axis=1
+    )
+    return _block(
+        sites[:, 0],
+        sites[:, 1],
+        np.full(len(keys), num_steps, dtype=np.intp),
+        times[column, slot],
+        column,
+        ranks < n_holes[:, None],
+    )
+
+
+def random_setups(
+    config: LatticeConfig,
+    seeds: Sequence[int],
+    max_filters: int,
+) -> list[Setup]:
+    """The setups of ``random_block`` of ``seeds``, one per seed."""
+    return random_block(config, seeds, max_filters).setups()
 
 
 def random_setup(

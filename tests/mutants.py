@@ -15,7 +15,7 @@ import numpy as np
 
 import amplab.amplitudes as amplitudes
 import amplab.setups as setups
-from amplab import FilterSpec, Kernel
+from amplab import FilterSpec
 from amplab.lattice import mask_vector
 
 TARGETS = ("fuzz-default", "fuzz-long", "amplitude")
@@ -51,39 +51,53 @@ def column(kernel, site, start, stop, filters, step=None, holes=None, shift=0):
     return psi
 
 
-def core(step=None, holes=None, shift=0, earliest=False, latest=False, neighbour=0):
-    """The patch of ``detector_vector`` by ``column``, one column per setup;
-    the batching defects start every column at the block's earliest source
-    time, read it at the latest detector time, or mask it by the filters of
-    the next column."""
+def block_filters(block):
+    """The filters strictly inside each column's span, at their steps: those
+    that the block core applies before it reads the column."""
+    filters = [[] for _ in range(len(block))]
+    for t, b, r in zip(block.time.tolist(), block.column.tolist(), block.row.tolist()):
+        if block.start[b] < t < block.stop[b]:
+            filters[b].append(FilterSpec(t, np.flatnonzero(block.masks[r]).tolist()))
+    return filters
 
-    def detector_vector(batch, kernel):
-        first = min(s.source.time for s in batch)
-        last = max(s.detector.time for s in batch)
+
+def core(step=None, holes=None, shift=0, earliest=False, latest=False, neighbour=0):
+    """The patch of the block core ``block_vectors`` by ``column``, one column
+    per block column; the batching defects start every column at the block's
+    earliest start step, read it at the latest stop step, or mask it by the
+    filters of the next column."""
+
+    def block_vectors(block, kernel):
+        first, last = int(block.start.min()), int(block.stop.max())
+        filters = block_filters(block)
         return np.column_stack([
-            column(kernel, s.source.site, first if earliest else s.source.time,
-                   last if latest else s.detector.time,
-                   batch[(b + neighbour) % len(batch)].filters, step, holes, shift)
-            for b, s in enumerate(batch)
+            column(kernel, int(block.src[b]), first if earliest else int(block.start[b]),
+                   last if latest else int(block.stop[b]),
+                   filters[(b + neighbour) % len(block)], step, holes, shift)
+            for b in range(len(block))
         ])
 
-    return amplitudes, "detector_vector", detector_vector
+    return amplitudes, "block_vectors", block_vectors
 
 
 def _map(state_map):
     return lambda kernel, psi: state_map(kernel.step @ psi)
 
 
-def _filterspec_drop(self, post_init=FilterSpec.__post_init__):
-    # a FilterSpec does not know its lattice: 8 sites, those of the default
-    # fuzz and of the amplitude kernel
-    post_init(self)
-    if 2 <= len(self.holes) < 8:
-        object.__setattr__(self, "holes", self.holes[:-1])
+def _hole_draw_drop(open_sites, hole_rows=setups._hole_rows):
+    # the last open site of every filter with 2..L-1 holes is closed, in the
+    # block's hole table: drawn, and converted from setups
+    open_sites = open_sites.copy()
+    num_sites = open_sites.shape[1]
+    counts = open_sites.sum(axis=1)
+    rows = np.flatnonzero((2 <= counts) & (counts < num_sites))
+    last = num_sites - 1 - np.argmax(open_sites[rows, ::-1], axis=1)
+    open_sites[rows, last] = False
+    return hole_rows(open_sites)
 
 
-def _conjugated_path_sum(setup, kernel, *rest, path_sum=amplitudes.amplitude_bruteforce):
-    return path_sum(setup, Kernel(kernel.step.conj()), *rest)
+def _conjugated_path_sum(step, layers, path_sum=amplitudes._path_sum):
+    return path_sum(step.conj(), layers)
 
 
 NO_ORACLE = Blind("the path guard skips brute_force on every long setup")
@@ -120,16 +134,16 @@ MUTANTS = {
     "start": (core(earliest=True), "tm sa bf / da", "tm sa / da", ONE_COLUMN),
     "read": (core(latest=True), "tm sa bf / da", "tm sa / da", ONE_COLUMN),
     "neighbour": (core(neighbour=1), "tm sa / da / bf", "tm sa / da", ONE_COLUMN),
-    # the setup algebra: filters short of a hole, and sigma filters without
-    # site 0, which only sigma_all inserts
-    "filterspec-drop": ((FilterSpec, "__post_init__", _filterspec_drop), *(SAME_HOLES,) * 3),
+    # the block's hole table: filters short of a hole, and the shared
+    # all-holes row without site 0, which only sigma_all's filters point at
+    "filterspec-drop": ((setups, "_hole_rows", _hole_draw_drop), *(SAME_HOLES,) * 3),
     "sigma-drop": (
-        (setups, "_sigma_filter", lambda time, num_sites: FilterSpec(time, range(1, num_sites))),
+        (setups, "_sigma_row", lambda num_sites: (np.arange(num_sites) > 0).astype(float)),
         "tm da bf / sa", "tm da / sa", "tm da bf / sa",
     ),
-    # the path sum on the time-reversed kernel
+    # the layered path sum on the time-reversed kernel
     "conjugated-path-sum": (
-        (amplitudes, "amplitude_bruteforce", _conjugated_path_sum),
+        (amplitudes, "_path_sum", _conjugated_path_sum),
         "tm da sa / bf", NO_ORACLE, "tm da sa / bf",
     ),
 }

@@ -1,8 +1,9 @@
 import csv
 import importlib.util
-import itertools
 import json
+import math
 import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,16 @@ from amplab import (
     make_tight_binding_kernel,
     or_compose,
     propagator,
+    random_block,
     random_setup,
     random_setups,
     relative_deviation,
     save_kernel,
     save_setup,
+    setup_block,
 )
 from amplab.cli import _fuzz_kernel, main
-from amplab.setups import _sigma_filter
+from amplab.setups import SIGMA_ROW, _sigma_filter
 
 from genutil import random_and_pair, random_kernel, random_or_pair, reject_constant
 from mutants import MUTANTS, TARGETS, Blind, breaches, column
@@ -297,17 +300,24 @@ def test_consistency_report_value_lookup():
 
 
 def bruteforce_reference(setup, kernel):
-    """The path sum built from an ``itertools.product`` list of every path:
-    one product of step entries per path, summed once.  The reference for
-    the layered path sum in ``amplitude_bruteforce``."""
+    """The path sum built from an array of every path, in
+    ``itertools.product`` order: one product of step entries per path,
+    summed once.  The reference for the layered path sum in
+    ``amplitude_bruteforce``."""
     allowed = []
     for t in range(setup.source.time + 1, setup.detector.time):
         f = setup.filter_at(t)
         allowed.append(f.holes if f is not None else tuple(range(kernel.num_sites)))
-    paths = list(itertools.product(*allowed))
-    if not paths:
+    sizes = [len(sites) for sites in allowed]
+    if 0 in sizes:
         return 0j  # a blocking filter kills every path
-    paths = np.array(paths, dtype=np.intp).reshape(len(paths), len(allowed))
+    # the C order of np.indices is itertools.product order: path i takes
+    # site index[j, i] of layer j
+    index = np.indices(sizes).reshape(len(sizes), math.prod(sizes))
+    paths = np.array(
+        [np.array(sites, dtype=np.intp)[i] for sites, i in zip(allowed, index)],
+        dtype=np.intp,
+    ).reshape(len(allowed), math.prod(sizes)).T
     step = kernel.step
     amps = np.ones(len(paths), dtype=complex)
     prev = np.full(len(paths), setup.source.site, dtype=np.intp)
@@ -430,9 +440,9 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
     kernel = random_kernel(4, np.random.default_rng(47))
     setup = Setup(Event(0, 0), Event(3, 9))  # 4 ** 8 paths
     calls = []
-    original = amplitudes.detector_vector
+    original = amplitudes.block_vectors
     monkeypatch.setattr(
-        amplitudes, "detector_vector", lambda *args: calls.append(1) or original(*args)
+        amplitudes, "block_vectors", lambda *args: calls.append(1) or original(*args)
     )
     strategies = (
         TransferMatrix(),
@@ -601,15 +611,16 @@ def test_explicit_all_holes_filters_leave_detector_vector_unchanged(
         )
 
 
-def test_sigma_filters_are_built_once_per_time_and_lattice_size(tmp_path):
-    # the memo's keys are the interior times 1..23 of T = 24 at L = 16,
-    # however many setups the fuzz widens
+def test_sigma_filters_are_built_once_per_time_and_lattice_size():
+    # insert_sigma's memo: its keys are the interior times 1..23 of T = 24 at
+    # L = 16, however many setups it widens
     _sigma_filter.cache_clear()
+    config = LatticeConfig(16, 24)
     sizes = []
-    for count in ("10", "300"):
-        out = tmp_path / f"fz{count}"
-        argv = ["fuzz", "--L", "16", "--T", "24", "--max-filters", "8"]
-        assert main(argv + ["--count", count, "--out", str(out)]) == 0
+    for count in (10, 300):
+        for setup in random_setups(config, range(count), 8):
+            free = sorted(set(range(1, 24)) - set(setup.filter_times))
+            insert_sigma(setup, free, 16)
         sizes.append(_sigma_filter.cache_info().currsize)
     assert 0 < sizes[0] <= sizes[1] <= 23
     setup = Setup(Event(3, 0), Event(5, 24), (FilterSpec(4, (1, 2)),))
@@ -617,6 +628,17 @@ def test_sigma_filters_are_built_once_per_time_and_lattice_size(tmp_path):
     for t in (2, 7, 23):
         assert widened.filter_at(t) == FilterSpec(t, tuple(range(16)))
     assert insert_sigma(setup, 7, 16).filter_at(7) is widened.filter_at(7)
+    # the block that sigma_all evaluates: every sigma filter of every column
+    # points at the one all-holes row, and the table gains no row
+    block = random_block(config, range(300), 8)
+    wide = block.widened()
+    assert wide.masks is block.masks
+    assert (block.masks[SIGMA_ROW] == 1).all() and SIGMA_ROW not in block.row
+    sigma = wide.row == SIGMA_ROW
+    assert sigma.sum() == 300 * 23 - len(block.row)
+    assert np.array_equal(np.bincount(wide.column, minlength=300), np.full(300, 23))
+    assert np.array_equal(wide.row[~sigma], block.row)
+    assert (np.diff(wide.time * 300 + wide.column) > 0).all()  # by time, then column
 
 
 def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
@@ -626,12 +648,11 @@ def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
     # worst
     setups = random_setups(LatticeConfig(8, 6), range(20), 3)
     site = setups[10].source.site
-    original = amplitudes.detector_vector
+    original = amplitudes.block_vectors
 
-    def nan_at_site(columns, kernel):
-        psi = original(columns, kernel)
-        hit = [b for b, column in enumerate(columns) if column.source.site == site]
-        psi[:, hit] *= np.nan
+    def nan_at_site(block, kernel):
+        psi = original(block, kernel)
+        psi[:, block.src == site] *= np.nan
         return psi
 
     def starts_a_column_at_site(setup):
@@ -639,7 +660,7 @@ def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
         # decompose_all starts one more part at each single-hole filter
         return setup.source.site == site or any(f.holes == (site,) for f in setup.filters)
 
-    monkeypatch.setattr(amplitudes, "detector_vector", nan_at_site)
+    monkeypatch.setattr(amplitudes, "block_vectors", nan_at_site)
     out = tmp_path / "fz"
     assert main(["fuzz", "--count", "20", "--out", str(out)]) == 2
     assert "max deviation nan" in capsys.readouterr().out
@@ -651,3 +672,111 @@ def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
     )
     assert manifest["worst_deviation"] is None  # strict JSON: NaN is null
     assert manifest["worst_seed"] == first_nan
+
+
+def test_a_setup_far_in_time_is_its_shift_to_time_zero():
+    # a block counts every time from its setup's source: nothing is indexed
+    # by absolute time, so a setup at time 1e9 evaluates bit for bit as the
+    # same setup at time 0
+    kernel = random_kernel(6, np.random.default_rng(67))
+
+    def at(t0):
+        filters = (FilterSpec(t0 + 2, (1, 3)), FilterSpec(t0 + 4, (5,)),
+                   FilterSpec(t0 + 5, tuple(range(6))))
+        return Setup(Event(2, t0), Event(4, t0 + 7), filters)
+
+    far, near = at(10**9), at(0)
+    assert np.complex128(amplitude(far, kernel)).tobytes() == np.complex128(
+        amplitude(near, kernel)
+    ).tobytes()
+    assert detector_vector([far], kernel).tobytes() == detector_vector([near], kernel).tobytes()
+    strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
+    values = [
+        np.array(list(consistency_check(setup, kernel, strategies).reports[0].values.values()))
+        for setup in (far, near)
+    ]
+    assert values[0].shape == (4,) and values[0].tobytes() == values[1].tobytes()
+    block = setup_block([far], 6)
+    assert block.stop.tolist() == [7] and block.time.tolist() == [2, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "num_sites, num_steps, max_paths", [(4, 9, 1024), (6, 7, 6**5), (6, 7, 6**5 - 1), (3, 12, 1000)]
+)
+def test_the_path_guard_skips_exactly_where_the_path_sum_raises(
+    monkeypatch, num_sites, num_steps, max_paths
+):
+    # a block on both sides of the guard, some setups exactly at it and some
+    # with a blocking filter after the count has passed it: the skipped
+    # setups are those for which amplitude_bruteforce raises, with its text,
+    # and the path sum runs on each of the others and raises on none
+    kernel = random_kernel(num_sites, np.random.default_rng(num_sites))
+    config = LatticeConfig(num_sites, num_steps)
+    bare = Setup(Event(0, 0), Event(1, num_steps))
+    late_block = Setup(Event(0, 0), Event(1, num_steps), (FilterSpec(num_steps - 1, ()),))
+    first_block = Setup(Event(0, 0), Event(1, num_steps), (FilterSpec(1, ()),))
+    setups = [bare, late_block, first_block, *random_setups(config, range(300), num_steps - 1)]
+    expected = {}
+    for b, setup in enumerate(setups):
+        try:
+            amplitude_bruteforce(setup, kernel, max_paths)
+        except PathExplosionError as exc:
+            expected[b] = str(exc)
+    assert (1 in expected) == (num_sites ** (num_steps - 2) > max_paths) and 2 not in expected
+    assert 0 < len(expected) < len(setups) - 10
+    calls = []
+    original = amplitudes.amplitude_bruteforce
+    monkeypatch.setattr(
+        amplitudes, "amplitude_bruteforce", lambda s, *rest: calls.append(s) or original(s, *rest)
+    )
+    strategies = (TransferMatrix(), SigmaInsert(), BruteForcePaths(max_paths=max_paths))
+    reports = consistency_check(setups, kernel, strategies).reports
+    assert {b: r.skipped["brute_force"] for b, r in enumerate(reports) if r.skipped} == expected
+    assert calls == [s for b, s in enumerate(setups) if b not in expected]
+
+
+def test_fuzz_takes_a_path_guard_past_int64(tmp_path, capsys):
+    # the guard is a Python int of any size: 2**64 admits every default
+    # setup, and no int64 overflows on the way
+    out = tmp_path / "fz"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fuzz", "--count", "20", "--max-paths", str(2**64), "--out", str(out)])
+    assert code == 0
+    assert "brute_force ran on 20/20 setups\n" in capsys.readouterr().out
+    manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+    assert manifest["brute_force_ran"] == 20 and manifest["skipped_reasons"] == {}
+
+
+def test_the_path_guard_is_exact_where_log2_sums_round():
+    # 3**31 paths through 31 open layers of 3 sites: a float sum of log2
+    # hole counts does not tell 3**31 from a guard of 3**31 - 1
+    setup = Setup(Event(0, 0), Event(1, 32))
+    block = setup_block([setup], 3)
+    assert 31 * math.log2(3) <= math.log2(3**31 - 1)
+    reason = f"path count exceeds guard of {3**31 - 1} paths"
+    with pytest.raises(PathExplosionError, match=reason):
+        amplitude_bruteforce(setup, random_kernel(3, np.random.default_rng(73)), 3**31 - 1)
+    assert BruteForcePaths(max_paths=3**31 - 1).skipped(block) == {0: reason}
+    assert BruteForcePaths(max_paths=3**31).skipped(block) == {}
+
+
+@pytest.mark.parametrize("max_paths", [0, -1])
+def test_a_guard_below_one_path_skips_as_the_path_sum_raises(max_paths):
+    # the path sum counts nothing without a layer, and 0 paths after a
+    # blocking first layer, which only a negative guard refuses
+    kernel = random_kernel(4, np.random.default_rng(79))
+    setups = [
+        Setup(Event(0, 0), Event(1, 1)),
+        Setup(Event(0, 0), Event(1, 4), (FilterSpec(1, ()),)),
+        Setup(Event(0, 0), Event(1, 4), (FilterSpec(3, ()),)),
+        Setup(Event(0, 0), Event(1, 4), (FilterSpec(2, (1,)),)),
+    ]
+    expected = {}
+    for b, setup in enumerate(setups):
+        try:
+            amplitude_bruteforce(setup, kernel, max_paths)
+        except PathExplosionError as exc:
+            expected[b] = str(exc)
+    assert sorted(expected) == ([1, 2, 3] if max_paths < 0 else [2, 3])
+    assert BruteForcePaths(max_paths=max_paths).skipped(setup_block(setups, 4)) == expected

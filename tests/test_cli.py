@@ -196,9 +196,7 @@ def test_amplitude_past_the_float_range_agrees(tmp_path, capsys):
 def test_amplitude_past_the_float_range_differs_exits_2(tmp_path, monkeypatch, capsys):
     # a path sum off by a third of its real part at that size is a breach;
     # an infinite modulus in the denominator would hide it as 0.0
-    monkeypatch.setattr(
-        amplitudes, "amplitude_bruteforce", lambda *a: complex(1.0e308, 1.5e308)
-    )
+    monkeypatch.setattr(amplitudes, "_path_sum", lambda *a: complex(1.0e308, 1.5e308))
     assert main(_write_huge_one_step(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("consistency violation: ")
     payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
@@ -485,6 +483,8 @@ def test_fuzz_crosses_a_block_edge(tmp_path):
     }
     assert sorted(manifest["strategy_s"]) == sorted(manifest["core_columns"])
     assert all(s > 0 for s in manifest["strategy_s"].values())
+    # the wall seconds spent drawing the two blocks, beside the strategies'
+    assert manifest["draw_s"] > 0
 
 
 def test_fuzz_json_format(tmp_path):

@@ -20,12 +20,16 @@ from amplab import (
     insert_sigma,
     load_setup,
     or_compose,
+    random_block,
     random_setup,
     random_setups,
     save_setup,
+    setup_block,
 )
 from amplab.cli import FUZZ_BLOCK
 from amplab.setups import _GAMMA, SEED_LIMIT, _mix64, check_sites
+
+BLOCK_ARRAYS = ("src", "det", "start", "stop", "time", "column", "row", "masks")
 
 CONFIG = LatticeConfig(num_sites=4, num_steps=4)
 
@@ -266,6 +270,56 @@ def test_random_setups_depend_on_the_seed_alone(first):
         block = random_setups(config, seeds, max_filters)
         assert block == [random_setup(config, seed, max_filters) for seed in seeds]
         assert block[7:20] == random_setups(config, seeds[7:20], max_filters)
+
+
+@pytest.mark.parametrize(
+    "first",
+    [0, FUZZ_BLOCK - 5, SEED_LIMIT - FUZZ_BLOCK - 10],
+    ids=["0", "block-edge", "range-end"],
+)
+def test_drawn_block_equals_the_block_of_its_setups(first):
+    # fuzz draws its block straight from the seeds; converting the setups of
+    # the same seeds gives the same arrays, up to the seed 2**64 - 1
+    for shape, max_filters in (((8, 6), 3), ((16, 24), 8)):
+        config = LatticeConfig(*shape)
+        seeds = range(first, first + FUZZ_BLOCK + 10)
+        drawn = random_block(config, seeds, max_filters)
+        converted = setup_block(random_setups(config, seeds, max_filters), shape[0])
+        for name in BLOCK_ARRAYS:
+            a, b = getattr(drawn, name), getattr(converted, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (shape, name)
+        assert drawn.setups() == random_setups(config, seeds, max_filters)
+    if first == SEED_LIMIT - FUZZ_BLOCK - 10:
+        assert seeds[-1] == SEED_LIMIT - 1
+
+
+def test_block_parts_are_the_decomposition_at_every_single_hole_filter():
+    # each column's parts, in order, are the setups decompose_at splits off
+    # at its single-hole filters; a part holds the filters strictly inside it
+    config = LatticeConfig(5, 9)
+    setups = random_setups(config, range(300), 8)
+    parts, first = setup_block(setups, 5).parts()
+    assert first[0] == 0 and first[-1] == len(parts)
+    inside = [[] for _ in range(len(parts))]
+    for t, b, r in zip(parts.time.tolist(), parts.column.tolist(), parts.row.tolist()):
+        if parts.start[b] < t < parts.stop[b]:
+            inside[b].append(FilterSpec(t, np.flatnonzero(parts.masks[r]).tolist()))
+    splits = 0
+    for b, setup in enumerate(setups):
+        expected, rest = [], setup
+        for f in setup.filters:
+            if len(f.holes) == 1:
+                earlier, rest = decompose_at(rest, f.time)
+                expected.append(earlier)
+        expected.append(rest)
+        splits += len(expected) - 1
+        got = [
+            Setup(Event(int(parts.src[j]), int(parts.start[j])),
+                  Event(int(parts.det[j]), int(parts.stop[j])), tuple(inside[j]))
+            for j in range(first[b], first[b + 1])
+        ]
+        assert got == expected
+    assert splits > 100
 
 
 def test_random_setup_keeps_its_stream():
