@@ -12,7 +12,6 @@ binary operation.
 from .amplitudes import (
     BlockReport,
     BruteForcePaths,
-    ConsistencyReport,
     EvalStrategy,
     PathExplosionError,
     RecursiveDecompose,

@@ -17,8 +17,13 @@ transfer matrix (the core on the block), the product rule (the core on the
 block's parts between its single-hole filters, multiplied), sigma insertion
 (the core on the block with an all-holes filter at every free step) and the
 brute-force path sum.  ``consistency_check`` evaluates a block by each
-strategy once and reports each setup's maximal pairwise deviation.
-Agreement across strategies is the package's headline correctness alarm.
+strategy once, into one complex column per strategy, and computes every
+pair's deviations on the block by one array rule, ``_deviations``; its
+``BlockReport`` holds those arrays.  The rule takes moduli by ``np.hypot``
+of the parts, which is the libm ``hypot`` of Python's complex ``abs``, so it
+gives the scalar ``relative_deviation`` bit for bit; ``np.abs`` of a complex
+array may differ from it in the last bit.  Agreement across strategies is
+the package's headline correctness alarm.
 """
 
 from __future__ import annotations
@@ -353,44 +358,62 @@ def evaluate(
     return strategy.values(block, kernel)
 
 
+def _deviations(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """|z1 - z2| scaled by the larger modulus, entry by entry; absolute where
+    both moduli are at most ``NEAR_ZERO``.
+
+    Moduli are ``np.hypot`` of the parts, libm ``hypot`` as in Python's
+    complex ``abs``; ``np.abs`` may differ from it in the last bit.  The
+    larger modulus is Python's ``max`` of the two, which keeps the first
+    when the second is not greater.  Where a finite value's modulus
+    overflows, the pair is compared at a quarter of its size, where every
+    modulus and difference is finite; dividing by four is exact but for
+    subnormal parts, far below the modulus that sets the ratio.  A value
+    with a NaN or an infinite part never overflows, so its deviation is NaN
+    or infinite as its parts say.  No numpy warning is raised.
+    """
+    with np.errstate(all="ignore"):
+        diff = z1 - z2
+        a1, a2, d = (np.hypot(z.real, z.imag) for z in (z1, z2, diff))
+        m = np.where(a2 > a1, a2, a1)
+        deviations = np.where(m <= NEAR_ZERO, d, d / m)
+        retry = np.zeros(deviations.shape, dtype=bool)
+        for z, modulus in ((z1, a1), (z2, a2), (diff, d)):
+            retry |= np.isinf(modulus) & np.isfinite(z)
+        if retry.any():
+            # a view as (re, im) pairs divides each part by four
+            z1, z2 = ((z[retry].view(float) / 4).view(complex) for z in (z1, z2))
+            deviations[retry] = _deviations(z1, z2)
+    return deviations
+
+
 def relative_deviation(z1: complex, z2: complex) -> float:
     """|z1 - z2| scaled by the larger magnitude; absolute for near-zero pairs.
 
     Amplitudes can vanish by interference, so two values whose magnitudes are
-    both below 1e-14 are compared absolutely instead of relatively.
-
-    ``abs`` raises OverflowError on a finite value whose modulus is past the
-    float range.  The ratio does not depend on a common scale, so such a pair
-    is compared at a quarter of its size, where every modulus and difference
-    is finite; dividing by four is exact in binary floating point.
+    both below 1e-14 are compared absolutely instead of relatively.  A pair
+    whose modulus is past the float range is compared at a quarter of its
+    size.  One pair of ``_deviations``.
     """
-    try:
-        m = max(abs(z1), abs(z2))
-        if m <= NEAR_ZERO:
-            return abs(z1 - z2)
-        return abs(z1 - z2) / m
-    except OverflowError:
-        return relative_deviation(
-            complex(z1.real / 4, z1.imag / 4), complex(z2.real / 4, z2.imag / 4)
-        )
+    return float(_deviations(np.array([z1], complex), np.array([z2], complex))[0])
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Per-strategy amplitudes and all pairwise deviations for one setup."""
-
-    values: dict[str, complex]  # label -> amplitude, in strategy order
-    pair_deviations: tuple[tuple[str, str, float], ...]  # in CSV row order
-    max_deviation: float
-    skipped: dict[str, str]  # label -> reason of each strategy not run
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockReport:
-    """The report of each setup of a block, in order, and what each strategy
-    spent on the whole block."""
+    """Each strategy's values on a block, every pair's deviation on each
+    setup, and what each strategy spent on the whole block.
 
-    reports: tuple[ConsistencyReport, ...]
+    Pairs are the ``itertools.combinations`` of the labels; entry ``[b, p]``
+    of ``deviations`` is pair ``p`` on setup ``b``, compared where both
+    strategies ran, so the entries of ``compared`` in C order are the
+    ``fuzz`` CSV rows.
+    """
+
+    labels: tuple[str, ...]  # in strategy order
+    values: np.ndarray  # (setups, strategies) complex; 0 where skipped
+    deviations: np.ndarray  # (setups, pairs) float; -inf where not compared
+    compared: np.ndarray  # (setups, pairs) bool: both strategies ran
+    skipped: dict[str, dict[int, str]]  # label -> setup -> reason
     max_deviation: float  # the worst over the block; NaN if any is NaN
     strategy_s: dict[str, float]  # label -> wall seconds
     core_columns: dict[str, int]  # label -> block_vectors columns
@@ -398,10 +421,10 @@ class BlockReport:
     # path sum ran, or decompose_all split at a single-hole filter
     independent_setups: int
 
-
-def _worst(deviations: list[float]) -> float:
-    # max() would drop a NaN deviation as agreement; NaN is the worst
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        """The labels of each pair, in column order of ``deviations``."""
+        return list(itertools.combinations(self.labels, 2))
 
 
 def consistency_check(
@@ -413,10 +436,12 @@ def consistency_check(
     setup, the pairwise deviations.  Setups are converted to a block once,
     and one ``Setup`` is a block of one.
 
-    Each strategy, one per label, is evaluated once over the whole block.  A
-    strategy skips the setups it names in ``skipped``, such as those whose
-    path guard trips, and its label and reason are recorded in those setups'
-    ``skipped``; at least two strategies must run on every setup.
+    Each strategy, one per label, is evaluated once over the whole block
+    into one column of ``values``.  A strategy skips the setups it names in
+    ``skipped``, such as those whose path guard trips, and its reasons are
+    its entry of the report's ``skipped``; at least two strategies must run
+    on every setup.  Every pair's deviations on the block are one
+    ``_deviations`` call over the setups where both ran.
     ``independent_setups`` counts the setups on which some strategy that ran
     is ``independent`` of the core: the path sum ran or the decomposition
     split.  On any other, every strategy that ran is the one core on the
@@ -431,54 +456,51 @@ def consistency_check(
         if isinstance(setups, SetupBlock)
         else setup_block(setups, kernel.num_sites)
     )
-    columns = {}  # label -> value per setup, None where skipped
-    skipped: list[dict[str, str]] = [{} for _ in range(len(block))]
+    labels = tuple(strategy.label for strategy in strategies)
+    values = np.zeros((len(block), len(labels)), dtype=complex)
+    ran = np.ones(values.shape, dtype=bool)
     independent = np.zeros(len(block), dtype=bool)
-    strategy_s, core_columns = {}, {}
+    skipped, strategy_s, core_columns = {}, {}, {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for strategy in strategies:
+        for s, strategy in enumerate(strategies):
             started = time.perf_counter()
             reasons = strategy.skipped(block)
-            ran = np.ones(len(block), dtype=bool)
-            ran[list(reasons)] = False
-            ran = np.flatnonzero(ran)
+            ran[list(reasons), s] = False
+            columns = np.flatnonzero(ran[:, s])
             try:
-                values = evaluate(
-                    block.take(ran) if reasons else block, kernel, strategy
-                ).tolist()
+                values[columns, s] = evaluate(
+                    block.take(columns) if reasons else block, kernel, strategy
+                )
             except PathExplosionError as exc:
                 # the path sum's own guard tripped on a setup that the
                 # block's admitted: the path sum is skipped on the block
-                reasons.update(dict.fromkeys(ran.tolist(), str(exc)))
-                ran, values = ran[:0], []
-            column = [None] * len(block)
-            for b, value in zip(ran.tolist(), values):
-                column[b] = value
-            for b, reason in reasons.items():
-                skipped[b][strategy.label] = reason
-            independent[ran] |= strategy.independent(block)[ran]
+                reasons.update(dict.fromkeys(columns.tolist(), str(exc)))
+                ran[:, s] = False
+            independent |= ran[:, s] & strategy.independent(block)
+            skipped[strategy.label] = reasons
             strategy_s[strategy.label] = time.perf_counter() - started
             core_columns[strategy.label] = strategy.core_columns(block)
-            columns[strategy.label] = column
-    reports = []
-    for b, reasons in enumerate(skipped):
-        values = {name: col[b] for name, col in columns.items() if col[b] is not None}
-        if len(values) < 2:
-            raise ValueError(
-                f"consistency check needs at least two strategies to run; "
-                f"{len(values)} ran, skipped: {reasons}"
-            )
-        pairs = tuple(
-            (name_a, name_b, relative_deviation(val_a, val_b))
-            for (name_a, val_a), (name_b, val_b) in itertools.combinations(
-                values.items(), 2
-            )
+    counts = ran.sum(axis=1)
+    if (counts < 2).any():
+        b = int(np.argmax(counts < 2))
+        reasons = {label: r[b] for label, r in skipped.items() if b in r}
+        raise ValueError(
+            f"consistency check needs at least two strategies to run; "
+            f"{counts[b]} ran, skipped: {reasons}"
         )
-        worst = _worst([dev for _, _, dev in pairs])
-        reports.append(ConsistencyReport(values, pairs, worst, reasons))
+    first, second = np.triu_indices(len(labels), 1)  # combinations order
+    compared = ran[:, first] & ran[:, second]
+    deviations = np.full(compared.shape, -np.inf)
+    deviations[compared] = _deviations(
+        values[:, first][compared], values[:, second][compared]
+    )
     return BlockReport(
-        tuple(reports),
-        _worst([r.max_deviation for r in reports]),
+        labels,
+        values,
+        deviations,
+        compared,
+        skipped,
+        float(deviations.max()),
         strategy_s,
         core_columns,
         int(independent.sum()),

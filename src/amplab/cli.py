@@ -238,23 +238,27 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     run = _Run(args)
     setup = load_setup(args.setup)
     kernel = load_kernel(args.kernel)
-    (report,) = consistency_check(setup, kernel, strategies).reports
-    value = report.values["transfer_matrix"]
+    checked = consistency_check(setup, kernel, strategies)
+    skipped = {label: r[0] for label, r in checked.skipped.items() if 0 in r}
+    values = {
+        label: [z.real, z.imag]
+        for label, z in zip(checked.labels, checked.values[0].tolist())
+        if label not in skipped
+    }
+    deviations = zip(checked.pairs, checked.deviations[0].tolist(), checked.compared[0])
     payload = {
         "setup": setup_to_dict(setup),  # normalized: filters and holes sorted
-        "amplitude": [value.real, value.imag],
-        "strategies": {name: [v.real, v.imag] for name, v in report.values.items()},
-        "pair_deviations": {
-            f"{a}|{b}": dev for a, b, dev in report.pair_deviations
-        },
-        "max_deviation": report.max_deviation,
-        "skipped": report.skipped,
+        "amplitude": values["transfer_matrix"],
+        "strategies": values,
+        "pair_deviations": {f"{a}|{b}": dev for (a, b), dev, ran in deviations if ran},
+        "max_deviation": checked.max_deviation,
+        "skipped": skipped,
         "tolerance": CONSISTENCY_TOL,
     }
     run.write_report(payload)
     run.finish()
     print(_dumps(payload))
-    return _gate("consistency", report.max_deviation, CONSISTENCY_TOL)
+    return _gate("consistency", checked.max_deviation, CONSISTENCY_TOL)
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -280,16 +284,20 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         strategy_s.update(checked.strategy_s)
         core_columns.update(checked.core_columns)
         independent += checked.independent_setups
-        for seed, report in zip(block_seeds, checked.reports):
-            oracle_ran += not report.skipped
-            skipped_reasons.update(report.skipped.values())
-            for name_a, name_b, dev in report.pair_deviations:
-                seeds.append(seed)
-                pairs.append(f"{name_a}|{name_b}")
-                devs.append(dev)
+        oracle_ran += len(block) - len(set().union(*checked.skipped.values()))
+        for reasons in checked.skipped.values():
+            skipped_reasons.update(reasons.values())
+        # a row per compared pair, by setup then pair; a seed fits uint64
+        rows, cols = np.nonzero(checked.compared)
+        seeds.append(np.uint64(first) + rows.astype(np.uint64))
+        pairs.append(cols)
+        devs.append(checked.deviations[rows, cols])
+    names = np.array([f"{a}|{b}" for a, b in checked.pairs])
+    seeds, devs = np.concatenate(seeds), np.concatenate(devs)
+    pairs = names[np.concatenate(pairs)]
     # the first pair at the max deviation, a NaN before every number
     i = int(np.argmax(devs))
-    worst, worst_seed, worst_pair = devs[i], seeds[i], pairs[i]
+    worst, worst_seed, worst_pair = float(devs[i]), int(seeds[i]), str(pairs[i])
     run.write_table("", {"seed": seeds, "strategy_pair": pairs, "deviation": devs})
     run.finish(
         brute_force_ran=oracle_ran,

@@ -1,5 +1,5 @@
-"""Deterministic random generators shared by the test modules, and a
-strict-JSON hook.
+"""Deterministic random generators shared by the test modules, a
+strict-JSON hook and an array inverse of increasing functions.
 
 Everything here is seeded: the same seed always produces the same setups,
 kernels and states, so failures reproduce exactly.
@@ -27,6 +27,19 @@ def reject_constant(token: str):
     """``parse_constant`` hook for ``json.loads``: a bare NaN or Infinity is
     not strict JSON."""
     raise ValueError(f"not strict JSON: {token}")
+
+
+def increasing_inverse(f, target, lo: float, hi: float, steps: int = 60):
+    """The x in [lo, hi] with f(x) = target, entry by entry, for an f that
+    is strictly increasing on [lo, hi]: bisection on whole arrays.  60 steps
+    halve a bracket of [0, 16] below the float spacing of any x of order
+    one."""
+    lo, hi = np.full(np.shape(target), lo), np.full(np.shape(target), hi)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        below = f(mid) < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return (lo + hi) / 2
 
 
 def random_kernel(num_sites: int, rng: np.random.Generator) -> Kernel:

@@ -8,7 +8,6 @@ runtime.
 import random
 
 import numpy as np
-from scipy.optimize import brentq
 
 from amplab import (
     BinaryOpSampler,
@@ -48,7 +47,13 @@ from amplab import (
 )
 from amplab.evolution import Hamiltonian
 
-from genutil import random_and_pair, random_kernel, random_or_pair, random_state
+from genutil import (
+    increasing_inverse,
+    random_and_pair,
+    random_kernel,
+    random_or_pair,
+    random_state,
+)
 
 
 def check(name: str, ok: bool, detail: str) -> None:
@@ -71,11 +76,9 @@ def test_criterion_01_consistency_fuzz():
         SigmaInsert(),
         BruteForcePaths(),
     )
-    worst = 0.0
-    for i in range(1000):
-        setup = random_setup(config, 7 + i, 3)
-        report = consistency_check(setup, kernel, strategies)
-        worst = max(worst, report.max_deviation)
+    # one block: its max_deviation is NaN if any deviation is
+    setups = [random_setup(config, 7 + i, 3) for i in range(1000)]
+    worst = consistency_check(setups, kernel, strategies).max_deviation
     check(
         "criterion 1 consistency fuzz",
         worst <= 1e-10,
@@ -244,12 +247,9 @@ def eta_round_trip_deviation(seed: int) -> float:
         return a * u + b * u * u + g * u**3
 
     def fn(u, v):
-        return brentq(lambda x: eta(x) - (eta(u) + eta(v)), 0.0, 16.0, xtol=1e-15)
+        return increasing_inverse(eta, eta(u) + eta(v), 0.0, 16.0)
 
-    # brentq inverts one point at a time
-    sampler = BinaryOpSampler(
-        fn=np.vectorize(fn, otypes=[float]), domain=(0.4, 1.4), grid_n=128
-    )
+    sampler = BinaryOpSampler(fn=fn, domain=(0.4, 1.4), grid_n=128)
     result = recover_regrade(sampler)
     n = len(result.u_grid)
     interior = slice(n // 10, n - n // 10)

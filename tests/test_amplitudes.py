@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import random
@@ -10,8 +11,10 @@ import numpy as np
 import pytest
 
 import amplab.amplitudes as amplitudes
+import amplab.cli as cli
 from amplab import (
     BruteForcePaths,
+    EvalStrategy,
     Event,
     FilterSpec,
     Kernel,
@@ -41,6 +44,7 @@ from amplab import (
     save_setup,
     setup_block,
 )
+from amplab.amplitudes import NEAR_ZERO, _deviations
 from amplab.cli import _fuzz_kernel, main
 from amplab.setups import SIGMA_ROW, _sigma_filter
 
@@ -226,6 +230,132 @@ def test_relative_deviation_metric():
     assert relative_deviation(big, -big) == pytest.approx(2.0, rel=1e-15)
 
 
+def scalar_relative_deviation(z1: complex, z2: complex) -> float:
+    """The scalar rule that ``_deviations`` replaced, kept as its reference:
+    Python complex ``abs``, retried at a quarter of the size on an
+    ``OverflowError``.  ``abs`` of a value with a NaN part leaves errno as
+    it was, so after an overflow it raises again at every size: NaN first
+    and an overflowing modulus second recurse without end."""
+    try:
+        m = max(abs(z1), abs(z2))
+        if m <= NEAR_ZERO:
+            return abs(z1 - z2)
+        return abs(z1 - z2) / m
+    except OverflowError:
+        return scalar_relative_deviation(
+            complex(z1.real / 4, z1.imag / 4), complex(z2.real / 4, z2.imag / 4)
+        )
+
+
+def same_float(a: float, b: float) -> bool:
+    """Equal bit for bit, or both NaN: a NaN's sign bit is written nowhere."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_nan_against_an_overflowing_modulus_is_nan():
+    big = complex(1.5e308, 1.5e308)
+    assert math.isnan(relative_deviation(complex(math.nan, 0.0), big))
+    assert math.isnan(relative_deviation(big, complex(math.nan, 0.0)))
+
+    class NanValue(EvalStrategy):
+        label = "nan"
+
+        def values(self, block, kernel):
+            return np.full(len(block), complex(math.nan, 0.0))
+
+    class BigValue(EvalStrategy):
+        label = "big"
+
+        def values(self, block, kernel):
+            return np.full(len(block), big)
+
+    kernel = random_kernel(3, np.random.default_rng(79))
+    setups = [Setup(Event(0, 0), Event(x, 4)) for x in range(3)]
+    for strategies, pair in [((TransferMatrix(), NanValue(), BigValue()), 2),
+                             ((BigValue(), NanValue(), TransferMatrix()), 0)]:
+        report = consistency_check(setups, kernel, strategies)
+        assert math.isnan(report.max_deviation)
+        assert np.isnan(report.deviations[:, pair]).all()  # on every setup
+
+
+def test_array_rule_equals_the_scalar_rule():
+    # every pair of edge values, both orders, but those on which the scalar
+    # rule recurses: there the array rule gives NaN
+    big, inf, nan = 1.5e308, math.inf, math.nan
+    edge = [
+        0j, complex(-0.0, -0.0), complex(0.0, -0.0), 1e-15 + 0j, complex(3e-15, -4e-15),
+        5e-324 + 0j, complex(0.0, 5e-324), 1 + 0j, complex(0.5, -2.0), complex(big, big),
+        complex(-big, -big), complex(big, -big), complex(inf, 0.0), complex(-inf, 1.0),
+        complex(nan, 0.0), complex(0.0, nan), complex(inf, nan),
+    ]
+    z1, z2 = map(np.array, zip(*itertools.product(edge, repeat=2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 0 / 0, inf - inf and overflow are silent
+        got = _deviations(z1, z2).tolist()
+    recursing = 0
+    for a, b, dev in zip(z1.tolist(), z2.tolist(), got):
+        abs(1j)  # clears the errno that an earlier overflow left
+        try:
+            expected = scalar_relative_deviation(a, b)
+        except RecursionError:
+            recursing += 1
+            assert math.isnan(dev), (a, b)
+            continue
+        assert same_float(dev, expected), (a, b, dev, expected)
+    assert recursing == 6  # two NaN values against three overflowing moduli
+    # random pairs over the whole float range, most of them close together
+    rng = np.random.default_rng(83)
+    n = 20_000
+    with np.errstate(all="ignore"):  # values past the float range are inf or NaN
+        z1 = 10.0 ** rng.uniform(-320, 308, n) * np.exp(2j * np.pi * rng.random(n))
+        parts = rng.uniform(1.2e308, 1.79e308, (2, n // 10)) * rng.choice([-1, 1], (2, n // 10))
+        z1[::10] = parts[0] + 1j * parts[1]  # moduli past the float range
+        z2 = z1 * (1 + 10.0 ** rng.uniform(-17, 0, n) * np.exp(2j * np.pi * rng.random(n)))
+        z2[::7] *= 10.0 ** rng.uniform(-5, 5, len(z2[::7]))
+    got = _deviations(z1, z2).tolist()
+    for a, b, dev in zip(z1.tolist(), z2.tolist(), got):
+        assert same_float(dev, scalar_relative_deviation(a, b)), (a, b)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "7", "--count", "1000"],
+        ["--L", "16", "--T", "24", "--max-filters", "8", "--seed", "5000000", "--count", "3000"],
+    ],
+    ids=["default", "long"],
+)
+def test_fuzz_rows_follow_the_scalar_rule(argv, tmp_path, monkeypatch):
+    # every CSV row is the scalar rule on the values of its setup's pair,
+    # in setup order and then combinations order of the strategies that ran,
+    # and no numpy warning is raised
+    checked = []
+    original = cli.consistency_check
+    monkeypatch.setattr(
+        cli, "consistency_check", lambda *args: checked.append(original(*args)) or checked[-1]
+    )
+    out = tmp_path / "fz"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fuzz", *argv, "--out", str(out)]) == 0
+    with open(f"{out}.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    expected = []
+    seed = int(argv[argv.index("--seed") + 1])
+    for report in checked:
+        for b, values in enumerate(report.values.tolist()):
+            ran = [(label, z) for label, z in zip(report.labels, values)
+                   if b not in report.skipped[label]]
+            for (a, za), (c, zc) in itertools.combinations(ran, 2):
+                expected.append([str(seed), f"{a}|{c}", scalar_relative_deviation(za, zc)])
+            seed += 1
+    assert [row[:2] for row in rows] == [row[:2] for row in expected]
+    assert all(same_float(float(row[2]), dev) for row, (_, _, dev) in zip(rows, expected))
+    assert any(dev > 0 for _, _, dev in expected)
+
+
 def test_evaluate_dispatch_and_labels():
     rng = np.random.default_rng(12)
     kernel = random_kernel(3, rng)
@@ -259,11 +389,11 @@ def test_consistency_check_fuzz():
         SigmaInsert(),
         BruteForcePaths(),
     )
-    worst = 0.0
-    for seed in range(100):
-        setup = random_setup(config, seed, 3)
-        report = consistency_check(setup, kernel, strategies)
-        worst = max(worst, report.max_deviation)
+    # one setup a call; np.max keeps a NaN, where max() would drop it
+    worst = np.max([
+        consistency_check(random_setup(config, seed, 3), kernel, strategies).max_deviation
+        for seed in range(100)
+    ])
     assert worst <= 1e-10
 
 
@@ -283,9 +413,12 @@ def test_one_setup_is_a_block_of_one():
     strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
     single = consistency_check(setup, kernel, strategies)
     block = consistency_check([setup], kernel, strategies)
-    assert single.reports == block.reports
+    assert single.labels == block.labels == tuple(s.label for s in strategies)
+    assert single.values.shape == (1, 4) and single.compared.all()
+    for field in ("values", "deviations", "compared"):
+        assert getattr(single, field).tobytes() == getattr(block, field).tobytes()
+    assert single.skipped == block.skipped == {s.label: {} for s in strategies}
     assert single.max_deviation == block.max_deviation
-    assert list(single.reports[0].values) == [s.label for s in strategies]
 
 
 def test_consistency_report_value_lookup():
@@ -293,10 +426,10 @@ def test_consistency_report_value_lookup():
     kernel = random_kernel(3, rng)
     setup = Setup(Event(0, 0), Event(2, 2))
     strategies = (TransferMatrix(), BruteForcePaths())
-    (report,) = consistency_check(setup, kernel, strategies).reports
-    assert report.values["transfer_matrix"] == amplitude(setup, kernel)
-    with pytest.raises(KeyError):
-        report.values["unknown"]
+    checked = consistency_check(setup, kernel, strategies)
+    assert checked.labels == ("transfer_matrix", "brute_force")
+    assert checked.pairs == [("transfer_matrix", "brute_force")]
+    assert checked.values[0, checked.labels.index("transfer_matrix")] == amplitude(setup, kernel)
 
 
 def bruteforce_reference(setup, kernel):
@@ -450,14 +583,19 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
         SigmaInsert(),
         BruteForcePaths(max_paths=100),
     )
-    (report,) = consistency_check(setup, kernel, strategies).reports
-    assert report.skipped == {"brute_force": "path count exceeds guard of 100 paths"}
-    assert list(report.values) == [
-        "transfer_matrix",
-        "decompose_all",
-        "sigma_all",
+    checked = consistency_check(setup, kernel, strategies)
+    assert checked.skipped == {
+        "transfer_matrix": {},
+        "decompose_all": {},
+        "sigma_all": {},
+        "brute_force": {0: "path count exceeds guard of 100 paths"},
+    }
+    # the three pairs of the strategies that ran
+    assert [pair for pair, ran in zip(checked.pairs, checked.compared[0]) if ran] == [
+        ("transfer_matrix", "decompose_all"),
+        ("transfer_matrix", "sigma_all"),
+        ("decompose_all", "sigma_all"),
     ]
-    assert len(report.pair_deviations) == 3
     # no filter to split at and no retry: one core call per strategy that
     # uses the core; the path sum never calls it
     assert len(calls) == 3
@@ -536,8 +674,7 @@ def test_every_mutant_moves_a_value(monkeypatch):
             Setup(Event(3, 1), Event(2, 4), (FilterSpec(2, (1, 2, 6, 7)),)),
             Setup(Event(0, 2), Event(5, 7), (FilterSpec(4, (2,)), FilterSpec(5, (1, 3)))),
         ]
-        reports = consistency_check(batch, kernel, strategies).reports
-        return [value for report in reports for value in report.values.values()]
+        return consistency_check(batch, kernel, strategies).values.ravel().tolist()
 
     clean = values()
     for name, (patch, *_) in MUTANTS.items():
@@ -691,10 +828,7 @@ def test_a_setup_far_in_time_is_its_shift_to_time_zero():
     ).tobytes()
     assert detector_vector([far], kernel).tobytes() == detector_vector([near], kernel).tobytes()
     strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
-    values = [
-        np.array(list(consistency_check(setup, kernel, strategies).reports[0].values.values()))
-        for setup in (far, near)
-    ]
+    values = [consistency_check(setup, kernel, strategies).values[0] for setup in (far, near)]
     assert values[0].shape == (4,) and values[0].tobytes() == values[1].tobytes()
     block = setup_block([far], 6)
     assert block.stop.tolist() == [7] and block.time.tolist() == [2, 4, 5]
@@ -730,8 +864,7 @@ def test_the_path_guard_skips_exactly_where_the_path_sum_raises(
         amplitudes, "amplitude_bruteforce", lambda s, *rest: calls.append(s) or original(s, *rest)
     )
     strategies = (TransferMatrix(), SigmaInsert(), BruteForcePaths(max_paths=max_paths))
-    reports = consistency_check(setups, kernel, strategies).reports
-    assert {b: r.skipped["brute_force"] for b, r in enumerate(reports) if r.skipped} == expected
+    assert consistency_check(setups, kernel, strategies).skipped["brute_force"] == expected
     assert calls == [s for b, s in enumerate(setups) if b not in expected]
 
 

@@ -920,8 +920,9 @@ def _fuzz_table(tmp_path):
     setups = [random_setup(config, seed, max_filters=3) for seed in range(3, 13)]
     block = consistency_check(setups, kernel, strategies)
     rows = []
-    for seed, report in zip(range(3, 13), block.reports):
-        rows += [[seed, f"{a}|{b}", dev] for a, b, dev in report.pair_deviations]
+    for seed, deviations, compared in zip(range(3, 13), block.deviations.tolist(), block.compared):
+        pairs = zip(block.pairs, deviations, compared)
+        rows += [[seed, f"{a}|{b}", dev] for (a, b), dev, ran in pairs if ran]
     argv = ["fuzz", "--seed", "3", "--count", "10", "--L", "5", "--T", "4"]
     return argv, "", ["seed", "strategy_pair", "deviation"], rows
 

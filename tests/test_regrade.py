@@ -3,7 +3,6 @@ from functools import partial
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from amplab import (
     BinaryOpSampler,
@@ -19,21 +18,20 @@ from amplab import (
 )
 from amplab.regrade import CATALOG_NAMES
 
+from genutil import increasing_inverse
+
 
 def eta_operation(a: float, b: float, g: float, lo=0.4, hi=1.4, grid_n=128):
-    """S = eta^{-1}(eta(u) + eta(v)) for eta(u) = a u + b u^2 + g u^3, one
-    brentq inversion per point."""
+    """S = eta^{-1}(eta(u) + eta(v)) for eta(u) = a u + b u^2 + g u^3,
+    inverted by bisection on whole arrays: eta increases on [0, 16]."""
 
     def eta(u):
         return a * u + b * u * u + g * u**3
 
     def fn(u, v):
-        target = eta(u) + eta(v)
-        return brentq(lambda x: eta(x) - target, 0.0, 16.0, xtol=1e-15)
+        return increasing_inverse(eta, eta(u) + eta(v), 0.0, 16.0)
 
-    sampler = BinaryOpSampler(
-        fn=np.vectorize(fn, otypes=[float]), domain=(lo, hi), grid_n=grid_n
-    )
+    sampler = BinaryOpSampler(fn=fn, domain=(lo, hi), grid_n=grid_n)
     return sampler, eta
 
 
