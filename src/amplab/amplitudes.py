@@ -3,9 +3,9 @@
 Every setup gets a complex amplitude.  The one evaluation core,
 ``block_vectors``, takes a ``SetupBlock`` (``setups.py``) and threads one
 vector per column, as the columns of one array, through the one-step kernel:
-a column is a unit vector at its source site from its start step on, each
-filter multiplies its column by its 0/1 hole mask at its step, and a column
-is read after its stop step, before that step's masks.  The detector-site
+every column is a unit vector at its source site at step 0, each filter
+multiplies its column by its 0/1 hole mask at its step, and a column is read
+after its stop step, before that step's masks.  The detector-site
 entry of a column's vector is the amplitude.  ``detector_vector`` converts
 setups to a block and calls the core.  That evaluation is mathematically
 identical to a sum over all hole-threading paths weighted by products of
@@ -49,24 +49,17 @@ class PathExplosionError(RuntimeError):
     """Brute-force path enumeration would exceed the path guard."""
 
 
-def _by_step(steps: np.ndarray) -> dict[int, list[int]]:
-    """The columns at each step of ``steps``, ascending."""
-    columns: dict[int, list[int]] = {}
-    for b, step in enumerate(steps.tolist()):
-        columns.setdefault(step, []).append(b)
-    return columns
-
-
 def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
     """Masked transfer-matrix evolution of a block, one column per setup.
 
-    Every step multiplies every column by the one-step kernel.  A column
-    that starts after step 0 is zero until its start step, then its unit
-    vector; a column is read off after its stop step, before that step's
-    masks; then each filter of the step that closes a site multiplies its
-    column by its 0/1 mask.  An all-holes filter is inert and applies no
-    mask.  Entry ``[x, b]`` of the (L, B) result is column ``b`` at site
-    ``x``.  One setup is a block of one, stepped by matrix-vector products;
+    Every column starts as the unit vector at its source site at step 0,
+    and every step multiplies every column by the one-step kernel.  A column
+    is read off after its stop step, before that step's masks; then each
+    filter of the step that closes a site multiplies its column by its 0/1
+    mask.  Columns in stop order and closing filters in time order are each
+    cut into steps by one ``searchsorted``.  An all-holes filter is inert
+    and applies no mask.  Entry ``[x, b]`` of the (L, B) result is column
+    ``b`` at site ``x``.  One setup is a block of one, stepped by matrix-vector products;
     the bits of a column depend only on the number of columns in its block.
     """
     num_sites = kernel.num_sites
@@ -78,20 +71,19 @@ def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
         return np.zeros((num_sites, 0), dtype=complex)
     closing = ~block.masks.all(axis=1)[block.row]
     columns, masks = block.column[closing], block.masks[block.row[closing]]
-    last = int(block.stop.max())
-    bounds = np.searchsorted(block.time[closing], np.arange(1, last + 2))
-    starts, stops = _by_step(block.start), _by_step(block.stop)
+    read = np.argsort(block.stop, kind="stable")  # ascending within a step
+    last = int(block.stop[read[-1]])
+    steps = np.arange(1, last + 2)
+    bounds = np.searchsorted(block.time[closing], steps)
+    read_bounds = np.searchsorted(block.stop[read], steps)
     psi = np.zeros((num_sites, len(block)), dtype=complex)
-    at_zero = starts.pop(0, [])
-    psi[block.src[at_zero], at_zero] = 1.0
+    psi[block.src, np.arange(len(block))] = 1.0
     vectors = np.empty_like(psi)
     for k in range(1, last + 1):
         psi = kernel.step @ psi
-        if k in starts:
-            psi[:, starts[k]] = 0.0
-            psi[block.src[starts[k]], starts[k]] = 1.0
-        if k in stops:
-            vectors[:, stops[k]] = psi[:, stops[k]]
+        lo, hi = read_bounds[k - 1], read_bounds[k]
+        if lo < hi:
+            vectors[:, read[lo:hi]] = psi[:, read[lo:hi]]
         lo, hi = bounds[k - 1], bounds[k]
         if lo < hi:
             psi[:, columns[lo:hi]] *= masks[lo:hi].T
@@ -210,17 +202,17 @@ def _guard_trips(block: SetupBlock, max_paths: int) -> np.ndarray:
     none.  The count is a sum of log2 hole counts, and a column whose sum is
     within rounding of the guard is counted exactly, by ``_layers``.
     """
-    layers = block.stop - block.start - 1
+    layers = block.stop - 1
     holes = block.hole_counts
-    blocked = block.start + 1 + layers  # the first blocking step, or stop
+    blocked = block.stop.copy()  # the first blocking step, or stop
     np.minimum.at(blocked, block.column[holes == 0], block.time[holes == 0])
     before = block.time < blocked[block.column]
     columns = block.column[before]
-    free = blocked - block.start - 1 - np.bincount(columns, minlength=len(block))
+    free = blocked - 1 - np.bincount(columns, minlength=len(block))
     log_paths = free * math.log2(block.num_sites) + np.bincount(
         columns, np.log2(holes[before]), minlength=len(block)
     )
-    log_paths[blocked == block.start + 1] = -math.inf
+    log_paths[blocked == 1] = -math.inf
     if max_paths < 1:  # every count but 0 trips it, and 0 only below 0
         return (layers > 0) & ((log_paths > -math.inf) | (max_paths < 0))
     bound = math.log2(max_paths)

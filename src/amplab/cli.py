@@ -132,20 +132,21 @@ class _Run:
         """Write ``columns`` (header -> array or sequence) as CSV, or as JSON
         rows of the same cells when --format json.  A float column is written
         ``%.17g``, any other with ``str`` and None blank; no cell holds a comma,
-        quote or line break.  An array's dtype decides its rule; a sequence is
-        float when every cell is.  One ``%`` formats a row; CSV rows stream to
-        file."""
+        quote or line break.  A numeric array's dtype decides its rule; a
+        sequence or an object array is float when every cell is.  One ``%``
+        formats a row; CSV rows stream to file."""
         rules, values = [], []
         for column in columns.values():
-            is_float = isinstance(column, np.ndarray) and column.dtype.kind == "f"
-            if isinstance(column, np.ndarray):
-                column = column.tolist()
-            if is_float or all(isinstance(x, float) for x in column):
+            kind = column.dtype.kind if isinstance(column, np.ndarray) else "O"
+            if kind != "O":  # a numeric array holds no None
+                rules.append("%.17g" if kind == "f" else "%s")
+                values.append(column.tolist())
+            elif all(isinstance(x, float) for x in column):
                 rules.append("%.17g")
+                values.append(column)
             else:
                 rules.append("%s")
-                column = ("" if x is None else x for x in column)
-            values.append(column)
+                values.append("" if x is None else x for x in column)
         rows = zip(*values)
         line = ",".join(rules)
         if getattr(self.args, "format", "csv") == "json":

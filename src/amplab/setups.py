@@ -26,20 +26,21 @@ degenerate test case (its amplitude is zero) but is rejected as an operand of
 ``or_compose`` and never produced by ``insert_sigma`` or ``random_setup``.
 
 A ``SetupBlock`` holds many setups as a few arrays, one column per setup: the
-source and detector sites, and the first and last step of each column, with
-times counted from each setup's own source time.  Each filter is one entry
-``(time, column, row)``, sorted by time, then column; ``row`` indexes a small
-table of 0/1 hole masks whose row ``SIGMA_ROW`` opens every site and is the
-one row every sigma filter of a block points at.  ``random_block`` draws a
-block straight from its seeds and ``setup_block`` converts setups;
-``random_setups`` builds its setups from a drawn block.  A block holds
+source and detector sites and the last step of each column, with times
+counted from each setup's own source time, so every column starts at step 0.
+Each filter is one entry ``(time, column, row)``, sorted by time, then
+column; ``row`` indexes a small table of 0/1 hole masks whose row
+``SIGMA_ROW`` opens every site and is the one row every sigma filter of a
+block points at.  ``random_block`` draws a block straight from its seeds and
+``setup_block`` converts setups; ``random_setups`` builds its setups from a
+drawn block.  ``SetupBlock.parts`` splits a block at its single-hole filters
+into a block of parts, each moved to start at step 0.  A block holds
 O(setups + filters * sites) numbers: no array of it grows with the product
 of time, sites and setups, or with absolute time.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import random
@@ -175,11 +176,9 @@ def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Se
     """Insert a filter with holes everywhere (equivalent to no filter) at
     ``times``, one time or an iterable of times.
 
-    Each time must lie strictly between source and detector, so that sigma
-    filters are memoized at interior times only, and be free: a time taken
-    by a filter of ``setup`` or named twice fails ``Setup``'s time rule.  The
-    widened setup is built once, whatever the number of times, and each sigma
-    filter once per time and lattice size.
+    Each time must lie strictly between source and detector and be free: a
+    time taken by a filter of ``setup`` or named twice fails ``Setup``'s time
+    rule.  The widened setup is built once, whatever the number of times.
     """
     times = tuple(times) if isinstance(times, Iterable) else (times,)
     for time in times:
@@ -187,16 +186,9 @@ def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Se
             raise SetupError(
                 f"sigma time {time} not strictly between source and detector"
             )
-    sigmas = tuple(_sigma_filter(time, num_sites) for time in times)
+    everywhere = tuple(range(num_sites))
+    sigmas = tuple(FilterSpec(time, everywhere) for time in times)
     return Setup(setup.source, setup.detector, setup.filters + sigmas)
-
-
-@functools.cache
-def _sigma_filter(time: int, num_sites: int) -> FilterSpec:
-    """The all-holes filter at ``time`` on ``num_sites`` sites, built once and
-    shared: a FilterSpec is frozen.  The keys are bounded by the lattice's
-    interior times, not by the number of setups."""
-    return FilterSpec(time, tuple(range(num_sites)))
 
 
 def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:
@@ -237,20 +229,19 @@ def _hole_rows(open_sites: np.ndarray) -> np.ndarray:
 class SetupBlock:
     """Setups as arrays, one column each (see the module docstring).
 
-    Column ``b`` is a unit vector at site ``src[b]`` at step ``start[b]`` and
-    is read at site ``det[b]`` after step ``stop[b]``, before that step's
-    filters.  Its filters are the entries ``i`` with ``column[i] == b``: at
-    step ``time[i]`` they keep the sites open in ``masks[row[i]]``.  A block
-    from ``setup_block`` or ``random_block`` starts every column at step 0
-    and gives every filter a row of its own; only sigma filters share one.
+    Column ``b`` is a unit vector at site ``src[b]`` at step 0 and is read
+    at site ``det[b]`` after step ``stop[b]``, at least 1, before that
+    step's filters.  Its filters are the entries ``i`` with ``column[i] ==
+    b``: at step ``time[i]`` they keep the sites open in ``masks[row[i]]``.
+    A block from ``setup_block`` or ``random_block`` gives every filter a
+    row of its own; only sigma filters share one.
     """
 
-    __slots__ = ("src", "det", "start", "stop", "time", "column", "row", "masks")
+    __slots__ = ("src", "det", "stop", "time", "column", "row", "masks")
 
-    def __init__(self, src, det, start, stop, time, column, row, masks) -> None:
+    def __init__(self, src, det, stop, time, column, row, masks) -> None:
         self.src = src  # (B,) source sites
         self.det = det  # (B,) detector sites
-        self.start = start  # (B,) first step of each column
         self.stop = stop  # (B,) last step of each column
         self.time = time  # (F,) step of each filter, ascending
         self.column = column  # (F,) its column, ascending within a step
@@ -276,14 +267,13 @@ class SetupBlock:
         index[columns] = np.arange(len(columns))
         kept = index[self.column] >= 0
         return SetupBlock(
-            self.src[columns], self.det[columns], self.start[columns],
-            self.stop[columns], self.time[kept], index[self.column[kept]],
-            self.row[kept], self.masks,
+            self.src[columns], self.det[columns], self.stop[columns],
+            self.time[kept], index[self.column[kept]], self.row[kept], self.masks,
         )
 
     def setups(self) -> list[Setup]:
-        """One ``Setup`` per column: source at time ``start``, detector at
-        time ``stop``, and a filter per entry."""
+        """One ``Setup`` per column: source at time 0, detector at time
+        ``stop``, and a filter per entry."""
         entries, sites = np.nonzero(self.masks[self.row])  # sites ascending
         ends = np.cumsum(np.bincount(entries, minlength=len(self.row))).tolist()
         sites = sites.tolist()
@@ -291,32 +281,29 @@ class SetupBlock:
         filters: list[list[FilterSpec]] = [[] for _ in range(len(self))]
         for t, b, h in zip(self.time.tolist(), self.column.tolist(), holes):
             filters[b].append(FilterSpec(t, h))
-        columns = zip(
-            self.src.tolist(), self.det.tolist(), self.start.tolist(),
-            self.stop.tolist(), filters,
-        )
+        columns = zip(self.src.tolist(), self.det.tolist(), self.stop.tolist(), filters)
         return [
-            Setup(Event(src, start), Event(det, stop), tuple(fs))
-            for src, det, start, stop, fs in columns
+            Setup(Event(src, 0), Event(det, stop), tuple(fs))
+            for src, det, stop, fs in columns
         ]
 
     def widened(self) -> SetupBlock:
         """The block with a sigma filter, on row ``SIGMA_ROW``, at every
         interior step of every column that has no filter: ``insert_sigma``
         at every free time, on the whole block."""
-        layers = self.stop - self.start - 1  # interior steps of each column
+        layers = self.stop - 1  # interior steps of each column
         first = np.cumsum(layers) - layers  # index of each column's first one
         free = np.ones(int(layers.sum()), dtype=bool)
-        free[first[self.column] + self.time - self.start[self.column] - 1] = False
+        free[first[self.column] + self.time - 1] = False
         column = np.repeat(np.arange(len(self)), layers)
-        time = np.arange(len(free)) - (first - self.start - 1)[column]
+        time = np.arange(len(free)) - (first - 1)[column]
         time = np.concatenate([self.time, time[free]])
         column = np.concatenate([self.column, column[free]])
         row = np.concatenate([self.row, np.full(len(time) - len(self.row), SIGMA_ROW)])
         order = np.lexsort((column, time))
         return SetupBlock(
-            self.src, self.det, self.start, self.stop,
-            time[order], column[order], row[order], self.masks,
+            self.src, self.det, self.stop, time[order], column[order], row[order],
+            self.masks,
         )
 
     def parts(self) -> tuple[SetupBlock, np.ndarray]:
@@ -326,12 +313,13 @@ class SetupBlock:
 
         Part ``j`` of a column runs from its ``j``-th split to the next, or
         from its source or to its detector; a split's hole is the detector of
-        the part before it and the source of the part after it.  The parts
-        keep the filter entries of their columns: an entry goes to the part
-        whose span holds its step, and a split's entry to the part that
-        stops there, which is read before it.
+        the part before it and the source of the part after it, and its entry
+        is dropped.  Every other entry goes to the part whose span holds its
+        step, moved back by the step where the part begins, so every part
+        starts at step 0 and stops at its length.
         """
-        split = np.flatnonzero(self.hole_counts == 1)
+        single = self.hole_counts == 1
+        split = np.flatnonzero(single)
         split = split[np.lexsort((self.time[split], self.column[split]))]
         span = int(self.stop.max(initial=0)) + 1
         keys = self.column * span + self.time  # (column, time) order
@@ -343,14 +331,17 @@ class SetupBlock:
         stopped = self.column[split] + np.arange(len(split))
         sites = self.masks[self.row[split]].argmax(axis=1)
         src = np.empty(len(self) + len(split), dtype=np.intp)
-        det, start, stop = np.empty_like(src), np.empty_like(src), np.empty_like(src)
-        src[first[:-1]], start[first[:-1]] = self.src, self.start
+        det, begin, stop = np.empty_like(src), np.zeros_like(src), np.empty_like(src)
+        src[first[:-1]] = self.src
         det[first[1:] - 1], stop[first[1:] - 1] = self.det, self.stop
         det[stopped], stop[stopped] = sites, self.time[split]
-        src[stopped + 1], start[stopped + 1] = sites, self.time[split]
-        column = self.column + np.searchsorted(split_keys, keys)
+        src[stopped + 1], begin[stopped + 1] = sites, self.time[split]
+        column = self.column[~single] + np.searchsorted(split_keys, keys[~single])
+        time = self.time[~single] - begin[column]
+        order = np.lexsort((column, time))
         parts = SetupBlock(
-            src, det, start, stop, self.time, column, self.row, self.masks
+            src, det, stop - begin, time[order], column[order],
+            self.row[~single][order], self.masks,
         )
         return parts, first
 
@@ -361,8 +352,7 @@ def _block(src, det, stop, time, column, open_sites) -> SetupBlock:
     order = np.lexsort((column, time))
     masks = np.vstack([_sigma_row(open_sites.shape[1]), _hole_rows(open_sites[order])])
     return SetupBlock(
-        src, det, np.zeros_like(src), stop, time[order], column[order],
-        np.arange(1, len(order) + 1), masks,
+        src, det, stop, time[order], column[order], np.arange(1, len(order) + 1), masks
     )
 
 

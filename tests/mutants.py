@@ -56,28 +56,42 @@ def block_filters(block):
     that the block core applies before it reads the column."""
     filters = [[] for _ in range(len(block))]
     for t, b, r in zip(block.time.tolist(), block.column.tolist(), block.row.tolist()):
-        if block.start[b] < t < block.stop[b]:
+        if 0 < t < block.stop[b]:
             filters[b].append(FilterSpec(t, np.flatnonzero(block.masks[r]).tolist()))
     return filters
 
 
-def core(step=None, holes=None, shift=0, earliest=False, latest=False, neighbour=0):
+def core(step=None, holes=None, shift=0, latest=False, neighbour=0):
     """The patch of the block core ``block_vectors`` by ``column``, one column
-    per block column; the batching defects start every column at the block's
-    earliest start step, read it at the latest stop step, or mask it by the
-    filters of the next column."""
+    per block column, each from step 0; the batching defects read every
+    column at the latest stop step, or mask it by the filters of the next
+    column."""
 
     def block_vectors(block, kernel):
-        first, last = int(block.start.min()), int(block.stop.max())
+        last = int(block.stop.max())
         filters = block_filters(block)
         return np.column_stack([
-            column(kernel, int(block.src[b]), first if earliest else int(block.start[b]),
-                   last if latest else int(block.stop[b]),
+            column(kernel, int(block.src[b]), 0, last if latest else int(block.stop[b]),
                    filters[(b + neighbour) % len(block)], step, holes, shift)
             for b in range(len(block))
         ])
 
     return amplitudes, "block_vectors", block_vectors
+
+
+def _parts_at_parent_steps(block, parts=setups.SetupBlock.parts):
+    # every part starts at step 0 and stops at its length, but its filters
+    # stay at the parent's steps: a part begins where the parts before it in
+    # its column end
+    moved, first = parts(block)
+    begin = np.cumsum(moved.stop) - moved.stop
+    begin -= np.repeat(begin[first[:-1]], np.diff(first))
+    time = moved.time + begin[moved.column]
+    order = np.lexsort((moved.column, time))
+    return setups.SetupBlock(
+        moved.src, moved.det, moved.stop, time[order], moved.column[order],
+        moved.row[order], moved.masks,
+    ), first
 
 
 def _map(state_map):
@@ -130,8 +144,12 @@ MUTANTS = {
     "phase": (core(_map(lambda psi: np.exp(0.1j) * psi)), "tm da sa / bf", LINEAR, "tm da sa / bf"),
     "leak": (core(_map(lambda psi: 0.999 * psi)), "tm da sa / bf", LINEAR, "tm da sa / bf"),
     "transposed": (core(lambda kernel, psi: kernel.step.T @ psi), *(SYMMETRIC,) * 3),
-    # batching: only the decomposition's parts have spans of their own
-    "start": (core(earliest=True), "tm sa bf / da", "tm sa / da", ONE_COLUMN),
+    # batching: only the decomposition's parts have spans of their own, and
+    # only SetupBlock.parts moves filters to a part's own steps
+    "start": (
+        (setups.SetupBlock, "parts", _parts_at_parent_steps), "tm sa bf / da", "tm sa / da",
+        ONE_COLUMN,
+    ),
     "read": (core(latest=True), "tm sa bf / da", "tm sa / da", ONE_COLUMN),
     "neighbour": (core(neighbour=1), "tm sa / da / bf", "tm sa / da", ONE_COLUMN),
     # the block's hole table: filters short of a hole, and the shared

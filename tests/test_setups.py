@@ -29,7 +29,7 @@ from amplab import (
 from amplab.cli import FUZZ_BLOCK
 from amplab.setups import _GAMMA, SEED_LIMIT, _mix64, check_sites
 
-BLOCK_ARRAYS = ("src", "det", "start", "stop", "time", "column", "row", "masks")
+BLOCK_ARRAYS = ("src", "det", "stop", "time", "column", "row", "masks")
 
 CONFIG = LatticeConfig(num_sites=4, num_steps=4)
 
@@ -295,15 +295,16 @@ def test_drawn_block_equals_the_block_of_its_setups(first):
 
 def test_block_parts_are_the_decomposition_at_every_single_hole_filter():
     # each column's parts, in order, are the setups decompose_at splits off
-    # at its single-hole filters; a part holds the filters strictly inside it
+    # at its single-hole filters, moved to source time 0
     config = LatticeConfig(5, 9)
     setups = random_setups(config, range(300), 8)
     parts, first = setup_block(setups, 5).parts()
     assert first[0] == 0 and first[-1] == len(parts)
-    inside = [[] for _ in range(len(parts))]
-    for t, b, r in zip(parts.time.tolist(), parts.column.tolist(), parts.row.tolist()):
-        if parts.start[b] < t < parts.stop[b]:
-            inside[b].append(FilterSpec(t, np.flatnonzero(parts.masks[r]).tolist()))
+    # the core cuts both by searchsorted: entries by (time, column), and
+    # every column read after a step
+    assert (np.diff(parts.time * len(parts) + parts.column) > 0).all()
+    assert (parts.stop >= 1).all()
+    got = parts.setups()
     splits = 0
     for b, setup in enumerate(setups):
         expected, rest = [], setup
@@ -313,12 +314,15 @@ def test_block_parts_are_the_decomposition_at_every_single_hole_filter():
                 expected.append(earlier)
         expected.append(rest)
         splits += len(expected) - 1
-        got = [
-            Setup(Event(int(parts.src[j]), int(parts.start[j])),
-                  Event(int(parts.det[j]), int(parts.stop[j])), tuple(inside[j]))
-            for j in range(first[b], first[b + 1])
+        shifted = [
+            Setup(
+                Event(s.source.site, 0),
+                Event(s.detector.site, s.detector.time - s.source.time),
+                tuple(FilterSpec(f.time - s.source.time, f.holes) for f in s.filters),
+            )
+            for s in expected
         ]
-        assert got == expected
+        assert got[first[b] : first[b + 1]] == shifted
     assert splits > 100
 
 
