@@ -748,7 +748,7 @@ def test_explicit_all_holes_filters_leave_detector_vector_unchanged(
         )
 
 
-def test_sigma_filters_are_built_once_per_time_and_lattice_size():
+def test_sigma_filters_open_every_site_and_share_the_sigma_row():
     # insert_sigma opens every site at each time it is given
     config = LatticeConfig(16, 24)
     setup = Setup(Event(3, 0), Event(5, 24), (FilterSpec(4, (1, 2)),))

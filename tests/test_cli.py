@@ -1042,6 +1042,21 @@ def test_kernel_construction_failure_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: matrix exponential series failed" in capsys.readouterr().err
 
 
+def test_nan_unitarity_defect_exits_1(tmp_path, monkeypatch, capsys):
+    # finite entries around 1e160: K^dagger K overflows to inf - inf, so the
+    # defect is NaN, which the gate must read as a refusal, not as a pass
+    rng = np.random.default_rng(1)
+    huge = 1e160 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+    assert np.isnan(lattice.unitarity_defect(lattice.Kernel(huge)))
+    monkeypatch.setattr(lattice, "expm_series", lambda matrix: huge)
+    argv = ["double-slit", "--holes", "3,9", "--out", str(tmp_path / "ds")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is read, not warned about
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: tight-binding kernel not unitary (defect nan)\n"
+
+
 _SCIPY_PROBE = """
 import sys
 

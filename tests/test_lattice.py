@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from amplab import (
     unitarity_defect,
 )
 from amplab import lattice
-from amplab.lattice import wavefunction_from_list
+from amplab.cli import _fuzz_kernel
+from amplab.lattice import UNITARITY_TOL, wavefunction_from_list
 
 
 def test_config_validation():
@@ -190,6 +192,95 @@ def test_tight_binding_unitarity():
     # direct multiply oracle
     k = kernel.step
     assert np.max(np.abs(k.conj().T @ k - np.eye(4))) <= 1e-12
+
+
+def _dense_defect(step: np.ndarray) -> float:
+    """The dense oracle: the largest entry modulus of K^dagger K - I."""
+    return float(np.max(np.abs(step.conj().T @ step - np.eye(len(step)))))
+
+
+# (num_sites, dt, hop): the fuzz kernels (dt None) at both fuzz shapes, and
+# double-slit kernels that the gate accepts and refuses today
+ACCEPTED_KERNELS = [(8, None, None), (16, None, None), (512, 0.35, 1.0), (16, 40.0, 1.0)]
+REFUSED_KERNELS = [(16, 1e4, 1.0), (16, 1e9, 1.0), (16, 1e308, 0.3)]
+
+
+def _step(num_sites, dt, hop):
+    if dt is None:
+        return _fuzz_kernel(LatticeConfig(num_sites, 1)).step
+    return kernel_from_hamiltonian(tight_binding_hamiltonian(num_sites, hop), dt).step
+
+
+@pytest.mark.parametrize(
+    "shape, accepted",
+    [(s, True) for s in ACCEPTED_KERNELS] + [(s, False) for s in REFUSED_KERNELS],
+)
+def test_unitarity_probe_reads_near_the_dense_defect(shape, accepted):
+    # a probe entry is at most a row sum of |K^dagger K - I|, so at most L
+    # times the dense value.  With its fixed seed the probe read 1.08 to 2.4
+    # times the dense value on these kernels; the accepted ones sit at the
+    # rounding level, where the two products round differently, so the
+    # stated factor is [1/2, 4]
+    num_sites, dt, hop = shape
+    step = _step(num_sites, dt, hop)
+    probe, dense = unitarity_defect(Kernel(step)), _dense_defect(step)
+    assert dense / 2 <= probe <= 4 * dense
+    assert (probe <= UNITARITY_TOL) is accepted
+    assert (dense <= UNITARITY_TOL) is accepted
+    if dt is not None:
+        config = LatticeConfig(num_sites, 1, dt=dt)
+        if accepted:
+            make_tight_binding_kernel(config, hop=hop)
+        else:
+            with pytest.raises(RuntimeError, match="not unitary"):
+                make_tight_binding_kernel(config, hop=hop)
+
+
+def _planted_defects(step: np.ndarray):
+    """Names and copies of unitary ``step``, each with one defect of scale
+    1e-9 planted."""
+    n = len(step)
+    rng = np.random.default_rng(29)
+    interior = [tuple(rng.integers(1, n - 1, 2)) for _ in range(12)]
+    for i, j in [(0, n - 1), (n - 1, 0)] + interior:  # wrap corners first
+        for move in (1e-9, 1e-9j, -1e-9):
+            planted = step.copy()
+            planted[i, j] += move
+            yield f"entry ({i}, {j}) moved by {move}", planted
+    for j in (0, n // 2, n - 1):
+        planted = step.copy()
+        planted[:, j] *= 1 + 1e-9
+        yield f"column {j} scaled", planted
+    yield "whole kernel scaled", step * (1 + 1e-9)
+    # K (I + 1e-9 x x^T) with x = e_0 - e_1: the defect 2e-9 x x^T has zero
+    # row sums, so a probe of equal phases would read only rounding
+    x = np.zeros(n)
+    x[:2] = 1, -1
+    yield "columns 0 and 1 mixed", step + 1e-9 * np.outer(step @ x, x)
+
+
+@pytest.mark.parametrize("num_sites, dt", [(16, None), (512, 0.35)])
+def test_unitarity_gate_refuses_planted_defects(monkeypatch, num_sites, dt):
+    step = _step(num_sites, dt, 1.0)
+    assert unitarity_defect(Kernel(step)) <= UNITARITY_TOL
+    config = LatticeConfig(num_sites, 1, dt=dt or 1.0)
+    for name, planted in _planted_defects(step):
+        monkeypatch.setattr(lattice, "expm_series", lambda matrix: planted)
+        with pytest.raises(RuntimeError, match="not unitary"):
+            make_tight_binding_kernel(config, hop=1.0)
+        # a defect of 1e-9 reads within a factor of ten of its size
+        assert unitarity_defect(Kernel(planted)) >= 1e-10, name
+
+
+def test_unitarity_probe_is_deterministic_and_keeps_the_global_random_state():
+    kernel = _fuzz_kernel(LatticeConfig(16, 1))
+    before, python_before = np.random.get_state(), random.getstate()
+    first = unitarity_defect(kernel)
+    after = np.random.get_state()
+    assert first.hex() == unitarity_defect(kernel).hex()
+    assert before[0] == after[0] and np.array_equal(before[1], after[1])
+    assert before[2:] == after[2:]
+    assert random.getstate() == python_before
 
 
 def test_tight_binding_onsite_length_mismatch():
