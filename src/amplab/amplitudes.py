@@ -107,37 +107,30 @@ def amplitude(setup: Setup, kernel: Kernel) -> complex:
     return complex(detector_vector((setup,), kernel)[setup.detector.site, 0])
 
 
-def _layers(setup: Setup, num_sites: int, max_paths: int) -> list[tuple[int, ...]]:
-    """The sites open at each time between source and detector.  Raises
-    ``PathExplosionError`` as soon as the paths through the layers so far
-    outnumber ``max_paths``."""
+def amplitude_bruteforce(
+    setup: Setup, kernel: Kernel, max_paths: int = DEFAULT_PATH_GUARD
+) -> complex:
+    """Amplitude as a literal sum over every path threading the filter holes.
+
+    Exponentially expensive; guarded by ``max_paths``, which is checked
+    against the paths through the layers so far, as each layer of open
+    sites is listed and before any array exists.  This is the oracle that
+    every other evaluation strategy is checked against; ``_path_sum`` sums
+    the paths.
+    """
+    check_sites(setup, kernel.num_sites)
     by_time = {f.time: f for f in setup.filters}
     allowed: list[tuple[int, ...]] = []
     n_paths = 1
     for t in range(setup.source.time + 1, setup.detector.time):
         f = by_time.get(t)
-        sites = f.holes if f is not None else tuple(range(num_sites))
+        sites = f.holes if f is not None else tuple(range(kernel.num_sites))
         allowed.append(sites)
         n_paths *= len(sites)
         if n_paths > max_paths:
             raise PathExplosionError(
                 f"path count exceeds guard of {max_paths} paths"
             )
-    return allowed
-
-
-def amplitude_bruteforce(
-    setup: Setup, kernel: Kernel, max_paths: int = DEFAULT_PATH_GUARD
-) -> complex:
-    """Amplitude as a literal sum over every path threading the filter holes.
-
-    Exponentially expensive; guarded by ``max_paths``, which ``_layers``
-    checks against the paths through the layers so far before any array
-    exists.  This is the oracle that every other evaluation strategy is
-    checked against; ``_path_sum`` sums the paths.
-    """
-    check_sites(setup, kernel.num_sites)
-    allowed = _layers(setup, kernel.num_sites, max_paths)
     if not all(allowed):
         return 0.0 + 0.0j  # a blocking filter kills every path
     layers = [(setup.source.site,), *allowed, (setup.detector.site,)]
@@ -199,32 +192,20 @@ def _guard_trips(block: SetupBlock, max_paths: int) -> np.ndarray:
     The guard counts the paths through the layers so far, so it trips when
     the layers before the first blocking filter (all of them if there is
     none) hold more than ``max_paths`` paths; a blocking first layer holds
-    none.  The count is a sum of log2 hole counts, and a column whose sum is
-    within rounding of the guard is counted exactly, by ``_layers``.
+    none, and on a column with no layer it checks nothing.  Each count is a
+    Python int: ``num_sites`` to the power of the free layers times the hole
+    counts of the filters before the first blocking one.
     """
-    layers = block.stop - 1
     holes = block.hole_counts
     blocked = block.stop.copy()  # the first blocking step, or stop
     np.minimum.at(blocked, block.column[holes == 0], block.time[holes == 0])
     before = block.time < blocked[block.column]
     columns = block.column[before]
     free = blocked - 1 - np.bincount(columns, minlength=len(block))
-    log_paths = free * math.log2(block.num_sites) + np.bincount(
-        columns, np.log2(holes[before]), minlength=len(block)
-    )
-    log_paths[blocked == 1] = -math.inf
-    if max_paths < 1:  # every count but 0 trips it, and 0 only below 0
-        return (layers > 0) & ((log_paths > -math.inf) | (max_paths < 0))
-    bound = math.log2(max_paths)
-    trips = (layers > 0) & (log_paths > bound)
-    near = (layers > 0) & (np.abs(log_paths - bound) <= 1e-9 * (1 + bound))
-    for b in np.flatnonzero(near):
-        try:
-            _layers(block.take([b]).setups()[0], block.num_sites, max_paths)
-            trips[b] = False
-        except PathExplosionError:
-            trips[b] = True
-    return trips
+    paths = np.power(block.num_sites, free, dtype=object)
+    np.multiply.at(paths, columns, holes[before])
+    paths[blocked == 1] = 0
+    return (block.stop > 1) & (paths > max_paths)
 
 
 class EvalStrategy:
@@ -266,8 +247,10 @@ class TransferMatrix(EvalStrategy):
 class BruteForcePaths(EvalStrategy):
     """Evaluate by literal enumeration of every hole-threading path.
 
-    The columns whose path guard trips are skipped; ``values`` passes each
-    column to ``amplitude_bruteforce`` as a ``Setup``.
+    ``skipped`` names the columns whose path guard trips, counted exactly
+    on the block by ``_guard_trips``, with the text ``amplitude_bruteforce``
+    raises; ``values`` passes each column to ``amplitude_bruteforce`` as a
+    ``Setup``.
     """
 
     max_paths: int = DEFAULT_PATH_GUARD
@@ -432,8 +415,10 @@ def consistency_check(
     into one column of ``values``.  A strategy skips the setups it names in
     ``skipped``, such as those whose path guard trips, and its reasons are
     its entry of the report's ``skipped``; at least two strategies must run
-    on every setup.  Every pair's deviations on the block are one
-    ``_deviations`` call over the setups where both ran.
+    on every setup.  The path guard is counted exactly on the block, so the
+    path sum raises ``PathExplosionError`` only by itself; then it is
+    skipped on every setup, with that reason.  Every pair's deviations on
+    the block are one ``_deviations`` call over the setups where both ran.
     ``independent_setups`` counts the setups on which some strategy that ran
     is ``independent`` of the core: the path sum ran or the decomposition
     split.  On any other, every strategy that ran is the one core on the
@@ -464,8 +449,8 @@ def consistency_check(
                     block.take(columns) if reasons else block, kernel, strategy
                 )
             except PathExplosionError as exc:
-                # the path sum's own guard tripped on a setup that the
-                # block's admitted: the path sum is skipped on the block
+                # the block's path guard is exact, so only a path sum that
+                # raises by itself gets here: it is skipped on the block
                 reasons.update(dict.fromkeys(columns.tolist(), str(exc)))
                 ran[:, s] = False
             independent |= ran[:, s] & strategy.independent(block)

@@ -211,9 +211,9 @@ def tight_binding_hamiltonian(
     if not np.all(np.isfinite(diag)) or not np.isfinite(hop):
         raise ValueError("couplings must be finite")
     h = np.diag(diag.astype(complex))
-    for i in range(num_sites - 1):
-        h[i + 1, i] = hop
-        h[i, i + 1] = np.conj(hop)
+    i = np.arange(num_sites - 1)
+    h[i + 1, i] = hop
+    h[i, i + 1] = np.conj(hop)
     if boundary == "ring":
         if num_sites < 3:
             raise ValueError("ring boundary needs at least 3 sites")

@@ -257,8 +257,8 @@ class SetupBlock:
 
     @property
     def hole_counts(self) -> np.ndarray:
-        """The number of holes of each filter."""
-        return self.masks.sum(axis=1)[self.row]
+        """The number of holes of each filter, as ints."""
+        return np.count_nonzero(self.masks, axis=1)[self.row]
 
     def take(self, columns: np.ndarray) -> SetupBlock:
         """The block of the given columns, in ascending order, with their

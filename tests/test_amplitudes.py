@@ -871,17 +871,26 @@ def test_fuzz_takes_a_path_guard_past_int64(tmp_path, capsys):
     assert manifest["brute_force_ran"] == 20 and manifest["skipped_reasons"] == {}
 
 
-def test_the_path_guard_is_exact_where_log2_sums_round():
-    # 3**31 paths through 31 open layers of 3 sites: a float sum of log2
-    # hole counts does not tell 3**31 from a guard of 3**31 - 1
-    setup = Setup(Event(0, 0), Event(1, 32))
-    block = setup_block([setup], 3)
-    assert 31 * math.log2(3) <= math.log2(3**31 - 1)
-    reason = f"path count exceeds guard of {3**31 - 1} paths"
+@pytest.mark.parametrize(
+    "num_sites, stop, filters",
+    [(3, 32, ()), (16, 24, ()), (5, 40, (FilterSpec(11, tuple(range(5))),))],
+    ids=["3-32", "16-24", "5-40-all-holes"],
+)
+def test_the_path_guard_counts_paths_exactly(num_sites, stop, filters):
+    # a setup with no filter that closes a site has num_sites ** (stop - 1)
+    # paths: a sum of log2 hole counts does not tell 3**31 from a guard of
+    # 3**31 - 1; 16**23 = 2**92 is past int64, and a float count does not
+    # tell it from 2**92 - 1; nor does a float hole count tell 5**39 from
+    # 5**39 - 1
+    paths = num_sites ** (stop - 1)
+    setup = Setup(Event(0, 0), Event(1, stop), filters)
+    block = setup_block([setup], num_sites)
+    reason = f"path count exceeds guard of {paths - 1} paths"
+    kernel = random_kernel(num_sites, np.random.default_rng(73))
     with pytest.raises(PathExplosionError, match=reason):
-        amplitude_bruteforce(setup, random_kernel(3, np.random.default_rng(73)), 3**31 - 1)
-    assert BruteForcePaths(max_paths=3**31 - 1).skipped(block) == {0: reason}
-    assert BruteForcePaths(max_paths=3**31).skipped(block) == {}
+        amplitude_bruteforce(setup, kernel, paths - 1)
+    assert BruteForcePaths(max_paths=paths - 1).skipped(block) == {0: reason}
+    assert BruteForcePaths(max_paths=paths).skipped(block) == {}
 
 
 @pytest.mark.parametrize("max_paths", [0, -1])
