@@ -91,13 +91,9 @@ from .setups import (
     SetupBlock,
     SetupError,
     and_compose,
-    decompose_at,
-    insert_sigma,
     load_setup,
     or_compose,
     random_block,
-    random_setup,
-    random_setups,
     save_setup,
     setup_block,
 )

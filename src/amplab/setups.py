@@ -19,11 +19,11 @@ are deliberately partial:
   filter carries the union of the holes.  The operation is commutative.
 
 A filter with holes everywhere (a "sigma" filter) is physically equivalent to
-no filter at all and may be inserted freely; ``insert_sigma`` does this at one
-free time or at several at once, building the widened setup once.  A
-filter with an empty hole set blocks everything.  It is representable as a
-degenerate test case (its amplitude is zero) but is rejected as an operand of
-``or_compose`` and never produced by ``insert_sigma`` or ``random_setup``.
+no filter at all and may be inserted freely; ``SetupBlock.widened`` does this
+at every free time of every column.  A filter with an empty hole set blocks
+everything.  It is representable as a degenerate test case (its amplitude is
+zero) but is rejected as an operand of ``or_compose`` and never produced by
+``SetupBlock.widened`` or ``random_block``.
 
 A ``SetupBlock`` holds many setups as a few arrays, one column per setup: the
 source and detector sites and the last step of each column, with times
@@ -31,10 +31,10 @@ counted from each setup's own source time, so every column starts at step 0.
 Each filter is one entry ``(time, column, row)``, sorted by time, then
 column; ``row`` indexes a small table of 0/1 hole masks whose row
 ``SIGMA_ROW`` opens every site and is the one row every sigma filter of a
-block points at.  ``random_block`` draws a block straight from its seeds and
-``setup_block`` converts setups; ``random_setups`` builds its setups from a
-drawn block.  ``SetupBlock.parts`` splits a block at its single-hole filters
-into a block of parts, each moved to start at step 0.  A block holds
+block points at.  ``random_block`` draws a block straight from its seeds,
+``setup_block`` converts setups, and ``SetupBlock.setups`` converts back.
+``SetupBlock.parts`` splits a block at its single-hole filters into a block
+of parts, each moved to start at step 0.  A block holds
 O(setups + filters * sites) numbers: no array of it grows with the product
 of time, sites and setups, or with absolute time.
 """
@@ -43,8 +43,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -132,7 +131,8 @@ def and_compose(earlier: Setup, later: Setup) -> Setup:
     """Concatenate two consecutive setups; the junction becomes a single-hole filter.
 
     Allowed only when ``earlier.detector == later.source`` (same site and
-    time).  ``decompose_at`` at the junction time inverts the operation.
+    time).  ``SetupBlock.parts`` inverts the operation at every single-hole
+    filter of a block.
     """
     if earlier.detector != later.source:
         raise NonConsecutiveError(
@@ -170,45 +170,6 @@ def or_compose(a: Setup, b: Setup) -> Setup:
     merged = FilterSpec(a.filters[i].time, tuple(holes_a | holes_b))
     new_filters = a.filters[:i] + (merged,) + a.filters[i + 1 :]
     return Setup(a.source, a.detector, new_filters)
-
-
-def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Setup:
-    """Insert a filter with holes everywhere (equivalent to no filter) at
-    ``times``, one time or an iterable of times.
-
-    Each time must lie strictly between source and detector and be free: a
-    time taken by a filter of ``setup`` or named twice fails ``Setup``'s time
-    rule.  The widened setup is built once, whatever the number of times.
-    """
-    times = tuple(times) if isinstance(times, Iterable) else (times,)
-    for time in times:
-        if not setup.source.time < time < setup.detector.time:
-            raise SetupError(
-                f"sigma time {time} not strictly between source and detector"
-            )
-    everywhere = tuple(range(num_sites))
-    sigmas = tuple(FilterSpec(time, everywhere) for time in times)
-    return Setup(setup.source, setup.detector, setup.filters + sigmas)
-
-
-def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:
-    """Split at a single-hole filter into (earlier, later); inverse of and_compose."""
-    f = setup.filter_at(time)
-    if f is None:
-        raise SetupError(f"no filter at time {time}")
-    if len(f.holes) != 1:
-        raise SetupError(
-            f"filter at time {time} has {len(f.holes)} holes; decomposition "
-            "needs exactly one"
-        )
-    junction = Event(f.holes[0], time)
-    earlier = Setup(
-        setup.source, junction, tuple(g for g in setup.filters if g.time < time)
-    )
-    later = Setup(
-        junction, setup.detector, tuple(g for g in setup.filters if g.time > time)
-    )
-    return earlier, later
 
 
 # the row of a block's hole table that opens every site
@@ -273,7 +234,8 @@ class SetupBlock:
 
     def setups(self) -> list[Setup]:
         """One ``Setup`` per column: source at time 0, detector at time
-        ``stop``, and a filter per entry."""
+        ``stop``, and a filter per entry.  The brute-force path sum still
+        takes one ``Setup`` at a time, so ``BruteForcePaths`` needs this."""
         entries, sites = np.nonzero(self.masks[self.row])  # sites ascending
         ends = np.cumsum(np.bincount(entries, minlength=len(self.row))).tolist()
         sites = sites.tolist()
@@ -289,8 +251,9 @@ class SetupBlock:
 
     def widened(self) -> SetupBlock:
         """The block with a sigma filter, on row ``SIGMA_ROW``, at every
-        interior step of every column that has no filter: ``insert_sigma``
-        at every free time, on the whole block."""
+        interior step of every column that has no filter.  Its reference
+        is ``insert_sigma`` in ``tests/genutil.py``, on one ``Setup`` at
+        every free time."""
         layers = self.stop - 1  # interior steps of each column
         first = np.cumsum(layers) - layers  # index of each column's first one
         free = np.ones(int(layers.sum()), dtype=bool)
@@ -307,9 +270,11 @@ class SetupBlock:
         )
 
     def parts(self) -> tuple[SetupBlock, np.ndarray]:
-        """The block split at every single-hole filter, ``decompose_at`` on
-        the whole block by index arithmetic, and the first part of each
-        column; column ``b``'s parts are ``first[b]`` up to ``first[b + 1]``.
+        """The block split at every single-hole filter by index arithmetic,
+        and the first part of each column; column ``b``'s parts are
+        ``first[b]`` up to ``first[b + 1]``.  Its reference is
+        ``decompose_at`` in ``tests/genutil.py``, on one ``Setup`` at one
+        filter.
 
         Part ``j`` of a column runs from its ``j``-th split to the next, or
         from its source or to its detector; a split's hole is the detector of
@@ -468,28 +433,6 @@ def random_block(
         column,
         ranks < n_holes[:, None],
     )
-
-
-def random_setups(
-    config: LatticeConfig,
-    seeds: Sequence[int],
-    max_filters: int,
-) -> list[Setup]:
-    """The setups of ``random_block`` of ``seeds``, one per seed."""
-    return random_block(config, seeds, max_filters).setups()
-
-
-def random_setup(
-    config: LatticeConfig,
-    rng_seed: int | random.Random,
-    max_filters: int,
-) -> Setup:
-    """Deterministic random setup spanning the full time range of ``config``:
-    ``random_setups`` on a block of one seed, so the same seed gives the same
-    setup in any block.  An int seed must lie in ``[0, 2**64)``.  A
-    ``random.Random`` gives a 63-bit seed drawn from it."""
-    seed = rng_seed if isinstance(rng_seed, int) else rng_seed.getrandbits(63)
-    return random_setups(config, (seed,), max_filters)[0]
 
 
 def setup_to_dict(setup: Setup) -> dict:

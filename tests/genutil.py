@@ -1,13 +1,21 @@
 """Deterministic random generators shared by the test modules, a
-strict-JSON hook and an array inverse of increasing functions.
+strict-JSON hook, an array inverse of increasing functions, and the
+``Setup``-level references of the block code.
 
 Everything here is seeded: the same seed always produces the same setups,
 kernels and states, so failures reproduce exactly.
+
+``insert_sigma`` and ``decompose_at`` state the setup algebra's two rules on
+one ``Setup`` at a time and build nothing but ``Setup`` objects: they are the
+references that ``SetupBlock.widened`` and ``SetupBlock.parts`` are checked
+against, and use no block code.  ``random_setup`` is a test input, one setup
+of ``random_block`` per seed.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -17,9 +25,10 @@ from amplab import (
     Kernel,
     LatticeConfig,
     Setup,
+    SetupError,
     WaveFunction,
     normalize,
-    random_setup,
+    random_block,
 )
 
 
@@ -40,6 +49,57 @@ def increasing_inverse(f, target, lo: float, hi: float, steps: int = 60):
         below = f(mid) < target
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     return (lo + hi) / 2
+
+
+def insert_sigma(setup: Setup, times: int | Iterable[int], num_sites: int) -> Setup:
+    """Insert a filter with holes everywhere (equivalent to no filter) at
+    ``times``, one time or an iterable of times.
+
+    Each time must lie strictly between source and detector and be free: a
+    time taken by a filter of ``setup`` or named twice fails ``Setup``'s time
+    rule.  The widened setup is built once, whatever the number of times.
+    """
+    times = tuple(times) if isinstance(times, Iterable) else (times,)
+    for time in times:
+        if not setup.source.time < time < setup.detector.time:
+            raise SetupError(
+                f"sigma time {time} not strictly between source and detector"
+            )
+    everywhere = tuple(range(num_sites))
+    sigmas = tuple(FilterSpec(time, everywhere) for time in times)
+    return Setup(setup.source, setup.detector, setup.filters + sigmas)
+
+
+def decompose_at(setup: Setup, time: int) -> tuple[Setup, Setup]:
+    """Split at a single-hole filter into (earlier, later); inverse of and_compose."""
+    f = setup.filter_at(time)
+    if f is None:
+        raise SetupError(f"no filter at time {time}")
+    if len(f.holes) != 1:
+        raise SetupError(
+            f"filter at time {time} has {len(f.holes)} holes; decomposition "
+            "needs exactly one"
+        )
+    junction = Event(f.holes[0], time)
+    earlier = Setup(
+        setup.source, junction, tuple(g for g in setup.filters if g.time < time)
+    )
+    later = Setup(
+        junction, setup.detector, tuple(g for g in setup.filters if g.time > time)
+    )
+    return earlier, later
+
+
+def random_setup(
+    config: LatticeConfig,
+    rng_seed: int | random.Random,
+    max_filters: int,
+) -> Setup:
+    """The setup of ``random_block`` for one seed, so the same seed gives
+    the same setup in any block.  An int seed must lie in ``[0, 2**64)``.  A
+    ``random.Random`` gives a 63-bit seed drawn from it."""
+    seed = rng_seed if isinstance(rng_seed, int) else rng_seed.getrandbits(63)
+    return random_block(config, (seed,), max_filters).setups()[0]
 
 
 def random_kernel(num_sites: int, rng: np.random.Generator) -> Kernel:

@@ -28,7 +28,6 @@ from amplab import (
     catalog_op,
     composite_amplitude,
     consistency_check,
-    insert_sigma,
     kernel_from_hamiltonian,
     linearity_check,
     make_tight_binding_kernel,
@@ -38,7 +37,6 @@ from amplab import (
     overlap_for_window,
     overlap_gaussian,
     product_rule_residual,
-    random_setup,
     recover_regrade,
     relative_deviation,
     schrodinger_residual,
@@ -49,9 +47,11 @@ from amplab.evolution import Hamiltonian
 
 from genutil import (
     increasing_inverse,
+    insert_sigma,
     random_and_pair,
     random_kernel,
     random_or_pair,
+    random_setup,
     random_state,
 )
 

@@ -29,16 +29,12 @@ from amplab import (
     amplitude_bruteforce,
     and_compose,
     consistency_check,
-    decompose_at,
     detector_vector,
     evaluate,
-    insert_sigma,
     make_tight_binding_kernel,
     or_compose,
     propagator,
     random_block,
-    random_setup,
-    random_setups,
     relative_deviation,
     save_kernel,
     save_setup,
@@ -48,7 +44,15 @@ from amplab.amplitudes import NEAR_ZERO, _deviations
 from amplab.cli import _fuzz_kernel, main
 from amplab.setups import SIGMA_ROW
 
-from genutil import random_and_pair, random_kernel, random_or_pair, reject_constant
+from genutil import (
+    decompose_at,
+    insert_sigma,
+    random_and_pair,
+    random_kernel,
+    random_or_pair,
+    random_setup,
+    reject_constant,
+)
 from mutants import MUTANTS, TARGETS, Blind, breaches, column
 
 
@@ -421,7 +425,7 @@ def test_one_setup_is_a_block_of_one():
     assert single.max_deviation == block.max_deviation
 
 
-def test_consistency_report_value_lookup():
+def test_block_report_labels_pairs_and_values():
     rng = np.random.default_rng(14)
     kernel = random_kernel(3, rng)
     setup = Setup(Event(0, 0), Event(2, 2))
@@ -766,6 +770,10 @@ def test_sigma_filters_open_every_site_and_share_the_sigma_row():
     assert np.array_equal(np.bincount(wide.column, minlength=300), np.full(300, 23))
     assert np.array_equal(wide.row[~sigma], block.row)
     assert (np.diff(wide.time * 300 + wide.column) > 0).all()  # by time, then column
+    # and each widened column is its setup with insert_sigma at every free time
+    for drawn, drawn_wide in zip(block.setups(), wide.setups(), strict=True):
+        free = sorted(set(range(1, 24)) - set(drawn.filter_times))
+        assert drawn_wide == insert_sigma(drawn, free, 16)
 
 
 def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
@@ -773,7 +781,7 @@ def test_fuzz_keeps_a_nan_deviation_as_its_worst(tmp_path, monkeypatch, capsys):
     # where setup 10 starts, so a NaN falls at or before the middle of the
     # run; the finite deviations of later setups must not replace it as the
     # worst
-    setups = random_setups(LatticeConfig(8, 6), range(20), 3)
+    setups = random_block(LatticeConfig(8, 6), range(20), 3).setups()
     site = setups[10].source.site
     original = amplitudes.block_vectors
 
@@ -839,7 +847,10 @@ def test_the_path_guard_skips_exactly_where_the_path_sum_raises(
     bare = Setup(Event(0, 0), Event(1, num_steps))
     late_block = Setup(Event(0, 0), Event(1, num_steps), (FilterSpec(num_steps - 1, ()),))
     first_block = Setup(Event(0, 0), Event(1, num_steps), (FilterSpec(1, ()),))
-    setups = [bare, late_block, first_block, *random_setups(config, range(300), num_steps - 1)]
+    setups = [
+        bare, late_block, first_block,
+        *random_block(config, range(300), num_steps - 1).setups(),
+    ]
     expected = {}
     for b, setup in enumerate(setups):
         try:

@@ -31,7 +31,6 @@ from amplab import (
     make_tight_binding_kernel,
     normalize,
     or_compose,
-    random_setup,
     recover_regrade,
     save_kernel,
     save_setup,
@@ -39,7 +38,7 @@ from amplab import (
 )
 from amplab.cli import _all_strategies, _fuzz_kernel, main
 from amplab.regrade import CATALOG_NAMES
-from genutil import reject_constant
+from genutil import random_setup, reject_constant
 
 HUGE_INT = "1" + "0" * 400
 

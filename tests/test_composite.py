@@ -16,11 +16,10 @@ from amplab import (
     normalize,
     or_compose,
     product_state,
-    random_setup,
     relative_deviation,
 )
 
-from genutil import random_kernel
+from genutil import random_kernel, random_setup
 
 
 def _pair(seed):

@@ -16,18 +16,16 @@ from amplab import (
     Setup,
     SetupError,
     and_compose,
-    decompose_at,
-    insert_sigma,
     load_setup,
     or_compose,
     random_block,
-    random_setup,
-    random_setups,
     save_setup,
     setup_block,
 )
 from amplab.cli import FUZZ_BLOCK
 from amplab.setups import _GAMMA, SEED_LIMIT, _mix64, check_sites
+
+from genutil import decompose_at, insert_sigma, random_setup
 
 BLOCK_ARRAYS = ("src", "det", "stop", "time", "column", "row", "masks")
 
@@ -204,7 +202,7 @@ def test_random_setup_rejects_a_negative_seed():
     # modulo 2**64 it would wrap onto the key of a large seed
     for seed in (-1, -5):
         with pytest.raises(SetupError, match="seed must be non-negative"):
-            random_setup(CONFIG, seed, 3)
+            random_block(CONFIG, [seed], 3)
     assert random_setup(CONFIG, 0, 3) == random_setup(CONFIG, 0, 3)
 
 
@@ -212,10 +210,10 @@ def test_random_setup_refuses_a_seed_past_the_key_range():
     assert random_setup(CONFIG, SEED_LIMIT - 1, 3) != random_setup(CONFIG, 0, 3)
     for seeds in ([SEED_LIMIT], [5, SEED_LIMIT + 5], range(SEED_LIMIT - 2, SEED_LIMIT + 1)):
         with pytest.raises(SetupError, match=r"seeds must lie below 2\*\*64"):
-            random_setups(CONFIG, seeds, 3)
+            random_block(CONFIG, seeds, 3)
     with pytest.raises(SetupError, match="seed must be non-negative"):
-        random_setups(CONFIG, [3, -1], 3)
-    assert random_setups(CONFIG, [], 3) == []
+        random_block(CONFIG, [3, -1], 3)
+    assert len(random_block(CONFIG, [], 3)) == 0
 
 
 @pytest.mark.parametrize("shape", [(8, 6, 3), (16, 24, 8)], ids=["default", "long"])
@@ -224,7 +222,8 @@ def test_random_setups_draw_the_documented_distribution(shape):
     # counts are uniform, and every interior time and every site is as likely
     # as any other to be a filter time or a hole
     num_sites, num_steps, max_filters = shape
-    setups = random_setups(LatticeConfig(num_sites, num_steps), range(20_000), max_filters)
+    config = LatticeConfig(num_sites, num_steps)
+    setups = random_block(config, range(20_000), max_filters).setups()
     filters = [f for s in setups for f in s.filters]
 
     def assert_near(counts, mean, variance):
@@ -267,9 +266,9 @@ def test_random_setups_depend_on_the_seed_alone(first):
     for shape, max_filters in (((8, 6), 3), ((16, 24), 8)):
         config = LatticeConfig(*shape)
         seeds = range(first, first + FUZZ_BLOCK + 10)
-        block = random_setups(config, seeds, max_filters)
+        block = random_block(config, seeds, max_filters).setups()
         assert block == [random_setup(config, seed, max_filters) for seed in seeds]
-        assert block[7:20] == random_setups(config, seeds[7:20], max_filters)
+        assert block[7:20] == random_block(config, seeds[7:20], max_filters).setups()
 
 
 @pytest.mark.parametrize(
@@ -279,16 +278,18 @@ def test_random_setups_depend_on_the_seed_alone(first):
 )
 def test_drawn_block_equals_the_block_of_its_setups(first):
     # fuzz draws its block straight from the seeds; converting the setups of
-    # the same seeds gives the same arrays, up to the seed 2**64 - 1
+    # the same seeds gives the same arrays, up to the seed 2**64 - 1, and
+    # converting back gives the same setups
     for shape, max_filters in (((8, 6), 3), ((16, 24), 8)):
         config = LatticeConfig(*shape)
         seeds = range(first, first + FUZZ_BLOCK + 10)
         drawn = random_block(config, seeds, max_filters)
-        converted = setup_block(random_setups(config, seeds, max_filters), shape[0])
+        setups = drawn.setups()
+        converted = setup_block(setups, shape[0])
         for name in BLOCK_ARRAYS:
             a, b = getattr(drawn, name), getattr(converted, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), (shape, name)
-        assert drawn.setups() == random_setups(config, seeds, max_filters)
+        assert converted.setups() == setups
     if first == SEED_LIMIT - FUZZ_BLOCK - 10:
         assert seeds[-1] == SEED_LIMIT - 1
 
@@ -297,7 +298,7 @@ def test_block_parts_are_the_decomposition_at_every_single_hole_filter():
     # each column's parts, in order, are the setups decompose_at splits off
     # at its single-hole filters, moved to source time 0
     config = LatticeConfig(5, 9)
-    setups = random_setups(config, range(300), 8)
+    setups = random_block(config, range(300), 8).setups()
     parts, first = setup_block(setups, 5).parts()
     assert first[0] == 0 and first[-1] == len(parts)
     # the core cuts both by searchsorted: entries by (time, column), and
