@@ -14,7 +14,7 @@ overlap three independent ways: the exact binomial sum, with every term taken
 relative to the mode and normalized by the bulk mass (``overlap_exact``), its
 Gaussian limit (``overlap_gaussian``), and a literal tensor-product
 construction for small N (``small_N_direct``), which lists every configuration
-but builds the tensor one block of rows at a time.
+but builds the tensor one block at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .composite import TENSOR_GUARD, product_state
+from .composite import TENSOR_GUARD
 from .lattice import WaveFunction, is_normalized
 
 SMALL_N_LIMIT = 12
@@ -180,12 +180,15 @@ def small_N_direct(
     count falls in the window.  An independent check of the binomial algebra;
     limited to N <= 12 and L^N <= 1e7.
 
-    The tensor is never held whole.  ``product_state`` folds ``np.kron`` from
-    the left, so configuration I*L + j holds head[I] * psi[j], where head is
-    the (N-1)-replica tensor.  Rows of that (L^(N-1), L) view are built one
-    block at a time, and the in-window |c|^2 are gathered in flat order into
-    one array with one sum: the same products summed in the same order as
-    over the whole tensor, so the same bits.
+    Memory is 8 bytes per in-window configuration plus one block of about
+    ``_BLOCK_ENTRIES`` coefficients.  Configuration (x_1..x_N), the first
+    replica most significant, holds the left-nested product
+    psi[x_1] * ... * psi[x_N] that an ``np.kron`` fold makes.  The ``lead``
+    leading replicas are folded once into a small tensor; each block takes a
+    slice of it and folds the ``rest`` trailing replicas on with
+    ``np.multiply.outer``, the same products in the same order.  The
+    in-window |c|^2 are gathered in flat order into one array with one sum:
+    the same bits as summing over the whole tensor.
     """
     if not 1 <= N <= SMALL_N_LIMIT:
         raise ValueError(f"N must lie in 1..{SMALL_N_LIMIT}")
@@ -195,31 +198,33 @@ def small_N_direct(
     total = num_sites**N
     if total > TENSOR_GUARD:
         raise ValueError(f"tensor dimension {total} exceeds guard {TENSOR_GUARD}")
-    # checked here because product_state sees only N - 1 factors, none at N=1
     if not is_normalized(psi):
         raise ValueError("wave function 0 is not normalized")
-    head = product_state([psi] * (N - 1)) if N > 1 else np.ones(1, dtype=complex)
-    # replicas at k_site per head row, first replica most significant as in
-    # product_state; int8 holds counts up to SMALL_N_LIMIT
+    # the trailing replicas span at most one block; at least one replica leads
+    rest = 0
+    while rest < N - 1 and num_sites ** (rest + 1) <= _BLOCK_ENTRIES:
+        rest += 1
+    lead = N - rest
+    leading = reduce(np.kron, [psi.coeffs] * lead)
+    # replicas at k_site per leading and per trailing index, first replica
+    # most significant; int8 holds counts up to SMALL_N_LIMIT
     hit = (np.arange(num_sites) == k_site).astype(np.int8)
-    counts = reduce(np.add.outer, [hit] * (N - 1), np.zeros(1, np.int8)).reshape(-1)
-    # the window holds configuration (I, j) when it holds the head's count,
-    # plus one where j is k_site
-    keep = (counts >= window.n_min) & (counts <= window.n_max)
-    keep_hit = (counts + 1 >= window.n_min) & (counts + 1 <= window.n_max)
-    in_window = np.empty((head.size, num_sites), dtype=bool)
-    in_window[:] = keep[:, None]
-    in_window[:, k_site] = keep_hit
-    probs = np.empty(np.count_nonzero(in_window))
-    rows = max(1, _BLOCK_ENTRIES // num_sites)
-    block = np.empty((rows, num_sites), dtype=complex)
+    lead_counts = reduce(np.add.outer, [hit] * lead).reshape(-1)
+    rest_counts = reduce(np.add.outer, [hit] * rest, np.zeros(1, np.int8)).reshape(-1)
+    # C(N, c) (L - 1)^(N - c) configurations put c replicas at k_site
+    counted = range(window.n_min, min(window.n_max, N) + 1)
+    probs = np.empty(
+        sum(math.comb(N, c) * (num_sites - 1) ** (N - c) for c in counted)
+    )
+    rows = max(1, _BLOCK_ENTRIES // rest_counts.size)
     filled = 0
-    for start in range(0, head.size, rows):
-        part = head[start : start + rows]
-        coeffs = block[: part.size]
-        for j, c in enumerate(psi.coeffs):
-            np.multiply(part, c, out=coeffs[:, j])
-        chosen = coeffs[in_window[start : start + rows]]
+    for start in range(0, leading.size, rows):
+        part = slice(start, start + rows)
+        block = leading[part]
+        for _ in range(rest):
+            block = np.multiply.outer(block, psi.coeffs).reshape(-1)
+        counts = np.add.outer(lead_counts[part], rest_counts).reshape(-1)
+        chosen = block[(counts >= window.n_min) & (counts <= window.n_max)]
         np.abs(chosen, out=probs[filled : filled + chosen.size])
         filled += chosen.size
     return float(np.square(probs, out=probs).sum())

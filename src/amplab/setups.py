@@ -52,6 +52,11 @@ import numpy as np
 from .lattice import Event, LatticeConfig, _json_int
 
 
+# a setup's span, detector time minus source time, is one np.intp entry of
+# its block
+SPAN_LIMIT = int(np.iinfo(np.intp).max) + 1
+
+
 class SetupError(ValueError):
     """A setup or a composition of setups is not allowed."""
 
@@ -98,6 +103,11 @@ class Setup:
         if any(a >= b for a, b in zip(times, times[1:])):
             raise SetupError(
                 f"source, filter and detector times must rise strictly: {times}"
+            )
+        span = self.detector.time - self.source.time
+        if span >= SPAN_LIMIT:
+            raise SetupError(
+                f"setup spans {span} steps; a span must lie below {SPAN_LIMIT}"
             )
         object.__setattr__(self, "filters", ordered)
 

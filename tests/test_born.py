@@ -17,6 +17,7 @@ from amplab import (
     product_state,
     small_N_direct,
 )
+import amplab.born as born
 from amplab.born import _window_bounds
 
 from genutil import random_state
@@ -268,16 +269,48 @@ def test_small_N_direct_block_seams_match_digit_loop(num_sites, N):
     assert small_N_direct(psi, k_site, ProjectorWindow(N + 1, N + 1), N) == 0.0
 
 
+@pytest.mark.parametrize("num_sites, N", [(300, 2), (40, 3), (4, 11)])
+def test_small_N_direct_lead_and_rest_match_digit_loop(num_sites, N):
+    # (300, 2): a block holds 218 leading entries, the last block fewer;
+    # (40, 3): one block holds the whole tensor; (4, 11): the 64-entry
+    # leading tensor outgrows a block, which holds one leading entry
+    rng = np.random.default_rng(26 + N)
+    psi = random_state(num_sites, rng)
+    k_site = int(rng.integers(0, num_sites))
+    for lo, hi in ((0, N), (N // 2, N // 2), (N + 1, N + 1)):
+        w = ProjectorWindow(lo, hi)
+        assert small_N_direct(psi, k_site, w, N) == small_N_digit_loop(
+            psi, k_site, w, N
+        )
+
+
+@pytest.mark.parametrize("block_entries", [64, 2000])
+@pytest.mark.parametrize("num_sites, N", [(300, 2), (40, 3)])
+def test_small_N_direct_block_size_keeps_the_bits(
+    monkeypatch, block_entries, num_sites, N
+):
+    # the block size moves the split between leading and trailing replicas,
+    # never a product or the order of the sum
+    rng = np.random.default_rng(27 + N)
+    psi = random_state(num_sites, rng)
+    w = ProjectorWindow(1, N)
+    expected = small_N_digit_loop(psi, 0, w, N)
+    monkeypatch.setattr(born, "_BLOCK_ENTRIES", block_entries)
+    assert small_N_direct(psi, 0, w, N) == expected
+
+
 def test_small_N_direct_memory_peak():
-    # the 4^11-entry tensor alone takes 64 MiB; rows are built a block at a time
+    # the 4^11-entry tensor alone takes 64 MiB; only the in-window moduli,
+    # 8 bytes each, and one block of about 2^16 coefficients are ever live
     psi = random_state(4, np.random.default_rng(25))
+    in_window = sum(math.comb(11, c) * 3 ** (11 - c) for c in (2, 3))
     tracemalloc.start()
     try:
         small_N_direct(psi, 0, ProjectorWindow(2, 3), 11)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    assert peak <= 8 * in_window + 4 * 2**20
 
 
 def test_small_N_direct_at_replica_limit():

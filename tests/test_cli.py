@@ -20,6 +20,7 @@ from amplab import (
     FilterSpec,
     LatticeConfig,
     Setup,
+    SetupError,
     WaveFunction,
     catalog_op,
     consistency_check,
@@ -262,6 +263,34 @@ def test_nonfinite_integer_field_exits_1(tmp_path, capsys, subcommand, name, tex
     err = capsys.readouterr().err
     assert err.startswith("error: malformed ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source_time, detector_time",
+    [(-(10**30), 4), (0, 10**23), (0, 2**63)],
+    ids=["source-time-1e30", "detector-time-1e23", "span-2**63"],
+)
+def test_setup_span_past_intp_exits_1(tmp_path, capsys, source_time, detector_time):
+    # a span is one intp entry of the setup's block: one past int64 is
+    # refused as the setup is read, before any array is built
+    kernel_path, setup_path = write_inputs(tmp_path)
+    setup_path.write_text(
+        json.dumps(
+            {
+                "source": {"site": 0, "time": source_time},
+                "detector": {"site": 1, "time": detector_time},
+                "filters": [],
+            }
+        )
+    )
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    span = detector_time - source_time
+    assert err == f"error: setup spans {span} steps; a span must lie below {2**63}\n"
+    with pytest.raises(SetupError):
+        Setup(Event(0, 0), Event(1, 2**63))
+    assert Setup(Event(0, 0), Event(1, 2**63 - 1)).detector.time == 2**63 - 1
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
