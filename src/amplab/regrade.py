@@ -13,10 +13,14 @@ xi'(S) S1 = xi'(u) and xi'(S) S2 = xi'(v), so G(u, v) = xi'(v)/xi'(u); along
 u = u0 that is xi' up to the factor 1/xi'(u0), which dividing by G(u0, u0)
 sets to one.  G is evaluated once on a uniform grid, from the analytic
 partials when the sampler has them and central differences otherwise, and
-integrated by composite Simpson.  A G that changes sign yields a xi that is
-not monotone, and no regrade exists.  xi is defined only up to an affine
-transformation (integration constant and overall scale), so every comparison
-against a reference is made after a least-squares affine fit, never raw.
+integrated by cumulative composite Simpson (Cartwright 2017, eq. 8).  Between
+the grid points xi is the cubic Hermite interpolant of the tabulated values
+and the exact slopes xi' = G(u0, v)/G(u0, u0), the integrand itself, at every
+node: local to each cell, with no spline's global solve.  A G that changes
+sign yields a xi that is not monotone, and no regrade exists.  xi is defined
+only up to an affine transformation (integration constant and overall
+scale), so every comparison against a reference is made after a
+least-squares affine fit, never raw.
 
 ``product_rule_residual`` tests a candidate two-argument operation against
 the two distributivity constraints and associativity; the only operations
@@ -27,12 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 ASSOC_GATE = 1e-8
 
@@ -101,13 +102,16 @@ class BinaryOpSampler:
 
 @dataclass(frozen=True, eq=False)
 class RegradeResult:
-    """Tabulated regrade with cubic-spline interpolation.
+    """Tabulated regrade with cubic Hermite interpolation.
 
-    ``c_constant`` is pinned to one, the value forced by associativity;
-    ``c_diagnostic`` is the measured G(u0, u0), the scale divided out of xi,
-    as an empirical cross-check (one for a commutative operation).  The
-    additivity stats summarize the residual of xi(S(u, v)) - xi(u) - xi(v)
-    over a pair grid, after removing the fitted constant offset.
+    ``slopes`` are the exact derivatives xi' = G(u0, u)/G(u0, u0) at the
+    grid points, the integrand whose cumulative Simpson integral is
+    ``xi_values``.  ``c_constant`` is pinned to one, the value forced by
+    associativity; ``c_diagnostic`` is the measured G(u0, u0), the scale
+    divided out of xi, as an empirical cross-check (one for a commutative
+    operation).  The additivity stats summarize the residual of
+    xi(S(u, v)) - xi(u) - xi(v) over a pair grid, after removing the fitted
+    constant offset.
     ``assoc_residual`` is the associativity residual that passed the gate.
     """
 
@@ -118,11 +122,63 @@ class RegradeResult:
     additivity_max: float
     additivity_mean: float
     assoc_residual: float
-    _spline: CubicSpline = field(repr=False)
+    slopes: np.ndarray = field(repr=False)
 
     def xi(self, u):
-        """Interpolated regrade value(s) at ``u`` inside the tabulated range."""
-        return self._spline(u)
+        """Regrade value(s) at ``u`` inside the tabulated range: on each grid
+        cell the cubic Hermite interpolant of the values and slopes at its
+        ends, so ``xi(u_grid)`` is ``xi_values`` exactly."""
+        return _hermite(self.u_grid, self.xi_values, self.slopes, u)
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, dydx: np.ndarray, u) -> np.ndarray:
+    """The cubic Hermite interpolant of values ``y`` and slopes ``dydx`` at the
+    increasing nodes ``x``, evaluated at ``u``: on each cell [x_i, x_i+1] the
+    cubic in d = u - x_i with value and slope matching at both ends, in
+    Horner form, so a node returns its value bit for bit.  Beyond the nodes
+    the end cells' cubics extend."""
+    u = np.asarray(u, dtype=float)
+    i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
+    h = x[i + 1] - x[i]
+    secant = (y[i + 1] - y[i]) / h
+    c2 = (3.0 * secant - 2.0 * dydx[i] - dydx[i + 1]) / h
+    c3 = (dydx[i] + dydx[i + 1] - 2.0 * secant) / (h * h)
+    d = u - x[i]
+    value = y[i] + d * (dydx[i] + d * (c2 + d * c3))
+    # the last node is the far end of the last cell, where d = h rounds
+    return np.where(u == x[-1], y[-1], value)
+
+
+def _simpson_cells(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Simpson's integral over the first cell of each pair of adjacent cells
+    of widths ``dx``, from the parabola through the pair's three values of
+    ``y`` (Cartwright 2017, eq. 8); on reversed arrays, over the second."""
+    x21, x32 = dx[:-1], dx[1:]
+    f1, f2, f3 = y[:-2], y[1:-1], y[2:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * f1 + coeff2 * f2 + coeff3 * f3)
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` over the increasing nodes ``x``
+    (at least 3), from 0 at ``x[0]``: the same operations, so the same bits,
+    as ``scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)``.  Each cell
+    takes the parabola through its own pair of cells, even cells the pair to
+    their right and odd cells and the last one the pair to their left."""
+    dx = np.diff(x)
+    first = _simpson_cells(y, dx)
+    second = _simpson_cells(y[::-1], dx[::-1])[::-1]
+    cells = np.empty(len(dx))
+    cells[:-1:2] = first[::2]
+    cells[1::2] = second[::2]
+    cells[-1] = second[-1]
+    return np.concatenate(([0.0], np.cumsum(cells)))
 
 
 def associativity_residual(sampler: BinaryOpSampler, n_axis: int = 12) -> float:
@@ -152,11 +208,6 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
     Rejects non-associative input (gate ``ASSOC_GATE``), vanishing first
     partials, and non-monotone results (a G that changes sign).
     """
-    # imported here, not at module level, so that commands which never
-    # recover a regrade start without scipy
-    from scipy.integrate import cumulative_simpson
-    from scipy.interpolate import CubicSpline
-
     residual = associativity_residual(sampler)
     if not residual <= ASSOC_GATE:
         raise NonAssociativeError(
@@ -179,11 +230,11 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
         raise RegradeError("first partial S1 vanishes on the domain")
     # xi' is G(u0, v) = S2/S1 along u = u0, scaled so that xi'(u0) = 1
     g = s2 / s1
-    xi_values = cumulative_simpson(g / g[0], x=grid, initial=0.0)
+    slopes = g / g[0]
+    xi_values = _cumulative_simpson(slopes, grid)
     if not np.all(np.diff(xi_values) > 0):
         raise RegradeError("recovered regrade is not strictly monotone")
-    spline = CubicSpline(grid, xi_values)
-    disc = _xi_discrepancies(spline, sampler)
+    disc = _xi_discrepancies(partial(_hermite, grid, xi_values, slopes), sampler)
     return RegradeResult(
         u_grid=grid,
         xi_values=xi_values,
@@ -192,7 +243,7 @@ def recover_regrade(sampler: BinaryOpSampler) -> RegradeResult:
         additivity_max=float(np.max(np.abs(disc))),
         additivity_mean=float(np.mean(np.abs(disc))),
         assoc_residual=residual,
-        _spline=spline,
+        slopes=slopes,
     )
 
 

@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicHermiteSpline
 
 from amplab import (
     BinaryOpSampler,
@@ -16,7 +18,7 @@ from amplab import (
     product_rule_residual,
     recover_regrade,
 )
-from amplab.regrade import CATALOG_NAMES
+from amplab.regrade import CATALOG_NAMES, _cumulative_simpson
 
 from genutil import increasing_inverse
 
@@ -106,6 +108,50 @@ def test_regrade_of_product_on_a_fine_grid_is_exact_to_rounding():
     # a fine grid takes below rounding
     result = recover_regrade(catalog_op("product", grid_n=16384))
     assert result.additivity_max <= 1e-12
+
+
+# odd and even point counts: an even count ends on a cell with no pair of
+# its own, which takes the pair to its left
+_SCIPY_GRIDS = [16, 17, 33, 256, 16384]
+
+
+@pytest.mark.parametrize("grid_n", _SCIPY_GRIDS)
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_cumulative_simpson_is_scipys_bit_for_bit(name, grid_n):
+    sampler = catalog_op(name, grid_n=grid_n)
+    grid = np.linspace(*sampler.domain, grid_n)
+    u0 = np.full_like(grid, grid[0])
+    s1, s2 = (sampler._apply(d, u0, grid) for d in sampler.partials)
+    g = s2 / s1
+    want = cumulative_simpson(g, x=grid, initial=0.0)
+    assert _cumulative_simpson(g, grid).tobytes() == want.tobytes()
+    if name != "broken-assoc":
+        result = recover_regrade(sampler)
+        want = cumulative_simpson(result.slopes, x=grid, initial=0.0)
+        assert result.xi_values.tobytes() == want.tobytes()
+
+
+# cubic-mean at p=8: xi = u**8 holds most of its rise in the last cell, whose
+# cubic, evaluated from its left end, rounds at the last node (at grid 16)
+@pytest.mark.parametrize("grid_n", _SCIPY_GRIDS)
+@pytest.mark.parametrize(
+    "name, param",
+    [("add", None), ("cubic-mean", None), ("cubic-mean", 8.0), ("uv-shift", None),
+     ("product", None)],
+)
+def test_xi_is_the_hermite_interpolant_of_the_exact_slopes(name, param, grid_n):
+    result = recover_regrade(catalog_op(name, param=param, grid_n=grid_n))
+    grid, values = result.u_grid, result.xi_values
+    assert result.xi(grid).tobytes() == values.tobytes()
+    # midpoints and quarter points of every cell, and the cells' ends moved
+    # one ulp inwards
+    h = np.diff(grid)
+    u = np.concatenate(
+        [grid[:-1] + f * h for f in (0.25, 0.5, 0.75)]
+        + [np.nextafter(grid[:-1], np.inf), np.nextafter(grid[1:], -np.inf)]
+    )
+    want = CubicHermiteSpline(grid, values, result.slopes)(u)
+    np.testing.assert_allclose(result.xi(u), want, rtol=1e-14, atol=0)
 
 
 def _recording(f, calls):
