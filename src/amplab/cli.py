@@ -1,11 +1,9 @@
 """Command-line entry point: every experiment as a reproducible subcommand.
 
-Each run writes its tabular results next to a ``<prefix>.manifest.json``
-recording the subcommand, the full flag set, the seed (fuzz), the package
-version, the output paths, and the wall-clock time, so no output exists
-without provenance.  Every JSON it writes is strict: a non-finite value is
-written as null.  Exit codes: 0 success, 1 validation failure (bad flags or
-malformed input files), 2 internal tolerance breach -- the consistency alarm.
+Each run writes its results and a ``<prefix>.manifest.json`` of its
+subcommand, flags, seed (fuzz), version, outputs, wall-clock time and
+``checks``.  JSON is strict: a non-finite value is null.  Exit codes: 0
+success, 1 invalid flags or input files, 2 exactly when a recorded check failed.
 """
 
 from __future__ import annotations
@@ -114,12 +112,13 @@ def _dumps(payload, **kwargs) -> str:
 
 
 class _Run:
-    """Collects output files for one invocation and writes the manifest."""
+    """Collects one invocation's outputs and checks; writes the manifest."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.prefix = Path(args.out)
         self.outputs: list[str] = []
+        self.checks: list[dict] = []
         self.started = time.monotonic()
 
     def _register(self, suffix: str) -> Path:
@@ -169,9 +168,16 @@ class _Run:
         p.write_text(_dumps(payload, indent=2, sort_keys=True) + "\n")
         return p
 
-    def finish(self, **summary) -> None:
-        """Write the manifest; ``summary`` holds work counters and run
-        results (JSON values) added to it."""
+    def check(self, name: str, worst: float, tol: float, **where) -> None:
+        """Record a check of worst deviation ``worst`` at ``where``.  Unless
+        ``worst <= tol`` (never for a NaN) it fails, and says so on stderr."""
+        passed = bool(worst <= tol)
+        self.checks.append(dict(where, name=name, worst=worst, tol=tol, passed=passed))
+        if not passed:
+            print(f"{name} violation: {worst:.3e}", file=sys.stderr)
+
+    def finish(self, **summary) -> int:
+        """Write the manifest, ``summary`` added; return 2 if a check failed, else 0."""
         flags = {
             k: v
             for k, v in sorted(vars(self.args).items())
@@ -184,11 +190,13 @@ class _Run:
             "version": __version__,
             "outputs": self.outputs,
             "wall_clock_s": time.monotonic() - self.started,
+            "checks": self.checks,
             **summary,
         }
         path = Path(str(self.prefix) + ".manifest.json")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(_dumps(manifest, indent=2, sort_keys=True) + "\n")
+        return EXIT_OK if all(c["passed"] for c in self.checks) else EXIT_TOLERANCE
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -196,16 +204,6 @@ def _parse_int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
         raise ValueError(f"expected a comma-separated integer list: {text!r}")
-
-
-def _gate(what: str, worst: float, tol: float) -> int:
-    """The exit code of a check whose worst deviation is ``worst``: 2, with a
-    ``<what> violation`` line on stderr, unless ``worst <= tol``.  A
-    deviation that is not a number is a breach, never agreement."""
-    if worst <= tol:
-        return EXIT_OK
-    print(f"{what} violation: {worst:.3e}", file=sys.stderr)
-    return EXIT_TOLERANCE
 
 
 @functools.lru_cache(maxsize=4)
@@ -257,9 +255,9 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
         "tolerance": CONSISTENCY_TOL,
     }
     run.write_report(payload)
-    run.finish()
+    run.check("consistency", checked.max_deviation, CONSISTENCY_TOL)
     print(_dumps(payload))
-    return _gate("consistency", checked.max_deviation, CONSISTENCY_TOL)
+    return run.finish()
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
@@ -300,7 +298,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     i = int(np.argmax(devs))
     worst, worst_seed, worst_pair = float(devs[i]), int(seeds[i]), str(pairs[i])
     run.write_table("", {"seed": seeds, "strategy_pair": pairs, "deviation": devs})
-    run.finish(
+    run.check("consistency", worst, CONSISTENCY_TOL, seed=worst_seed, pair=worst_pair)
+    print(f"fuzz: {args.count} setups, max deviation {worst:.3e}")
+    guard = " (path guard)" if oracle_ran < args.count else ""
+    print(f"brute_force ran on {oracle_ran}/{args.count} setups{guard}")
+    print(f"worst: seed {worst_seed}, pair {worst_pair}, deviation {worst:.3e}")
+    return run.finish(
         brute_force_ran=oracle_ran,
         skipped_reasons=skipped_reasons,
         draw_s=draw_s,
@@ -311,11 +314,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         worst_seed=worst_seed,
         worst_pair=worst_pair,
     )
-    print(f"fuzz: {args.count} setups, max deviation {worst:.3e}")
-    guard = " (path guard)" if oracle_ran < args.count else ""
-    print(f"brute_force ran on {oracle_ran}/{args.count} setups{guard}")
-    print(f"worst: seed {worst_seed}, pair {worst_pair}, deviation {worst:.3e}")
-    return _gate("consistency", worst, CONSISTENCY_TOL)
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -337,9 +335,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     run.write_table(
         "", {"step": step, "site": site, "re": amps.real, "im": amps.imag, "prob": prob}
     )
-    run.finish()
     print(f"evolved {args.steps} steps on {kernel.num_sites} sites")
-    return EXIT_OK
+    return run.finish()
 
 
 def _cmd_born(args: argparse.Namespace) -> int:
@@ -350,10 +347,9 @@ def _cmd_born(args: argparse.Namespace) -> int:
     run.write_table(
         "", {"N": N, "overlap_exact": exact, "overlap_gauss": gauss, "deviation": dev}
     )
-    run.finish()
     for n, overlap, deviation in zip(N, exact, dev):
         print(f"N={n}: overlap={overlap:.12f} deviation={deviation:.3e}")
-    return EXIT_OK
+    return run.finish()
 
 
 def _cmd_born_direct(args: argparse.Namespace) -> int:
@@ -374,9 +370,9 @@ def _cmd_born_direct(args: argparse.Namespace) -> int:
         "tolerance": CROSS_CHECK_TOL,
     }
     run.write_report(payload)
-    run.finish()
+    run.check("binomial cross-check", gap, CROSS_CHECK_TOL, N=args.N)
     print(_dumps(payload))
-    return _gate("binomial cross-check", gap, CROSS_CHECK_TOL)
+    return run.finish()
 
 
 def _cmd_regrade(args: argparse.Namespace) -> int:
@@ -412,10 +408,10 @@ def _cmd_regrade(args: argparse.Namespace) -> int:
             xi_table=str(table),
         )
     run.write_report(payload)
-    run.finish()
     print(_dumps({k: v for k, v in payload.items() if k != "xi_table"}))
     if refusal is None:
-        return EXIT_OK
+        return run.finish()
+    run.finish()
     print(refusal, file=sys.stderr)
     return EXIT_INVALID
 
@@ -448,7 +444,7 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     )
     # scalar abs: the array np.abs may differ in the last bit
     gaps = [abs(both - a - b) for a, b, both in zip(amp_a, amp_b, amp_both)]
-    worst = gaps[int(np.argmax(gaps))]  # a NaN before every number
+    site = int(np.argmax(gaps))  # a NaN before every number
     run.write_table(
         "",
         {
@@ -462,9 +458,9 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
             "sum_check": gaps,
         },
     )
-    run.finish()
-    print(f"double slit: max |psi_both - psi_a - psi_b| = {worst:.3e}")
-    return _gate("sum-rule", worst, SUM_CHECK_TOL)
+    run.check("sum-rule", gaps[site], SUM_CHECK_TOL, site=site)
+    print(f"double slit: max |psi_both - psi_a - psi_b| = {gaps[site]:.3e}")
+    return run.finish()
 
 
 @functools.cache

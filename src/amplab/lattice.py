@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -326,12 +327,15 @@ def _write_pairs(values: np.ndarray) -> list:
 
 
 def _read_pairs(pairs, error: type[ValueError], noun: str) -> np.ndarray:
-    """The complex values of a list of ``[re, im]`` pairs; anything else is
-    an ``error`` that names the file's ``noun``."""
+    """The complex values of a list of ``[re, im]`` pairs of JSON numbers;
+    anything else, a boolean included, is an ``error`` naming ``noun``."""
     try:
-        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        values = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        if bool in set(map(type, chain.from_iterable(pairs))):  # one C-level scan
+            raise TypeError("got a boolean")
     except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"malformed {noun}, expected [re, im] pairs: {exc}") from exc
+    return values
 
 
 def kernel_from_dict(data: dict) -> Kernel:

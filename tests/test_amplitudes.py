@@ -662,6 +662,10 @@ def test_alarm_coverage(name, target, alarm_argv, tmp_path, monkeypatch, capsys)
     assert code == 2 and "consistency violation" in capsys.readouterr().err
     assert pairs == (pairs if isinstance(cell, Blind) else breaches(cell))
     assert worst in pairs
+    # the manifest's one check failed, and a fuzz check names the worst pair
+    [check] = json.loads((tmp_path / "out.manifest.json").read_text())["checks"]
+    assert (check["name"], check["passed"]) == ("consistency", False)
+    assert check.get("pair", worst) == worst
 
 
 def test_every_mutant_moves_a_value(monkeypatch):

@@ -60,6 +60,11 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def read_checks(prefix):
+    """The ``checks`` of the manifest a run with ``--out prefix`` wrote."""
+    return json.loads(Path(f"{prefix}.manifest.json").read_text())["checks"]
+
+
 def test_no_subcommand_exits_1():
     with pytest.raises(SystemExit) as excinfo:
         main([])
@@ -162,6 +167,9 @@ def test_amplitude_nan_deviation_exits_2(tmp_path, capsys):
     assert "consistency violation" in capsys.readouterr().err
     payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
     assert payload["max_deviation"] is None  # strict JSON: NaN is null
+    assert read_checks(tmp_path / "amp") == [
+        {"name": "consistency", "worst": None, "tol": 1e-10, "passed": False}
+    ]
 
 
 def test_overflowing_amplitude_warns_nothing(tmp_path, capsys):
@@ -174,6 +182,7 @@ def test_overflowing_amplitude_warns_nothing(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
     assert capsys.readouterr().err.splitlines() == ["consistency violation: nan"]
+    assert [c["passed"] for c in read_checks(tmp_path / "amp")] == [False]
 
 
 def _write_huge_one_step(tmp_path):
@@ -201,6 +210,9 @@ def test_amplitude_past_the_float_range_differs_exits_2(tmp_path, monkeypatch, c
     assert capsys.readouterr().err.startswith("consistency violation: ")
     payload = json.loads((tmp_path / "amp.json").read_text(), parse_constant=reject_constant)
     assert payload["max_deviation"] == pytest.approx(0.5 / abs(1.5 + 1.5j))
+    [check] = read_checks(tmp_path / "amp")
+    assert (check["name"], check["worst"], check["passed"]) == (
+        "consistency", payload["max_deviation"], False)
 
 
 @pytest.mark.parametrize(
@@ -217,6 +229,9 @@ def test_amplitude_past_the_float_range_differs_exits_2(tmp_path, monkeypatch, c
         ("evolve", "kernel.json", '{"L": 1e400, "entries": []}'),
         ("evolve", "kernel.json", '{"L": 1, "entries": [[%s, 0]]}' % HUGE_INT),
         ("evolve", "psi.json", "[[%s, 0], [0, 0], [0, 0], [0, 0]]" % HUGE_INT),
+        # complex(True, 0) is 1: a boolean is refused in a pair as anywhere
+        ("evolve", "kernel.json", '{"L": 1, "entries": [[1, false]]}'),
+        ("evolve", "psi.json", "[[true, 0], [0, 0], [0, 0], [0, 0]]"),
         ("evolve", "kernel.json", '{"L": 2, "entries": null}'),
         ("evolve", "kernel.json", '{"L": 2, "entries": 5}'),
         ("amplitude", "setup.json",
@@ -240,7 +255,8 @@ def test_amplitude_past_the_float_range_differs_exits_2(tmp_path, monkeypatch, c
     ],
     ids=[
         "source-site", "detector-time", "hole", "kernel-L", "evolve-kernel-L",
-        "kernel-entry-huge-int", "psi-entry-huge-int", "kernel-entries-null",
+        "kernel-entry-huge-int", "psi-entry-huge-int", "kernel-entry-bool",
+        "psi-entry-bool", "kernel-entries-null",
         "kernel-entries-number", "source-site-float", "detector-time-string",
         "kernel-L-float", "kernel-L-bool", "holes-string", "holes-empty-string",
         "filters-string", "filters-object",
@@ -687,6 +703,9 @@ def test_born_direct_mutant_exits_2(tmp_path, monkeypatch, capsys):
             "--N", "3", "--n-min", "2", "--n-max", "2", "--out", str(tmp_path / "bd")]
     assert main(argv) == 2
     assert "binomial cross-check violation: 1.000e-09" in capsys.readouterr().err
+    [check] = read_checks(tmp_path / "bd")
+    assert check.pop("worst") == pytest.approx(1e-9)
+    assert check == {"name": "binomial cross-check", "tol": 1e-12, "passed": False, "N": 3}
 
 
 @pytest.mark.parametrize(
@@ -749,6 +768,37 @@ def test_regrade_without_a_monotone_regrade_exits_1(tmp_path, capsys):
     }
     manifest = json.loads((tmp_path / "rg.manifest.json").read_text())
     assert manifest["outputs"] == [str(tmp_path / "rg.json")]
+
+
+@pytest.mark.parametrize(
+    "argv, code, names",
+    [
+        (["amplitude", "--setup", "setup.json", "--kernel", "kernel.json"], 0, ["consistency"]),
+        (["fuzz", "--count", "20"], 0, ["consistency"]),
+        (["evolve", "--kernel", "kernel.json", "--psi", "psi.json", "--steps", "2"], 0, []),
+        (["born", "--p", "0.5", "--f", "0.5", "--eps", "0.1", "--N-list", "10,100"], 0, []),
+        (["born-direct", "--psi", "psi.json", "--site", "1", "--N", "4", "--n-min", "1",
+          "--n-max", "3"], 0, ["binomial cross-check"]),
+        (["regrade", "--op", "product"], 0, []),
+        # both kinds of refusal: exit 1, and no check recorded
+        (["regrade", "--op", "broken-assoc"], 1, []),
+        (["regrade", "--op", "uv-shift", "--param", "-1.5"], 1, []),
+        (["double-slit", "--holes", "5,10"], 0, ["sum-rule"]),
+    ],
+    ids=["amplitude", "fuzz", "evolve", "born", "born-direct", "regrade",
+         "regrade-nonassociative", "regrade-not-monotone", "double-slit"],
+)
+def test_every_manifest_lists_its_checks(tmp_path, monkeypatch, capsys, argv, code, names):
+    # the exit code is that of the checks: 0 when all pass, and a run with no
+    # alarm yet (born, evolve, regrade) records an empty list
+    write_inputs(tmp_path)
+    save_wavefunction(WaveFunction([0.6, 0.8j, 0.0, 0.0]), tmp_path / "psi.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "o"]) == code
+    checks = read_checks(tmp_path / "o")
+    assert [c["name"] for c in checks] == names
+    assert all(c["passed"] for c in checks)
+    assert "violation" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -838,6 +888,11 @@ def test_double_slit_mutant_exits_2(tmp_path, monkeypatch, capsys):
     assert "sum-rule violation: " in capsys.readouterr().err
     rows = read_csv(tmp_path / "ds.csv")
     assert max(float(r[-1]) for r in rows[1:]) > 1e-3
+    # the check names the site of the worst gap, the first on a tie
+    gaps = [float(r[-1]) for r in rows[1:]]
+    [check] = read_checks(tmp_path / "ds")
+    assert check == {"name": "sum-rule", "worst": max(gaps), "tol": 1e-12,
+                     "passed": False, "site": gaps.index(max(gaps))}
 
 
 def test_double_slit_bad_holes(tmp_path, capsys):
@@ -1045,6 +1100,21 @@ def test_array_columns_match_the_reference_format(tmp_path, columns):
         else:
             cells = list(csv.reader(io.StringIO(expected.decode(), newline="")))
             assert json.loads(path.read_text()) == {"columns": cells[0], "rows": cells[1:]}
+
+
+def test_run_exit_code_is_that_of_its_checks(tmp_path, capsys):
+    # a deviation at its tolerance passes and says nothing; a NaN fails, and
+    # once any check failed the run exits 2
+    run = cli._Run(argparse.Namespace(subcommand="t", out=str(tmp_path / "t")))
+    run.check("a", 1e-10, 1e-10)
+    assert run.finish() == 0
+    run.check("b", float("nan"), 1e-10, site=3)
+    assert run.finish() == 2
+    assert capsys.readouterr().err == "b violation: nan\n"
+    assert read_checks(tmp_path / "t") == [
+        {"name": "a", "worst": 1e-10, "tol": 1e-10, "passed": True},
+        {"name": "b", "worst": None, "tol": 1e-10, "passed": False, "site": 3},
+    ]
 
 
 def test_out_under_a_file_exits_1(tmp_path, capsys):

@@ -365,6 +365,11 @@ def test_kernel_json_roundtrip(tmp_path):
         kernel_from_dict({"L": 1, "entries": [[1, 0, 0]]})
     with pytest.raises(ValueError, match="^malformed wave function" + pairs):
         wavefunction_from_list([[1, 0], ["1", 0]])
+    # complex(True, 0) is 1, but a boolean is not a number of either file
+    with pytest.raises(KernelFormatError, match="^malformed kernel entries" + pairs):
+        kernel_from_dict({"L": 1, "entries": [[1, False]]})
+    with pytest.raises(ValueError, match="^malformed wave function" + pairs + "got a boolean"):
+        wavefunction_from_list([[True, 0], [0, 0]])
 
 
 def test_kernel_json_validation(tmp_path):
