@@ -21,7 +21,6 @@ from .amplitudes import (
     amplitude_bruteforce,
     block_vectors,
     consistency_check,
-    detector_vector,
     evaluate,
     relative_deviation,
 )

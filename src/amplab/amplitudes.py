@@ -5,12 +5,14 @@ Every setup gets a complex amplitude.  The one evaluation core,
 vector per column, as the columns of one array, through the one-step kernel:
 every column is a unit vector at its source site at step 0, each filter
 multiplies its column by its 0/1 hole mask at its step, and a column is read
-after its stop step, before that step's masks.  The detector-site
-entry of a column's vector is the amplitude.  ``detector_vector`` converts
-setups to a block and calls the core.  That evaluation is mathematically
-identical to a sum over all hole-threading paths weighted by products of
-single-step kernel entries, and ``amplitude_bruteforce`` computes that sum
-literally as an independent oracle.
+after its stop step, before that step's masks.  The detector-site entry of a
+column's vector is the amplitude.  The core, ``evaluate`` and
+``consistency_check`` take only a block: ``setup_block`` converts setups at
+the edges, and ``amplitude`` is the one entry point for a single ``Setup``.
+That evaluation is mathematically identical to a sum over all hole-threading
+paths weighted by products of single-step kernel entries, and
+``amplitude_bruteforce`` computes that sum literally as an independent
+oracle.
 
 An evaluation strategy is one class that evaluates a whole block: the
 transfer matrix (the core on the block), the product rule (the core on the
@@ -96,15 +98,10 @@ def _amplitudes(block: SetupBlock, kernel: Kernel) -> np.ndarray:
     return vectors[block.det, np.arange(len(block))]
 
 
-def detector_vector(setups: Sequence[Setup], kernel: Kernel) -> np.ndarray:
-    """``block_vectors`` of the block of ``setups``: entry ``[x, b]`` is the
-    amplitude of ``setups[b]`` with its detector moved to site ``x``."""
-    return block_vectors(setup_block(setups, kernel.num_sites), kernel)
-
-
 def amplitude(setup: Setup, kernel: Kernel) -> complex:
-    """Amplitude of ``setup`` by masked transfer-matrix evolution."""
-    return complex(detector_vector((setup,), kernel)[setup.detector.site, 0])
+    """Amplitude of ``setup`` by masked transfer-matrix evolution: the core
+    on its block of one."""
+    return complex(_amplitudes(setup_block((setup,), kernel.num_sites), kernel)[0])
 
 
 def amplitude_bruteforce(
@@ -250,7 +247,10 @@ class BruteForcePaths(EvalStrategy):
     ``skipped`` names the columns whose path guard trips, counted exactly
     on the block by ``_guard_trips``, with the text ``amplitude_bruteforce``
     raises; ``values`` passes each column to ``amplitude_bruteforce`` as a
-    ``Setup``.
+    ``Setup``.  It is the one strategy that converts a block back to
+    setups: that waits on the path sum on the block and on the benchmark
+    self-test planting its path-sum defects elsewhere (items 14 and 3 of
+    ROADMAP.md).
     """
 
     max_paths: int = DEFAULT_PATH_GUARD
@@ -316,11 +316,8 @@ class SigmaInsert(EvalStrategy):
         return _amplitudes(block.widened(), kernel)
 
 
-def evaluate(
-    block: SetupBlock | Sequence[Setup], kernel: Kernel, strategy: EvalStrategy
-) -> np.ndarray:
-    """Amplitude of each setup of a block, or of a sequence of setups, under
-    one evaluation strategy.
+def evaluate(block: SetupBlock, kernel: Kernel, strategy: EvalStrategy) -> np.ndarray:
+    """Amplitude of each column of a block under one evaluation strategy.
 
     Every strategy but the path sum makes one ``block_vectors`` call for the
     whole block; the path sum evaluates each setup on its own and raises
@@ -328,8 +325,6 @@ def evaluate(
     """
     if not isinstance(strategy, EvalStrategy):
         raise TypeError(f"unknown strategy {strategy!r}")
-    if not isinstance(block, SetupBlock):
-        block = setup_block(block, kernel.num_sites)
     return strategy.values(block, kernel)
 
 
@@ -403,13 +398,10 @@ class BlockReport:
 
 
 def consistency_check(
-    setups: SetupBlock | Setup | Sequence[Setup],
-    kernel: Kernel,
-    strategies: Sequence[EvalStrategy],
+    block: SetupBlock, kernel: Kernel, strategies: Sequence[EvalStrategy]
 ) -> BlockReport:
     """Evaluate a block of setups under every strategy and report, for each
-    setup, the pairwise deviations.  Setups are converted to a block once,
-    and one ``Setup`` is a block of one.
+    setup, the pairwise deviations.
 
     Each strategy, one per label, is evaluated once over the whole block
     into one column of ``values``.  A strategy skips the setups it names in
@@ -426,13 +418,6 @@ def consistency_check(
     no numpy warning: a non-finite amplitude gives a NaN deviation, which is
     a breach.
     """
-    if isinstance(setups, Setup):
-        setups = (setups,)
-    block = (
-        setups
-        if isinstance(setups, SetupBlock)
-        else setup_block(setups, kernel.num_sites)
-    )
     labels = tuple(strategy.label for strategy in strategies)
     values = np.zeros((len(block), len(labels)), dtype=complex)
     ran = np.ones(values.shape, dtype=bool)

@@ -28,8 +28,8 @@ from .amplitudes import (
     RecursiveDecompose,
     SigmaInsert,
     TransferMatrix,
+    block_vectors,
     consistency_check,
-    detector_vector,
 )
 from .born import (
     ProjectorWindow,
@@ -61,6 +61,7 @@ from .setups import (
     load_setup,
     or_compose,
     random_block,
+    setup_block,
     setup_to_dict,
 )
 
@@ -237,7 +238,8 @@ def _cmd_amplitude(args: argparse.Namespace) -> int:
     run = _Run(args)
     setup = load_setup(args.setup)
     kernel = load_kernel(args.kernel)
-    checked = consistency_check(setup, kernel, strategies)
+    block = setup_block((setup,), kernel.num_sites)
+    checked = consistency_check(block, kernel, strategies)
     skipped = {label: r[0] for label, r in checked.skipped.items() if 0 in r}
     values = {
         label: [z.real, z.imag]
@@ -430,16 +432,16 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
         args.filter_time if args.filter_time is not None else args.steps // 2
     )
     # one slit per hole, merged by the sum rule's or; the detector site is
-    # immaterial, as detector_vector returns every site at the detector time.
-    # Setup, FilterSpec and detector_vector reject out-of-range input.  Three
-    # batches of one keep each step a matrix-vector product: one product of
+    # immaterial, as block_vectors returns every site at the detector time.
+    # Setup, FilterSpec and setup_block reject out-of-range input.  Three
+    # blocks of one keep each step a matrix-vector product: one product of
     # three columns is no faster at large L and rounds differently
     detector = Event(source.site, args.steps)
     slit_a, slit_b = (
         Setup(source, detector, (FilterSpec(t_filter, (hole,)),)) for hole in holes
     )
     amp_a, amp_b, amp_both = (
-        detector_vector((s,), kernel)[:, 0]
+        block_vectors(setup_block((s,), kernel.num_sites), kernel)[:, 0]
         for s in (slit_a, slit_b, or_compose(slit_a, slit_b))
     )
     # scalar abs: the array np.abs may differ in the last bit

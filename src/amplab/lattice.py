@@ -24,6 +24,13 @@ BOUNDARIES = ("ring", "open")
 UNITARITY_TOL = 1e-12
 UNITARITY_PROBES = 4
 
+# The most steps a setup or a config may span.  A block costs memory per
+# column and step: at its peak ``SetupBlock.widened`` holds one bool and
+# seven intp entries, 57 bytes, and ``random_block`` two uint64 draws, 16
+# bytes.  A full fuzz block of 256 columns at 2**14 steps then peaks at
+# 256 * 2**14 * 57 bytes, about 240 MB; each further step adds 14.6 KB.
+MAX_STEPS = 2**14
+
 
 class KernelFormatError(ValueError):
     """A kernel file or step matrix failed validation."""
@@ -47,8 +54,10 @@ class LatticeConfig:
     def __post_init__(self) -> None:
         if self.num_sites < 3:
             raise ValueError("num_sites must be at least 3")
-        if self.num_steps < 1:
-            raise ValueError("num_steps must be positive")
+        if not 1 <= self.num_steps <= MAX_STEPS:
+            raise ValueError(
+                f"num_steps must lie in [1, {MAX_STEPS}], got {self.num_steps}"
+            )
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise ValueError("dt must be a positive finite real")
 
@@ -147,7 +156,8 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
     a = np.asarray(matrix, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expm_series needs a square matrix")
-    norm = float(np.linalg.norm(a, np.inf))
+    with np.errstate(over="ignore"):  # a norm past the float range is refused
+        norm = float(np.linalg.norm(a, np.inf))
     if not np.isfinite(norm):
         raise ValueError("expm_series needs finite entries")
     squarings = 0
@@ -184,10 +194,12 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
             break
     else:
         raise RuntimeError("matrix exponential series failed to converge")
-    for _ in range(squarings):
-        if banded and 2 * result.shape[0] - 1 > n:  # the square's 4w + 1
-            banded, result = False, _band_to_dense(result)
-        result = _band_product(result, result) if banded else result @ result
+    # a square past the float range reads inf or NaN, which Kernel refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            if banded and 2 * result.shape[0] - 1 > n:  # the square's 4w + 1
+                banded, result = False, _band_to_dense(result)
+            result = _band_product(result, result) if banded else result @ result
     return _band_to_dense(result) if banded else result
 
 

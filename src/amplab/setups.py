@@ -49,12 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import Event, LatticeConfig, _json_int
-
-
-# a setup's span, detector time minus source time, is one np.intp entry of
-# its block
-SPAN_LIMIT = int(np.iinfo(np.intp).max) + 1
+from .lattice import MAX_STEPS, Event, LatticeConfig, _json_int
 
 
 class SetupError(ValueError):
@@ -105,9 +100,9 @@ class Setup:
                 f"source, filter and detector times must rise strictly: {times}"
             )
         span = self.detector.time - self.source.time
-        if span >= SPAN_LIMIT:
+        if span > MAX_STEPS:
             raise SetupError(
-                f"setup spans {span} steps; a span must lie below {SPAN_LIMIT}"
+                f"setup spans {span} steps; a span must be at most {MAX_STEPS}"
             )
         object.__setattr__(self, "filters", ordered)
 

@@ -40,6 +40,7 @@ from amplab import (
     recover_regrade,
     relative_deviation,
     schrodinger_residual,
+    setup_block,
     small_N_direct,
     tight_binding_hamiltonian,
 )
@@ -78,7 +79,7 @@ def test_criterion_01_consistency_fuzz():
     )
     # one block: its max_deviation is NaN if any deviation is
     setups = [random_setup(config, 7 + i, 3) for i in range(1000)]
-    worst = consistency_check(setups, kernel, strategies).max_deviation
+    worst = consistency_check(setup_block(setups, 8), kernel, strategies).max_deviation
     check(
         "criterion 1 consistency fuzz",
         worst <= 1e-10,

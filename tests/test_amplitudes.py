@@ -28,8 +28,8 @@ from amplab import (
     amplitude,
     amplitude_bruteforce,
     and_compose,
+    block_vectors,
     consistency_check,
-    detector_vector,
     evaluate,
     make_tight_binding_kernel,
     or_compose,
@@ -83,18 +83,19 @@ def test_sum_rule_for_arbitrary_kernel():
     assert relative_deviation(lhs, rhs) <= 1e-12
 
 
-def test_detector_vector_holds_every_detector_site():
+def test_block_vectors_hold_every_detector_site():
     rng = np.random.default_rng(6)
     config = LatticeConfig(num_sites=5, num_steps=4)
     kernel = random_kernel(config.num_sites, rng)
     # a filter at every interior time
     filters = (FilterSpec(1, (3, 4)), FilterSpec(2, (0, 1, 2)), FilterSpec(3, (0, 1, 2, 3)))
     setup = Setup(Event(4, 0), Event(0, 4), filters)
-    vector = detector_vector([setup], kernel)
+    vector = block_vectors(setup_block([setup], config.num_sites), kernel)
     assert vector.shape == (config.num_sites, 1)
     for x in range(config.num_sites):
         moved = Setup(setup.source, Event(x, setup.detector.time), setup.filters)
-        assert vector[x, 0] == amplitude(moved, kernel)
+        # amplitude() is the block core's entry, bit for bit
+        assert np.complex128(amplitude(moved, kernel)).tobytes() == vector[x, 0].tobytes()
         assert relative_deviation(vector[x, 0], amplitude_bruteforce(moved, kernel)) <= 1e-12
 
 
@@ -279,7 +280,7 @@ def test_nan_against_an_overflowing_modulus_is_nan():
     setups = [Setup(Event(0, 0), Event(x, 4)) for x in range(3)]
     for strategies, pair in [((TransferMatrix(), NanValue(), BigValue()), 2),
                              ((BigValue(), NanValue(), TransferMatrix()), 0)]:
-        report = consistency_check(setups, kernel, strategies)
+        report = consistency_check(setup_block(setups, 3), kernel, strategies)
         assert math.isnan(report.max_deviation)
         assert np.isnan(report.deviations[:, pair]).all()  # on every setup
 
@@ -367,11 +368,11 @@ def test_evaluate_dispatch_and_labels():
     reference = amplitude(setup, kernel)
     strategies = (TransferMatrix(), BruteForcePaths(), RecursiveDecompose(), SigmaInsert())
     for strategy in strategies:
-        values = evaluate([setup, setup], kernel, strategy)
+        values = evaluate(setup_block([setup, setup], 3), kernel, strategy)
         assert values.shape == (2,)
         assert all(relative_deviation(v, reference) <= 1e-12 for v in values)
     with pytest.raises(TypeError):
-        evaluate([setup], kernel, "transfer")  # type: ignore[arg-type]
+        evaluate(setup_block([setup], 3), kernel, "transfer")  # type: ignore[arg-type]
     # the benchmark tracer attributes time to a strategy by its label
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
@@ -395,7 +396,7 @@ def test_consistency_check_fuzz():
     )
     # one setup a call; np.max keeps a NaN, where max() would drop it
     worst = np.max([
-        consistency_check(random_setup(config, seed, 3), kernel, strategies).max_deviation
+        consistency_check(random_block(config, (seed,), 3), kernel, strategies).max_deviation
         for seed in range(100)
     ])
     assert worst <= 1e-10
@@ -404,25 +405,9 @@ def test_consistency_check_fuzz():
 def test_consistency_check_needs_two_strategies():
     rng = np.random.default_rng(13)
     kernel = random_kernel(3, rng)
-    setup = Setup(Event(0, 0), Event(2, 2))
+    block = setup_block([Setup(Event(0, 0), Event(2, 2))], 3)
     with pytest.raises(ValueError):
-        consistency_check(setup, kernel, (TransferMatrix(),))
-
-
-def test_one_setup_is_a_block_of_one():
-    kernel = random_kernel(4, np.random.default_rng(15))
-    setup = Setup(
-        Event(1, 0), Event(2, 5), (FilterSpec(2, (3,)), FilterSpec(3, (0, 1, 2)))
-    )
-    strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
-    single = consistency_check(setup, kernel, strategies)
-    block = consistency_check([setup], kernel, strategies)
-    assert single.labels == block.labels == tuple(s.label for s in strategies)
-    assert single.values.shape == (1, 4) and single.compared.all()
-    for field in ("values", "deviations", "compared"):
-        assert getattr(single, field).tobytes() == getattr(block, field).tobytes()
-    assert single.skipped == block.skipped == {s.label: {} for s in strategies}
-    assert single.max_deviation == block.max_deviation
+        consistency_check(block, kernel, (TransferMatrix(),))
 
 
 def test_block_report_labels_pairs_and_values():
@@ -430,7 +415,7 @@ def test_block_report_labels_pairs_and_values():
     kernel = random_kernel(3, rng)
     setup = Setup(Event(0, 0), Event(2, 2))
     strategies = (TransferMatrix(), BruteForcePaths())
-    checked = consistency_check(setup, kernel, strategies)
+    checked = consistency_check(setup_block([setup], 3), kernel, strategies)
     assert checked.labels == ("transfer_matrix", "brute_force")
     assert checked.pairs == [("transfer_matrix", "brute_force")]
     assert checked.values[0, checked.labels.index("transfer_matrix")] == amplitude(setup, kernel)
@@ -575,7 +560,7 @@ def test_path_sum_join_edge_cases():
 
 def test_consistency_check_records_skipped_oracle(monkeypatch):
     kernel = random_kernel(4, np.random.default_rng(47))
-    setup = Setup(Event(0, 0), Event(3, 9))  # 4 ** 8 paths
+    block = setup_block([Setup(Event(0, 0), Event(3, 9))], 4)  # 4 ** 8 paths
     calls = []
     original = amplitudes.block_vectors
     monkeypatch.setattr(
@@ -587,7 +572,7 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
         SigmaInsert(),
         BruteForcePaths(max_paths=100),
     )
-    checked = consistency_check(setup, kernel, strategies)
+    checked = consistency_check(block, kernel, strategies)
     assert checked.skipped == {
         "transfer_matrix": {},
         "decompose_all": {},
@@ -604,7 +589,7 @@ def test_consistency_check_records_skipped_oracle(monkeypatch):
     # uses the core; the path sum never calls it
     assert len(calls) == 3
     with pytest.raises(ValueError):
-        consistency_check(setup, kernel, (TransferMatrix(), BruteForcePaths(max_paths=100)))
+        consistency_check(block, kernel, (TransferMatrix(), BruteForcePaths(max_paths=100)))
 
 
 @pytest.fixture(scope="module")
@@ -682,7 +667,7 @@ def test_every_mutant_moves_a_value(monkeypatch):
             Setup(Event(3, 1), Event(2, 4), (FilterSpec(2, (1, 2, 6, 7)),)),
             Setup(Event(0, 2), Event(5, 7), (FilterSpec(4, (2,)), FilterSpec(5, (1, 3)))),
         ]
-        return consistency_check(batch, kernel, strategies).values.ravel().tolist()
+        return consistency_check(setup_block(batch, 8), kernel, strategies).values.ravel().tolist()
 
     clean = values()
     for name, (patch, *_) in MUTANTS.items():
@@ -702,11 +687,11 @@ def test_each_column_equals_its_batch_of_one():
         Setup(Event(3, 4), Event(0, 5)),  # one step
         Setup(Event(1, 3), Event(4, 9), (FilterSpec(5, (0, 2, 3)), FilterSpec(8, everywhere))),
     ]
-    vectors = detector_vector(batch, kernel)
+    vectors = block_vectors(setup_block(batch, 5), kernel)
     assert vectors.shape == (5, len(batch))
     assert not vectors[:, 2].any()
     for b, setup in enumerate(batch):
-        alone = detector_vector([setup], kernel)[:, 0]
+        alone = block_vectors(setup_block([setup], 5), kernel)[:, 0]
         assert np.linalg.norm(vectors[:, b] - alone) <= 1e-15 * np.linalg.norm(alone)
         # the batch of one is the loop reference, all-holes filters skipped
         inert = [f for f in setup.filters if len(f.holes) < 5]
@@ -726,9 +711,10 @@ def test_a_column_does_not_depend_on_the_spans_of_its_batch(num_sites):
         "later": Setup(Event(2, 5), Event(0, 12), (FilterSpec(6, (1, 4)),)),
         "same span": Setup(Event(4, 0), Event(1, 12), (FilterSpec(2, (0, 3)),)),
     }
-    column = detector_vector([a, b], kernel)[:, 0].tobytes()
+    column = block_vectors(setup_block([a, b], num_sites), kernel)[:, 0].tobytes()
     for name, c in neighbours.items():
-        assert detector_vector([a, c], kernel)[:, 0].tobytes() == column, name
+        vectors = block_vectors(setup_block([a, c], num_sites), kernel)
+        assert vectors[:, 0].tobytes() == column, name
 
 
 @pytest.mark.parametrize("num_sites, num_steps, max_filters", [(8, 6, 3), (16, 24, 8)])
@@ -751,8 +737,8 @@ def test_explicit_all_holes_filters_leave_detector_vector_unchanged(
     # as one batch, as the fuzz evaluates them, and as a batch of one
     for batch in (slice(None), slice(7, 8)):
         assert (
-            detector_vector(widened[batch], kernel).tobytes()
-            == detector_vector(setups[batch], kernel).tobytes()
+            block_vectors(setup_block(widened[batch], num_sites), kernel).tobytes()
+            == block_vectors(setup_block(setups[batch], num_sites), kernel).tobytes()
         )
 
 
@@ -828,12 +814,13 @@ def test_a_setup_far_in_time_is_its_shift_to_time_zero():
     assert np.complex128(amplitude(far, kernel)).tobytes() == np.complex128(
         amplitude(near, kernel)
     ).tobytes()
-    assert detector_vector([far], kernel).tobytes() == detector_vector([near], kernel).tobytes()
+    blocks = [setup_block([setup], 6) for setup in (far, near)]
+    assert blocks[0].stop.tolist() == [7] and blocks[0].time.tolist() == [2, 4, 5]
+    vectors = [block_vectors(block, kernel).tobytes() for block in blocks]
+    assert vectors[0] == vectors[1]
     strategies = (TransferMatrix(), RecursiveDecompose(), SigmaInsert(), BruteForcePaths())
-    values = [consistency_check(setup, kernel, strategies).values[0] for setup in (far, near)]
+    values = [consistency_check(block, kernel, strategies).values[0] for block in blocks]
     assert values[0].shape == (4,) and values[0].tobytes() == values[1].tobytes()
-    block = setup_block([far], 6)
-    assert block.stop.tolist() == [7] and block.time.tolist() == [2, 4, 5]
 
 
 @pytest.mark.parametrize(
@@ -869,7 +856,8 @@ def test_the_path_guard_skips_exactly_where_the_path_sum_raises(
         amplitudes, "amplitude_bruteforce", lambda s, *rest: calls.append(s) or original(s, *rest)
     )
     strategies = (TransferMatrix(), SigmaInsert(), BruteForcePaths(max_paths=max_paths))
-    assert consistency_check(setups, kernel, strategies).skipped["brute_force"] == expected
+    checked = consistency_check(setup_block(setups, num_sites), kernel, strategies)
+    assert checked.skipped["brute_force"] == expected
     assert calls == [s for b, s in enumerate(setups) if b not in expected]
 
 

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amplab
 import amplab.amplitudes as amplitudes
@@ -22,10 +25,10 @@ from amplab import (
     Setup,
     SetupError,
     WaveFunction,
+    block_vectors,
     catalog_op,
     consistency_check,
     convergence_scan,
-    detector_vector,
     evolve,
     load_kernel,
     load_wavefunction,
@@ -36,6 +39,7 @@ from amplab import (
     save_kernel,
     save_setup,
     save_wavefunction,
+    setup_block,
 )
 from amplab.cli import _all_strategies, _fuzz_kernel, main
 from amplab.regrade import CATALOG_NAMES
@@ -283,12 +287,14 @@ def test_nonfinite_integer_field_exits_1(tmp_path, capsys, subcommand, name, tex
 
 @pytest.mark.parametrize(
     "source_time, detector_time",
-    [(-(10**30), 4), (0, 10**23), (0, 2**63)],
-    ids=["source-time-1e30", "detector-time-1e23", "span-2**63"],
+    [(-(10**30), 4), (0, 10**23), (0, 2**63), (0, 2**14 + 1), (0, 10**6), (0, 10**9)],
+    ids=["source-time-1e30", "detector-time-1e23", "span-2**63", "bound+1", "1e6", "1e9"],
 )
 def test_setup_span_past_intp_exits_1(tmp_path, capsys, source_time, detector_time):
-    # a span is one intp entry of the setup's block: one past int64 is
-    # refused as the setup is read, before any array is built
+    # a block costs memory per column and step, so a span past MAX_STEPS is
+    # refused as the setup is read, before any array is built; a span of
+    # 1e9 steps once got the process killed
+    assert lattice.MAX_STEPS == 2**14
     kernel_path, setup_path = write_inputs(tmp_path)
     setup_path.write_text(
         json.dumps(
@@ -303,10 +309,143 @@ def test_setup_span_past_intp_exits_1(tmp_path, capsys, source_time, detector_ti
     assert main([*argv, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     span = detector_time - source_time
-    assert err == f"error: setup spans {span} steps; a span must lie below {2**63}\n"
+    assert err == f"error: setup spans {span} steps; a span must be at most {2**14}\n"
     with pytest.raises(SetupError):
-        Setup(Event(0, 0), Event(1, 2**63))
-    assert Setup(Event(0, 0), Event(1, 2**63 - 1)).detector.time == 2**63 - 1
+        Setup(Event(0, 0), Event(1, 2**14 + 1))
+    far = Setup(Event(0, -(10**30)), Event(1, -(10**30) + 2**14))
+    assert far.detector.time - far.source.time == 2**14
+
+
+def test_setup_span_at_the_bound_runs(tmp_path, capsys):
+    # the bound itself is admitted: every strategy runs but the path sum,
+    # whose guard trips
+    kernel_path, setup_path = write_inputs(tmp_path)
+    save_setup(Setup(Event(0, 0), Event(1, 2**14)), setup_path)
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+    report = json.loads((tmp_path / "o.json").read_text())
+    assert list(report["skipped"]) == ["brute_force"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fuzz", "--count", "1", "--T", str(2**14 + 1)],
+     ["double-slit", "--holes", "3,9", "--steps", str(2**14 + 1)],
+     ["double-slit", "--holes", "3,9", "--steps", str(10**9)]],
+    ids=["fuzz-T", "double-slit-steps", "double-slit-steps-1e9"],
+)
+def test_config_steps_past_the_bound_exit_1(tmp_path, capsys, argv):
+    # fuzz --T and double-slit --steps pass LatticeConfig, which holds the
+    # same bound as a setup's span
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+    steps = argv[-1]
+    assert capsys.readouterr().err == f"error: num_steps must lie in [1, {2**14}], got {steps}\n"
+    assert not list(tmp_path.iterdir())
+
+
+# one field of a valid input file, or one flag, changed: the exit-code
+# contract must hold on every result.  A deleted key or list entry is one
+# more change.  Flag values keep their argparse type, as argparse refuses
+# the rest itself with exit 1, and --L and evolve's --steps stay small:
+# a dense L x L kernel and evolve's kept states are not bounded
+_DELETE = object()
+_FIELD_VALUES = [
+    _DELETE, 0, -1, 1, 2, 3, 1.5, -0.0, 1e-320, 1e308, math.inf, math.nan, 10**30,
+    2**63, int(HUGE_INT), True, False, None, "1", "", [], {}, [0, 0], [[1, 0]],
+]
+_INTS = [-(10**30), -1, 0, 1, 2, 3, 7, 8, 15, 2**14, 2**14 + 1, 10**9, 2**63, 10**30]
+_SMALL_INTS = [-1, 0, 1, 2, 3, 4]
+_FLOATS = ["0", "-1", "1e-300", "0.35", "40", "1e308", "inf", "-inf", "nan"]
+_FLAG_VALUES = {
+    "amplitude": {"--max-paths": _INTS},
+    "evolve": {"--steps": _SMALL_INTS},
+    "born-direct": {
+        "--site": _INTS, "--N": _INTS, "--n-min": _INTS, "--n-max": _INTS,
+    },
+    "double-slit": {
+        "--L": [*_SMALL_INTS, 5, 16, 40],
+        "--steps": _INTS,
+        "--holes": ["3,9", "3", "3,3", "-1,3", "3,99", "", "a,b", "1,2,3", "0,15"],
+        "--source": _INTS,
+        "--filter-time": _INTS,
+        "--hop": _FLOATS,
+        "--dt": _FLOATS,
+    },
+}
+
+
+def _json_paths(value, path=()):
+    """Every path into ``value``: the root, then each key and index."""
+    yield path
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, item in items:
+            yield from _json_paths(item, (*path, key))
+
+
+def _changed(document, path, value):
+    if not path:
+        return None if value is _DELETE else value
+    *head, last = path
+    parent = document
+    for key in head:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return document
+
+
+def test_one_changed_field_or_flag_keeps_the_exit_code_contract(tmp_path, capsys):
+    kernel_path, setup_path = write_inputs(tmp_path)
+    psi_path = tmp_path / "psi.json"
+    save_wavefunction(normalize(WaveFunction([1.0, 0.5j, 0.0, -1.0])), psi_path)
+    files = {p.name: json.loads(p.read_text()) for p in (kernel_path, setup_path, psi_path)}
+    flags = {
+        "amplitude": {"--setup": setup_path.name, "--kernel": kernel_path.name,
+                      "--max-paths": "10000000"},
+        "evolve": {"--kernel": kernel_path.name, "--psi": psi_path.name, "--steps": "2"},
+        "born-direct": {"--psi": psi_path.name, "--site": "0", "--N": "3",
+                        "--n-min": "1", "--n-max": "2"},
+        "double-slit": {"--holes": "5,10"},
+    }
+    changed = tmp_path / "changed.json"
+
+    @settings(max_examples=600, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def keeps_the_contract(data):
+        subcommand = data.draw(st.sampled_from(sorted(flags)))
+        argv = dict(flags[subcommand])
+        named = [flag for flag, name in argv.items() if name in files]
+        target = data.draw(st.sampled_from(["flag", *named]))
+        if target == "flag":
+            flag = data.draw(st.sampled_from(sorted(_FLAG_VALUES[subcommand])))
+            argv[flag] = str(data.draw(st.sampled_from(_FLAG_VALUES[subcommand][flag])))
+        else:
+            document = json.loads(json.dumps(files[argv[target]]))
+            path = data.draw(st.sampled_from(list(_json_paths(document))))
+            value = data.draw(st.sampled_from(_FIELD_VALUES))
+            changed.write_text(json.dumps(_changed(document, path, value)))
+            argv[target] = changed.name
+        args = [subcommand]
+        for flag, value in argv.items():
+            value = str(tmp_path / value) if value in (*files, changed.name) else value
+            args.append(f"{flag}={value}")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*args, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (args, code)
+        assert "Traceback" not in err, args
+        assert not caught, (args, [str(w.message) for w in caught])  # stderr lines too
+        lines = err.splitlines()
+        if code == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: "), (args, err)
+        if code == 2:
+            assert sum("violation" in line for line in lines) == 1, (args, err)
+
+    keeps_the_contract()
 
 
 @pytest.mark.parametrize("count", ["0", "-5"])
@@ -908,7 +1047,7 @@ def test_double_slit_bad_holes(tmp_path, capsys):
     assert code == 1
     assert "twice" in capsys.readouterr().err
     # source site, filter time (default --steps 8) and hole range are
-    # checked by Setup, FilterSpec and detector_vector
+    # checked by Setup, FilterSpec and setup_block
     for bad in (
         ["--holes", "5,10", "--source", "99"],
         ["--holes", "5,10", "--filter-time", "8"],
@@ -1001,7 +1140,7 @@ def _fuzz_table(tmp_path):
     # the block-level call that fuzz makes: a column's bits depend on the
     # number of setups evaluated with it
     setups = [random_setup(config, seed, max_filters=3) for seed in range(3, 13)]
-    block = consistency_check(setups, kernel, strategies)
+    block = consistency_check(setup_block(setups, 5), kernel, strategies)
     rows = []
     for seed, deviations, compared in zip(range(3, 13), block.deviations.tolist(), block.compared):
         pairs = zip(block.pairs, deviations, compared)
@@ -1048,7 +1187,9 @@ def _regrade_table(tmp_path):
 def _double_slit_table(tmp_path):
     kernel = make_tight_binding_kernel(LatticeConfig(16, 8, dt=0.35), hop=1.0)
     slits = [Setup(Event(8, 0), Event(8, 8), (FilterSpec(4, (h,)),)) for h in (5, 10)]
-    a, b, both = (detector_vector([s], kernel)[:, 0] for s in (*slits, or_compose(*slits)))
+    a, b, both = (
+        block_vectors(setup_block([s], 16), kernel)[:, 0] for s in (*slits, or_compose(*slits))
+    )
     rows = [
         [i, a[i].real, a[i].imag, b[i].real, b[i].imag, both[i].real,
          both[i].imag, abs(both[i] - a[i] - b[i])]
