@@ -185,10 +185,14 @@ def small_N_direct(
     replica most significant, holds the left-nested product
     psi[x_1] * ... * psi[x_N] that an ``np.kron`` fold makes.  The ``lead``
     leading replicas are folded once into a small tensor; each block takes a
-    slice of it and folds the ``rest`` trailing replicas on with
-    ``np.multiply.outer``, the same products in the same order.  The
-    in-window |c|^2 are gathered in flat order into one array with one sum:
-    the same bits as summing over the whole tensor.
+    slice of it and folds the ``rest`` trailing replicas on, one level at a
+    time, into a (block, L) array: the same products in the same order.  A
+    level of at least L entries is written by one ``np.multiply`` per site,
+    down a column; a shorter one by ``np.multiply.outer``, whose inner loop
+    runs over the L sites.  numpy starts its inner loop once per call, so
+    each form makes that loop the longer axis.  The in-window |c|^2 are
+    gathered in flat order into one array with one sum: the same bits as
+    summing over the whole tensor.
     """
     if not 1 <= N <= SMALL_N_LIMIT:
         raise ValueError(f"N must lie in 1..{SMALL_N_LIMIT}")
@@ -222,7 +226,13 @@ def small_N_direct(
         part = slice(start, start + rows)
         block = leading[part]
         for _ in range(rest):
-            block = np.multiply.outer(block, psi.coeffs).reshape(-1)
+            out = np.empty((block.size, num_sites), dtype=complex)
+            if block.size >= num_sites:  # one call per site, down a column
+                for j in range(num_sites):
+                    np.multiply(block, psi.coeffs[j], out=out[:, j])
+            else:
+                np.multiply.outer(block, psi.coeffs, out=out)
+            block = out.reshape(-1)
         counts = np.add.outer(lead_counts[part], rest_counts).reshape(-1)
         chosen = block[(counts >= window.n_min) & (counts <= window.n_max)]
         np.abs(chosen, out=probs[filled : filled + chosen.size])

@@ -269,7 +269,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     strategies = _all_strategies(args.max_paths)
     run = _Run(args)
     config = LatticeConfig(num_sites=args.L, num_steps=args.T)
-    kernel = _fuzz_kernel(config)
     max_filters = min(args.max_filters, args.T - 1)
     seeds, pairs, devs = [], [], []
     oracle_ran = independent = 0
@@ -281,7 +280,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         block = random_block(config, block_seeds, max_filters)
         draw_s += time.perf_counter() - started
-        checked = consistency_check(block, kernel, strategies)
+        # the kernel is built once the first block is drawn, so a shape that
+        # random_block refuses builds none
+        checked = consistency_check(block, _fuzz_kernel(config), strategies)
         strategy_s.update(checked.strategy_s)
         core_columns.update(checked.core_columns)
         independent += checked.independent_setups

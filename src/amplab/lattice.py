@@ -31,6 +31,16 @@ UNITARITY_PROBES = 4
 # 256 * 2**14 * 57 bytes, about 240 MB; each further step adds 14.6 KB.
 MAX_STEPS = 2**14
 
+# The most sites a config may hold.  A kernel is built from dense L x L
+# complex matrices, 16 bytes an entry: the Hamiltonian and its scaled copy,
+# then in ``expm_series`` the argument, and once the band goes dense the
+# term, the sum and a product or two; ``Kernel`` copies the result.
+# tracemalloc put the peak of ``make_tight_binding_kernel`` at 3.5 (banded)
+# to 4.9 (dense) such matrices, so at most five live at once: at 2**11
+# sites that is 5 * 16 * 2**22 bytes, 320 MiB, and each further site adds
+# about 0.3 MiB.
+MAX_SITES = 2**11
+
 
 class KernelFormatError(ValueError):
     """A kernel file or step matrix failed validation."""
@@ -42,7 +52,9 @@ class LatticeConfig:
 
     ``num_sites`` must be at least three: with fewer sites there is no room
     for the three pairwise-disjoint single-hole filters that the algebraic
-    law tests require.  ``dt`` only matters when a kernel is generated from a
+    law tests require.  It is at most ``MAX_SITES`` and ``num_steps`` at
+    most ``MAX_STEPS``, so no config asks for more memory than those bounds
+    allow.  ``dt`` only matters when a kernel is generated from a
     Hamiltonian, in units with hbar = 1; all downstream identities are
     unit-agnostic.
     """
@@ -52,8 +64,10 @@ class LatticeConfig:
     dt: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.num_sites < 3:
-            raise ValueError("num_sites must be at least 3")
+        if not 3 <= self.num_sites <= MAX_SITES:
+            raise ValueError(
+                f"num_sites must lie in [3, {MAX_SITES}], got {self.num_sites}"
+            )
         if not 1 <= self.num_steps <= MAX_STEPS:
             raise ValueError(
                 f"num_steps must lie in [1, {MAX_STEPS}], got {self.num_steps}"

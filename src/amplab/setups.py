@@ -354,6 +354,17 @@ def setup_block(setups: Sequence[Setup], num_sites: int) -> SetupBlock:
 # seeds of random setups lie in [0, SEED_LIMIT): each is one 64-bit key
 SEED_LIMIT = 2**64
 
+# The most draws ``random_block`` makes per setup.  A block holds its draws,
+# 8 bytes each, and while they are mixed a temporary of the same size; then,
+# for each filter slot in use, a gathered copy of its draws, their argsort
+# and its ranks.  tracemalloc put the peak at 49 bytes per draw when every
+# slot is in use, and at 28 when filter counts are uniform, as they are
+# drawn.  A full fuzz block of 256 setups at 2**15 draws then peaks at
+# 256 * 2**15 * 49 bytes, about 390 MiB at worst and 220 MiB typically.
+# The bound admits 2**14 steps at 2**11 sites with three filters, 22533
+# draws.
+MAX_DRAWS = 2**15
+
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the Weyl increment and the
 # two multipliers of its output mixer
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -402,7 +413,8 @@ def random_block(
     whose rank in that argsort is below k.  The draws of a setup are, in
     order: source site, detector site, filter count, one key per interior
     time, and per filter slot its hole count, then one key per site.  Filter
-    j takes entry j of the time argsort and the draws of slot j.
+    j takes entry j of the time argsort and the draws of slot j.  A setup
+    whose draws number more than ``MAX_DRAWS`` is refused before any is made.
     """
     num_sites, num_steps = config.num_sites, config.num_steps
     if max_filters < 0 or max_filters > num_steps - 1:
@@ -412,8 +424,13 @@ def random_block(
     if len(seeds):
         check_seed_range(min(seeds), max(seeds) + 1)
     interior = num_steps - 1
-    keys = _mix64(np.array(seeds, dtype=np.uint64))
     num_draws = 3 + interior + max_filters * (1 + num_sites)
+    if num_draws > MAX_DRAWS:
+        raise SetupError(
+            f"a random setup of {num_sites} sites, {num_steps} steps and up to "
+            f"{max_filters} filters takes {num_draws} draws; at most {MAX_DRAWS}"
+        )
+    keys = _mix64(np.array(seeds, dtype=np.uint64))
     counters = np.arange(1, num_draws + 1, dtype=np.uint64)
     draws = _mix64(keys[:, None] + counters * _GAMMA)
     sites = (draws[:, :2] % np.uint64(num_sites)).astype(np.intp)

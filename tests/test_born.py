@@ -284,13 +284,16 @@ def test_small_N_direct_lead_and_rest_match_digit_loop(num_sites, N):
         )
 
 
-@pytest.mark.parametrize("block_entries", [64, 2000])
+@pytest.mark.parametrize("block_entries", [64, 2000, 90000])
 @pytest.mark.parametrize("num_sites, N", [(300, 2), (40, 3)])
 def test_small_N_direct_block_size_keeps_the_bits(
     monkeypatch, block_entries, num_sites, N
 ):
     # the block size moves the split between leading and trailing replicas,
-    # never a product or the order of the sum
+    # never a product or the order of the sum.  At 90000 a block's first
+    # level holds exactly num_sites entries of several rows (300 rows of
+    # 300 sites; 40 rows of 40 sites), the first size folded by one multiply
+    # per site rather than by the outer product
     rng = np.random.default_rng(27 + N)
     psi = random_state(num_sites, rng)
     w = ProjectorWindow(1, N)

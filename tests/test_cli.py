@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import amplab
 import amplab.amplitudes as amplitudes
 import amplab.cli as cli
 import amplab.lattice as lattice
+import amplab.setups as setups
 from amplab import (
     Event,
     FilterSpec,
@@ -343,11 +345,75 @@ def test_config_steps_past_the_bound_exit_1(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def _refusal_peak(argv) -> int:
+    """Exit code 1 asserted; the traced peak of the refused call, in bytes."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 1
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fuzz", "--count", "1", "--L", str(2**11 + 1)],
+     ["fuzz", "--count", "1", "--L", str(10**9)],
+     ["double-slit", "--holes", "3,9", "--L", str(2**11 + 1)],
+     ["double-slit", "--holes", "3,9", "--L", str(10**9)]],
+    ids=["fuzz-L", "fuzz-L-1e9", "double-slit-L", "double-slit-L-1e9"],
+)
+def test_config_sites_past_the_bound_exit_1(tmp_path, capsys, argv):
+    # fuzz --L and double-slit --L pass LatticeConfig, which refuses more
+    # sites than MAX_SITES before any L x L matrix (64 MiB at the bound)
+    # is built
+    assert lattice.MAX_SITES == 2**11
+    assert _refusal_peak([*argv, "--out", str(tmp_path / "o")]) < 2**20
+    sites = argv[-1]
+    assert capsys.readouterr().err == f"error: num_sites must lie in [3, {2**11}], got {sites}\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_sites_at_the_bound_run(tmp_path):
+    # the bound itself is admitted: CI's double-slit shape
+    argv = ["double-slit", "--L", str(2**11), "--holes", "1014,1034"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "shape, draws",
+    [(["--L", "3", "--T", "16383", "--max-filters", "4096"], 2**15 + 1),
+     (["--L", "1000", "--T", "16384", "--max-filters", "16383"], 16415769)],
+    ids=["bound+1", "L1000-T16384"],
+)
+def test_fuzz_draws_past_the_bound_exit_1(tmp_path, capsys, shape, draws):
+    # a setup's draws are 3 + (T - 1) + max_filters (1 + L); past MAX_DRAWS
+    # random_block refuses the block before any draw is made, and fuzz builds
+    # its kernel only once a block is drawn.  L=1000 at 16383 filters would
+    # ask 256 * 16415769 * 8 bytes, 34 GB, for one block's draws
+    assert setups.MAX_DRAWS == 2**15
+    argv = ["fuzz", "--count", "1000", *shape, "--out", str(tmp_path / "o")]
+    assert _refusal_peak(argv) < 2**20
+    sites, steps, filters = shape[1::2]
+    assert capsys.readouterr().err == (
+        f"error: a random setup of {sites} sites, {steps} steps and up to {filters} "
+        f"filters takes {draws} draws; at most {2**15}\n"
+    )
+    assert not list(tmp_path.iterdir())
+
+
+def test_fuzz_draws_at_the_bound_run(tmp_path):
+    # 3 + 16381 + 4096 * 4 draws: the bound itself is admitted
+    argv = ["fuzz", "--count", "1", "--L", "3", "--T", "16382", "--max-filters", "4096"]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 0
+
+
 # one field of a valid input file, or one flag, changed: the exit-code
 # contract must hold on every result.  A deleted key or list entry is one
 # more change.  Flag values keep their argparse type, as argparse refuses
-# the rest itself with exit 1, and --L and evolve's --steps stay small:
-# a dense L x L kernel and evolve's kept states are not bounded
+# the rest itself with exit 1.  --L stays small or past MAX_SITES, as a
+# kernel near the bound takes a dense L x L build, and evolve's --steps
+# small, as evolve's kept states are not bounded
 _DELETE = object()
 _FIELD_VALUES = [
     _DELETE, 0, -1, 1, 2, 3, 1.5, -0.0, 1e-320, 1e308, math.inf, math.nan, 10**30,
@@ -363,7 +429,7 @@ _FLAG_VALUES = {
         "--site": _INTS, "--N": _INTS, "--n-min": _INTS, "--n-max": _INTS,
     },
     "double-slit": {
-        "--L": [*_SMALL_INTS, 5, 16, 40],
+        "--L": [*_SMALL_INTS, 5, 16, 40, 2**11 + 1, 10**9],
         "--steps": _INTS,
         "--holes": ["3,9", "3", "3,3", "-1,3", "3,99", "", "a,b", "1,2,3", "0,15"],
         "--source": _INTS,

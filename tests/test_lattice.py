@@ -39,6 +39,9 @@ def test_config_validation():
         LatticeConfig(2, 1)
     with pytest.raises(ValueError):
         LatticeConfig(3, 0)
+    LatticeConfig(lattice.MAX_SITES, lattice.MAX_STEPS)
+    with pytest.raises(ValueError, match="num_sites must lie in"):
+        LatticeConfig(lattice.MAX_SITES + 1, 1)
     with pytest.raises(ValueError):
         LatticeConfig(3, 1, dt=0.0)
 

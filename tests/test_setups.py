@@ -23,7 +23,7 @@ from amplab import (
     setup_block,
 )
 from amplab.cli import FUZZ_BLOCK
-from amplab.setups import _GAMMA, SEED_LIMIT, _mix64, check_sites
+from amplab.setups import _GAMMA, MAX_DRAWS, SEED_LIMIT, _mix64, check_sites
 
 from genutil import decompose_at, insert_sigma, random_setup
 
@@ -214,6 +214,16 @@ def test_random_setup_refuses_a_seed_past_the_key_range():
     with pytest.raises(SetupError, match="seed must be non-negative"):
         random_block(CONFIG, [3, -1], 3)
     assert len(random_block(CONFIG, [], 3)) == 0
+
+
+def test_random_block_refuses_draws_past_the_bound():
+    # a setup takes 3 + (T - 1) + max_filters (1 + L) draws: 3 + 16381 +
+    # 4096 * 4 is the bound itself, and one more step passes it
+    assert MAX_DRAWS == 2**15
+    assert len(random_block(LatticeConfig(3, 16382), [0], 4096)) == 1
+    for seeds in ([0], []):
+        with pytest.raises(SetupError, match=f"takes {2**15 + 1} draws; at most {2**15}"):
+            random_block(LatticeConfig(3, 16383), seeds, 4096)
 
 
 @pytest.mark.parametrize("shape", [(8, 6, 3), (16, 24, 8)], ids=["default", "long"])
