@@ -3,10 +3,12 @@
 Setups (source, filters, detector) form an algebra under sequential (`and`)
 and alternative (`or`) composition; amplitudes represent that algebra through
 a product rule and a sum rule.  This package evaluates amplitudes by several
-independent strategies and verifies their agreement, checks linearity of time
-evolution, reproduces the concentration argument giving detection probability
+independent strategies and verifies their agreement, evolves wave functions
+in time, reproduces the concentration argument giving detection probability
 |A_k|^2, and constructively recovers the additive regrade of any associative
-binary operation.
+binary operation.  The linearity of time evolution is checked by the test
+suite alone (its references are in ``tests/genutil.py``): no subcommand
+checks it yet.
 """
 
 from .amplitudes import (
@@ -34,18 +36,7 @@ from .born import (
     overlap_gaussian,
     small_N_direct,
 )
-from .composite import (
-    CompositeSetup,
-    composite_amplitude,
-    product_state,
-)
-from .evolution import (
-    Hamiltonian,
-    evolve,
-    hermiticity_defect,
-    linearity_check,
-    schrodinger_residual,
-)
+from .evolution import evolve
 from .lattice import (
     Event,
     Kernel,
@@ -59,13 +50,8 @@ from .lattice import (
     load_kernel,
     load_wavefunction,
     make_tight_binding_kernel,
-    mask_vector,
-    masked_kernel,
     norm_sq,
-    normalize,
-    propagator,
     save_kernel,
-    save_wavefunction,
     tight_binding_hamiltonian,
     unitarity_defect,
 )
@@ -76,7 +62,6 @@ from .regrade import (
     RegradeError,
     RegradeResult,
     additivity_residual,
-    affine_fit_deviation,
     associativity_residual,
     catalog_op,
     product_rule_residual,
@@ -84,16 +69,13 @@ from .regrade import (
 )
 from .setups import (
     FilterSpec,
-    NonConsecutiveError,
     NotCombinableError,
     Setup,
     SetupBlock,
     SetupError,
-    and_compose,
     load_setup,
     or_compose,
     random_block,
-    save_setup,
     setup_block,
 )
 

@@ -21,14 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, amplitudes
 from .amplitudes import (
     DEFAULT_PATH_GUARD,
     BruteForcePaths,
     RecursiveDecompose,
     SigmaInsert,
     TransferMatrix,
-    block_vectors,
     consistency_check,
 )
 from .born import (
@@ -78,6 +77,13 @@ EXIT_TOLERANCE = 2
 # fuzz setups drawn and evaluated together, one block_vectors column each:
 # memory per block stays fixed whatever --count is
 FUZZ_BLOCK = 256
+
+# The most entries, (steps + 1) x sites, that an evolve table may hold, as
+# evolve keeps every state until it writes the table.  tracemalloc put the
+# peak at about 200 bytes per entry with CSV output and 1.29 KB with
+# --format json (numpy 2.4, Python 3.11): at the bound, about 52 MB as CSV
+# and 339 MB (323 MiB) as JSON, the budget of a kernel build at MAX_SITES.
+MAX_EVOLVE_ENTRIES = 2**18
 
 
 class _Parser(argparse.ArgumentParser):
@@ -324,6 +330,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     run = _Run(args)
     kernel = load_kernel(args.kernel)
+    entries = (args.steps + 1) * kernel.num_sites
+    if entries > MAX_EVOLVE_ENTRIES:
+        raise ValueError(
+            f"--steps {args.steps} on {kernel.num_sites} sites makes {entries} "
+            f"table entries; at most {MAX_EVOLVE_ENTRIES}"
+        )
     # evolve checks the dimensions, so a mismatch fails at --steps 0 too
     states = [evolve(load_wavefunction(args.psi), kernel, 0)]
     for _ in range(args.steps):
@@ -441,8 +453,9 @@ def _cmd_double_slit(args: argparse.Namespace) -> int:
     slit_a, slit_b = (
         Setup(source, detector, (FilterSpec(t_filter, (hole,)),)) for hole in holes
     )
+    # the core is called through its module, where a patch of it lands
     amp_a, amp_b, amp_both = (
-        block_vectors(setup_block((s,), kernel.num_sites), kernel)[:, 0]
+        amplitudes.block_vectors(setup_block((s,), kernel.num_sites), kernel)[:, 0]
         for s in (slit_a, slit_b, or_compose(slit_a, slit_b))
     )
     # scalar abs: the array np.abs may differ in the last bit

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -298,44 +298,12 @@ def unitarity_defect(kernel: Kernel) -> float:
         return float(np.max(np.abs((k @ v).conj().T @ k - v.conj().T)))
 
 
-def propagator(kernel: Kernel, t1: int, t2: int) -> np.ndarray:
-    """Multi-step transition matrix K^(t2-t1); identity when t1 == t2."""
-    if t1 < 0 or t2 < 0:
-        raise ValueError("times must be non-negative")
-    if t2 < t1:
-        raise ValueError("reversed time order: t2 must not precede t1")
-    return np.linalg.matrix_power(kernel.step, t2 - t1)
-
-
-def mask_vector(num_sites: int, holes: Iterable[int]) -> np.ndarray:
-    """0/1 diagonal of the projector that keeps only the given hole sites."""
-    mask = np.zeros(num_sites, dtype=float)
-    for site in holes:
-        if not 0 <= site < num_sites:
-            raise ValueError(f"hole site {site} outside [0, {num_sites})")
-        mask[site] = 1.0
-    return mask
-
-
-def masked_kernel(kernel: Kernel, holes: Iterable[int]) -> Kernel:
-    """Kernel M @ K: one step of evolution followed by a hole-mask projection."""
-    mask = mask_vector(kernel.num_sites, holes)
-    return Kernel(mask[:, None] * kernel.step)
-
-
 def norm_sq(a: WaveFunction) -> float:
     return float(np.vdot(a.coeffs, a.coeffs).real)
 
 
 def is_normalized(a: WaveFunction) -> bool:
     return abs(norm_sq(a) - 1.0) <= 1e-12
-
-
-def normalize(a: WaveFunction) -> WaveFunction:
-    n = norm_sq(a)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return WaveFunction(a.coeffs / np.sqrt(n))
 
 
 def _json_int(value) -> int:
@@ -392,10 +360,6 @@ def load_kernel(path: str | Path) -> Kernel:
 
 def wavefunction_from_list(data: list) -> WaveFunction:
     return WaveFunction(_read_pairs(data, ValueError, "wave function"))
-
-
-def save_wavefunction(psi: WaveFunction, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_write_pairs(psi.coeffs)))
 
 
 def load_wavefunction(path: str | Path) -> WaveFunction:

@@ -277,18 +277,6 @@ def additivity_residual(
     return float(np.max(np.abs(disc)))
 
 
-def affine_fit_deviation(reference: np.ndarray, values: np.ndarray) -> float:
-    """Max deviation of ``values`` from the best affine image of ``reference``.
-
-    The regrade is only defined up to an affine map, so this is the canonical
-    distance between a recovered tabulation and an analytic one.
-    """
-    reference = np.asarray(reference, dtype=float)
-    values = np.asarray(values, dtype=float)
-    slope, intercept = np.polyfit(reference, values, 1)
-    return float(np.max(np.abs(slope * reference + intercept - values)))
-
-
 @dataclass(frozen=True)
 class ProductRuleReport:
     """Residuals of the two distributivity constraints and associativity for

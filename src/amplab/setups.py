@@ -13,7 +13,9 @@ are deliberately partial:
   succession.  It is allowed only when the earlier detector coincides with
   the later source; the junction event becomes an explicit single-hole
   filter in the merged setup.  The operation is never commutative: if
-  ``ab`` is allowed, ``ba`` is not.
+  ``ab`` is allowed, ``ba`` is not.  No subcommand composes setups in
+  succession: ``and_compose`` is a test reference in ``tests/genutil.py``,
+  and ``SetupBlock.parts`` inverts it at every single-hole filter.
 * ``or_compose(a, b)`` merges two setups that are identical except at one
   single filter where their hole sets are disjoint and non-empty; the merged
   filter carries the union of the holes.  The operation is commutative.
@@ -54,10 +56,6 @@ from .lattice import MAX_STEPS, Event, LatticeConfig, _json_int
 
 class SetupError(ValueError):
     """A setup or a composition of setups is not allowed."""
-
-
-class NonConsecutiveError(SetupError):
-    """and-composition attempted on setups that are not consecutive."""
 
 
 class NotCombinableError(SetupError):
@@ -130,27 +128,6 @@ def check_sites(setup: Setup, num_sites: int) -> None:
             raise SetupError(
                 f"filter at time {f.time} has holes outside [0, {num_sites})"
             )
-
-
-def and_compose(earlier: Setup, later: Setup) -> Setup:
-    """Concatenate two consecutive setups; the junction becomes a single-hole filter.
-
-    Allowed only when ``earlier.detector == later.source`` (same site and
-    time).  ``SetupBlock.parts`` inverts the operation at every single-hole
-    filter of a block.
-    """
-    if earlier.detector != later.source:
-        raise NonConsecutiveError(
-            f"not consecutive: earlier detector {earlier.detector} != "
-            f"later source {later.source}"
-        )
-    junction = earlier.detector
-    merged = (
-        earlier.filters
-        + (FilterSpec(junction.time, (junction.site,)),)
-        + later.filters
-    )
-    return Setup(earlier.source, later.detector, merged)
 
 
 def or_compose(a: Setup, b: Setup) -> Setup:
@@ -489,10 +466,6 @@ def setup_from_dict(data: dict) -> Setup:
     except (KeyError, TypeError, ValueError) as exc:
         raise SetupError(f"malformed setup object: {exc}") from exc
     return Setup(source, detector, filters)
-
-
-def save_setup(setup: Setup, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(setup_to_dict(setup)))
 
 
 def load_setup(path: str | Path) -> Setup:

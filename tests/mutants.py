@@ -16,7 +16,8 @@ import numpy as np
 import amplab.amplitudes as amplitudes
 import amplab.setups as setups
 from amplab import FilterSpec
-from amplab.lattice import mask_vector
+
+from genutil import mask_vector
 
 TARGETS = ("fuzz-default", "fuzz-long", "amplitude")
 

@@ -13,7 +13,6 @@ from amplab import (
     BinaryOpSampler,
     BornExperiment,
     BruteForcePaths,
-    CompositeSetup,
     LatticeConfig,
     NonAssociativeError,
     ProjectorWindow,
@@ -21,17 +20,12 @@ from amplab import (
     SigmaInsert,
     TransferMatrix,
     additivity_residual,
-    affine_fit_deviation,
     amplitude,
-    and_compose,
     associativity_residual,
     catalog_op,
-    composite_amplitude,
     consistency_check,
     kernel_from_hamiltonian,
-    linearity_check,
     make_tight_binding_kernel,
-    masked_kernel,
     or_compose,
     overlap_exact,
     overlap_for_window,
@@ -39,21 +33,27 @@ from amplab import (
     product_rule_residual,
     recover_regrade,
     relative_deviation,
-    schrodinger_residual,
     setup_block,
     small_N_direct,
     tight_binding_hamiltonian,
 )
-from amplab.evolution import Hamiltonian
 
 from genutil import (
+    CompositeSetup,
+    Hamiltonian,
+    affine_fit_deviation,
+    and_compose,
+    composite_amplitude,
     increasing_inverse,
     insert_sigma,
+    linearity_check,
+    masked_kernel,
     random_and_pair,
     random_kernel,
     random_or_pair,
     random_setup,
     random_state,
+    schrodinger_residual,
 )
 
 

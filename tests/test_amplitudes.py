@@ -27,17 +27,14 @@ from amplab import (
     TransferMatrix,
     amplitude,
     amplitude_bruteforce,
-    and_compose,
     block_vectors,
     consistency_check,
     evaluate,
     make_tight_binding_kernel,
     or_compose,
-    propagator,
     random_block,
     relative_deviation,
     save_kernel,
-    save_setup,
     setup_block,
 )
 from amplab.amplitudes import NEAR_ZERO, _deviations
@@ -45,6 +42,7 @@ from amplab.cli import _fuzz_kernel, main
 from amplab.setups import SIGMA_ROW
 
 from genutil import (
+    and_compose,
     decompose_at,
     insert_sigma,
     random_and_pair,
@@ -52,6 +50,7 @@ from genutil import (
     random_or_pair,
     random_setup,
     reject_constant,
+    save_setup,
 )
 from mutants import MUTANTS, TARGETS, Blind, breaches, column
 
@@ -111,7 +110,7 @@ def test_bare_setup_equals_propagator_element():
     rng = np.random.default_rng(5)
     kernel = random_kernel(4, rng)
     setup = Setup(Event(2, 0), Event(1, 4))
-    matrix_power = propagator(kernel, 0, 4)[1, 2]
+    matrix_power = np.linalg.matrix_power(kernel.step, 4)[1, 2]
     assert relative_deviation(amplitude_bruteforce(setup, kernel), matrix_power) <= 1e-12
 
 
@@ -675,6 +674,20 @@ def test_every_mutant_moves_a_value(monkeypatch):
             m.setattr(*patch)
             moved = max(map(relative_deviation, values(), clean))
         assert moved > 1e-10, name
+
+
+def test_a_core_patch_reaches_double_slit(tmp_path, monkeypatch, capsys):
+    # a core defect is patched on the amplitudes module alone, and
+    # double-slit calls the core through that module: without its one hole,
+    # each slit is blocked and the merged setup keeps only the second hole
+    patch, *_ = MUTANTS["drop"]
+    assert patch[:2] == (amplitudes, "block_vectors")
+    monkeypatch.setattr(*patch)
+    argv = ["double-slit", "--holes", "3,9", "--out", str(tmp_path / "ds")]
+    assert main(argv) == 2
+    assert "sum-rule violation: " in capsys.readouterr().err
+    [check] = json.loads((tmp_path / "ds.manifest.json").read_text())["checks"]
+    assert (check["name"], check["passed"]) == ("sum-rule", False)
 
 
 def test_each_column_equals_its_batch_of_one():

@@ -10,17 +10,15 @@ from amplab import (
     ProjectorWindow,
     WaveFunction,
     convergence_scan,
-    normalize,
     overlap_exact,
     overlap_for_window,
     overlap_gaussian,
-    product_state,
     small_N_direct,
 )
 import amplab.born as born
 from amplab.born import _window_bounds
 
-from genutil import random_state
+from genutil import normalize, product_state, random_state
 
 
 def binomial_window_oracle(p: float, N: int, n_lo: int, n_hi: int) -> float:

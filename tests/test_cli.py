@@ -35,17 +35,20 @@ from amplab import (
     load_kernel,
     load_wavefunction,
     make_tight_binding_kernel,
-    normalize,
     or_compose,
     recover_regrade,
     save_kernel,
-    save_setup,
-    save_wavefunction,
     setup_block,
 )
 from amplab.cli import _all_strategies, _fuzz_kernel, main
 from amplab.regrade import CATALOG_NAMES
-from genutil import random_setup, reject_constant
+from genutil import (
+    normalize,
+    random_setup,
+    reject_constant,
+    save_setup,
+    save_wavefunction,
+)
 
 HUGE_INT = "1" + "0" * 400
 
@@ -413,7 +416,8 @@ def test_fuzz_draws_at_the_bound_run(tmp_path):
 # more change.  Flag values keep their argparse type, as argparse refuses
 # the rest itself with exit 1.  --L stays small or past MAX_SITES, as a
 # kernel near the bound takes a dense L x L build, and evolve's --steps
-# small, as evolve's kept states are not bounded
+# small or past MAX_EVOLVE_ENTRIES, as a table near that bound takes
+# seconds to write
 _DELETE = object()
 _FIELD_VALUES = [
     _DELETE, 0, -1, 1, 2, 3, 1.5, -0.0, 1e-320, 1e308, math.inf, math.nan, 10**30,
@@ -424,7 +428,7 @@ _SMALL_INTS = [-1, 0, 1, 2, 3, 4]
 _FLOATS = ["0", "-1", "1e-300", "0.35", "40", "1e308", "inf", "-inf", "nan"]
 _FLAG_VALUES = {
     "amplitude": {"--max-paths": _INTS},
-    "evolve": {"--steps": _SMALL_INTS},
+    "evolve": {"--steps": [*_SMALL_INTS, 2**16, 10**9, 2**63]},
     "born-direct": {
         "--site": _INTS, "--N": _INTS, "--n-min": _INTS, "--n-max": _INTS,
     },
@@ -832,6 +836,45 @@ def test_evolve_overflow_exits_1(tmp_path, capsys, psi, steps):
     assert main(argv + ["--steps", steps, "--out", str(tmp_path / "ev")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "ev.csv").exists()
+
+
+def _evolve_argv(tmp_path, num_sites, steps):
+    """evolve of the identity kernel on ``num_sites`` sites, a unit state."""
+    kernel_path, psi_path = tmp_path / "kernel.json", tmp_path / "psi.json"
+    entries = np.eye(num_sites).ravel()
+    kernel_path.write_text(json.dumps({"L": num_sites, "entries": [[x, 0.0] for x in entries]}))
+    psi_path.write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * (num_sites - 1)))
+    return ["evolve", "--kernel", str(kernel_path), "--psi", str(psi_path),
+            "--steps", str(steps), "--out", str(tmp_path / "ev")]
+
+
+@pytest.mark.parametrize(
+    "num_sites, steps",
+    [(1, 2**18), (4, 2**16), (4, 10**9), (4, 2**63)],
+    ids=["bound+1", "L4-bound+4", "L4-1e9", "L4-2**63"],
+)
+def test_evolve_table_past_the_bound_exits_1(tmp_path, capsys, num_sites, steps):
+    # evolve keeps every state, so (steps + 1) x sites past
+    # MAX_EVOLVE_ENTRIES is refused once the kernel is read, before any
+    # state is built
+    assert cli.MAX_EVOLVE_ENTRIES == 2**18
+    argv = _evolve_argv(tmp_path, num_sites, steps)
+    assert _refusal_peak(argv) < 2**20
+    entries = (steps + 1) * num_sites
+    assert capsys.readouterr().err == (
+        f"error: --steps {steps} on {num_sites} sites makes {entries} table entries; "
+        f"at most {2**18}\n"
+    )
+    assert not (tmp_path / "ev.csv").exists()
+    assert not (tmp_path / "ev.manifest.json").exists()
+
+
+def test_evolve_table_at_the_bound_runs(tmp_path):
+    # the bound itself is admitted; one site is its cheapest table
+    assert main(_evolve_argv(tmp_path, 1, 2**18 - 1)) == 0
+    table = (tmp_path / "ev.csv").read_bytes()
+    assert table.count(b"\r\n") == 1 + 2**18
+    assert table.endswith(b"\r\n262143,0,1,0,1\r\n")
 
 
 def test_born_subcommand(tmp_path):

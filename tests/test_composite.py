@@ -4,22 +4,25 @@ import numpy as np
 import pytest
 
 from amplab import (
-    CompositeSetup,
     Event,
     FilterSpec,
     LatticeConfig,
     Setup,
     WaveFunction,
     amplitude,
-    and_compose,
-    composite_amplitude,
-    normalize,
     or_compose,
-    product_state,
     relative_deviation,
 )
 
-from genutil import random_kernel, random_setup
+from genutil import (
+    CompositeSetup,
+    and_compose,
+    composite_amplitude,
+    normalize,
+    product_state,
+    random_kernel,
+    random_setup,
+)
 
 
 def _pair(seed):

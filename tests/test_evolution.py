@@ -5,25 +5,28 @@ import pytest
 
 from amplab import (
     Event,
-    Hamiltonian,
     Kernel,
     LatticeConfig,
     Setup,
     WaveFunction,
     amplitude,
     evolve,
-    hermiticity_defect,
     kernel_from_hamiltonian,
-    linearity_check,
     make_tight_binding_kernel,
-    masked_kernel,
     norm_sq,
-    normalize,
-    schrodinger_residual,
     tight_binding_hamiltonian,
 )
 
-from genutil import random_kernel, random_state
+from genutil import (
+    Hamiltonian,
+    hermiticity_defect,
+    linearity_check,
+    masked_kernel,
+    normalize,
+    random_kernel,
+    random_state,
+    schrodinger_residual,
+)
 
 TWO_LEVEL = tight_binding_hamiltonian(2, hop=1.0, onsite=0.0, boundary="open")
 

@@ -18,19 +18,16 @@ from amplab import (
     load_kernel,
     load_wavefunction,
     make_tight_binding_kernel,
-    mask_vector,
-    masked_kernel,
     norm_sq,
-    normalize,
-    propagator,
     save_kernel,
-    save_wavefunction,
     tight_binding_hamiltonian,
     unitarity_defect,
 )
 from amplab import lattice
 from amplab.cli import _fuzz_kernel
 from amplab.lattice import UNITARITY_TOL, wavefunction_from_list
+
+from genutil import mask_vector, masked_kernel, normalize, save_wavefunction
 
 
 def test_config_validation():
@@ -295,28 +292,6 @@ def test_tight_binding_onsite_length_mismatch():
 def test_ring_wrap_needs_three_sites():
     with pytest.raises(ValueError):
         tight_binding_hamiltonian(2, hop=1.0, boundary="ring")
-
-
-def test_propagator_trivial_cases():
-    rng = np.random.default_rng(0)
-    config = LatticeConfig(3, 5, dt=0.4)
-    kernel = make_tight_binding_kernel(config, hop=1.0)
-    assert np.array_equal(propagator(kernel, 2, 2), np.eye(3, dtype=complex))
-    assert np.allclose(propagator(kernel, 1, 2), kernel.step, atol=0)
-    # repeated-multiplication oracle over three steps
-    k = kernel.step
-    assert np.max(np.abs(propagator(kernel, 0, 3) - (k @ k) @ k)) < 1e-13
-    with pytest.raises(ValueError):
-        propagator(kernel, 3, 1)
-
-
-def test_propagator_composition_property():
-    config = LatticeConfig(5, 6, dt=0.3)
-    kernel = make_tight_binding_kernel(config, hop=0.8, onsite=np.linspace(0, 1, 5))
-    for t1, t2, t3 in [(0, 2, 5), (1, 1, 4), (0, 3, 3)]:
-        lhs = propagator(kernel, t1, t3)
-        rhs = propagator(kernel, t2, t3) @ propagator(kernel, t1, t2)
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_normalize():

@@ -12,7 +12,6 @@ from amplab import (
     ProductRuleReport,
     RegradeError,
     additivity_residual,
-    affine_fit_deviation,
     associativity_residual,
     catalog_op,
     product_rule_residual,
@@ -20,7 +19,7 @@ from amplab import (
 )
 from amplab.regrade import CATALOG_NAMES, _cumulative_simpson
 
-from genutil import increasing_inverse
+from genutil import affine_fit_deviation, increasing_inverse
 
 
 def eta_operation(a: float, b: float, g: float, lo=0.4, hi=1.4, grid_n=128):

@@ -11,21 +11,25 @@ from amplab import (
     Event,
     FilterSpec,
     LatticeConfig,
-    NonConsecutiveError,
     NotCombinableError,
     Setup,
     SetupError,
-    and_compose,
     load_setup,
     or_compose,
     random_block,
-    save_setup,
     setup_block,
 )
 from amplab.cli import FUZZ_BLOCK
 from amplab.setups import _GAMMA, MAX_DRAWS, SEED_LIMIT, _mix64, check_sites
 
-from genutil import decompose_at, insert_sigma, random_setup
+from genutil import (
+    NonConsecutiveError,
+    and_compose,
+    decompose_at,
+    insert_sigma,
+    random_setup,
+    save_setup,
+)
 
 BLOCK_ARRAYS = ("src", "det", "stop", "time", "column", "row", "masks")
 
