@@ -1,8 +1,9 @@
 """Wave-function time evolution.
 
 One evolution step multiplies the coefficient vector by the kernel's step
-matrix, so the map taking a state at time t to the state at time t+n is
-linear by construction for every kernel, unitary or not.  The checks of that
+matrix (``Kernel.apply``, through its panels when it is banded), so the map
+taking a state at time t to the state at time t+n is linear by construction
+for every kernel, unitary or not.  The checks of that
 linearity and of the discrete evolution equation i*dPsi/dt = H Psi are test
 references in ``tests/genutil.py``; no subcommand runs them yet.
 """
@@ -25,5 +26,5 @@ def evolve(psi: WaveFunction, kernel: Kernel, steps: int) -> WaveFunction:
     # WaveFunction rejects: numpy's warning would only repeat that error
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            coeffs = kernel.step @ coeffs
+            coeffs = kernel.apply(coeffs)
     return WaveFunction(coeffs)

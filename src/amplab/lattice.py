@@ -10,6 +10,7 @@ unitarity is only guaranteed when a kernel is built from a Hermitian generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -38,8 +39,24 @@ MAX_STEPS = 2**14
 # tracemalloc put the peak of ``make_tight_binding_kernel`` at 3.5 (banded)
 # to 4.9 (dense) such matrices, so at most five live at once: at 2**11
 # sites that is 5 * 16 * 2**22 bytes, 320 MiB, and each further site adds
-# about 0.3 MiB.
+# about 0.3 MiB.  A banded kernel's panels (``Kernel.apply``) add 3bL
+# entries, at most L^2 / 2 as they need six blocks or more.
 MAX_SITES = 2**11
+
+# A kernel steps through its panels when they hold at least six blocks on at
+# least 144 sites, and densely otherwise.  Panels cost about 3/nb of the dense
+# product plus a fixed few microseconds for the gather and the batched call.
+# Measured per step on one BLAS thread, in microseconds, for B = 1 / B = 100
+# columns, dense against panels:
+#   L=128 nb=8: 5.3/154 against 6.2/119 (nb=128: 4.9/178 against 5.1/46)
+#   L=144 nb=6: 9.2/221 against 8.5/161 (nb=144: 9.6/325 against 8.4/65)
+#   L=256 nb=8: 15.4/658 against 9.9/386
+#   L=512 nb=16: 146/2736 against 15/842
+#   L=2048 nb=64: 2493/46832 against 111/3433
+# Below 144 sites, or with fewer than six blocks (nb=5 at L=80: 2.1/66
+# against 3.3/71), panels lose at one column.
+PANEL_MIN_BLOCKS = 6
+PANEL_MIN_SITES = 144
 
 
 class KernelFormatError(ValueError):
@@ -86,7 +103,11 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """One-step transition matrix on the lattice, indexed ``step[to, from]``."""
+    """One-step transition matrix on the lattice, indexed ``step[to, from]``.
+
+    ``apply`` steps states, through block-tridiagonal panels when the matrix
+    is banded; ``step`` stays the dense matrix that the path sum, the
+    unitarity probe and kernel files read."""
 
     step: np.ndarray
 
@@ -104,6 +125,41 @@ class Kernel:
     @property
     def num_sites(self) -> int:
         return self.step.shape[0]
+
+    @functools.cached_property
+    def _panels(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cyclic block-tridiagonal form of ``step``, or None to step
+        densely.  With w the cyclic half band width of the exact nonzeros, the
+        sites split into nb blocks of b sites, b the smallest divisor of L
+        that is at least w; row block i then touches only column blocks i-1,
+        i and i+1, held as panel i of an (nb, b, 3b) array with the (nb, 3b)
+        columns it reads.  A kernel with no nonzero entry, or one whose
+        panels would be fewer than ``PANEL_MIN_BLOCKS`` or whose sites are
+        fewer than ``PANEL_MIN_SITES``, steps densely.
+        """
+        n = self.num_sites
+        if not self.step.any():
+            return None
+        width = max(_cyclic_width(self.step), 1)
+        size = next(b for b in range(width, n + 1) if n % b == 0)
+        blocks = n // size
+        if blocks < PANEL_MIN_BLOCKS or n < PANEL_MIN_SITES:
+            return None
+        columns = (np.arange(-size, 2 * size) + size * np.arange(blocks)[:, None]) % n
+        panels = np.take_along_axis(
+            self.step.reshape(blocks, size, n), columns[:, None, :], axis=2
+        )
+        panels.setflags(write=False)
+        return panels, columns
+
+    def apply(self, states: np.ndarray) -> np.ndarray:
+        """``step @ states`` for an (L,) or (L, B) array, through the panels
+        when the kernel has them: one gather and one batched product."""
+        if self._panels is None:
+            return self.step @ states
+        panels, columns = self._panels
+        gathered = states[columns].reshape(*columns.shape, -1)  # (nb, 3b, B)
+        return (panels @ gathered).reshape(states.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,6 +180,15 @@ class WaveFunction:
     @property
     def num_sites(self) -> int:
         return self.coeffs.shape[0]
+
+
+def _cyclic_width(matrix: np.ndarray) -> int:
+    """The largest cyclic distance of a nonzero of square ``matrix`` from its
+    main diagonal, 0 if it has none."""
+    n = matrix.shape[0]
+    rows, cols = np.divmod(np.flatnonzero(matrix), n)
+    offsets = (rows - cols) % n
+    return int(np.minimum(offsets, n - offsets).max(initial=0))
 
 
 def _band_rows(width: int, n: int) -> np.ndarray:
@@ -181,10 +246,7 @@ def expm_series(matrix: np.ndarray) -> np.ndarray:
     if not x.imag.any():
         x = x.real
     n = a.shape[0]
-    # the cyclic distance of each nonzero from the main diagonal
-    rows, cols = np.divmod(np.flatnonzero(x), n)
-    offsets = (rows - cols) % n
-    width = int(np.minimum(offsets, n - offsets).max(initial=0))
+    width = _cyclic_width(x)
     banded = 2 * width + 1 <= n
     if banded:
         x = x[_band_rows(width, n), np.arange(n)]

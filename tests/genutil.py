@@ -129,6 +129,19 @@ def random_kernel(num_sites: int, rng: np.random.Generator) -> Kernel:
     return Kernel(mat / np.sqrt(2.0 * num_sites))
 
 
+def random_banded_kernel(num_sites: int, width: int, rng: np.random.Generator) -> Kernel:
+    """Complex kernel whose nonzeros are exactly the cyclic diagonals within
+    ``width`` of the main one, wrap corners included; generally non-unitary
+    and not its own transpose."""
+    sites = np.arange(num_sites)
+    offsets = (sites[:, None] - sites) % num_sites
+    band = np.minimum(offsets, num_sites - offsets) <= width
+    mat = rng.normal(size=(num_sites, num_sites)) + 1j * rng.normal(
+        size=(num_sites, num_sites)
+    )
+    return Kernel(mat * band / np.sqrt(2.0 * (2 * width + 1)))
+
+
 def random_state(num_sites: int, rng: np.random.Generator) -> WaveFunction:
     coeffs = rng.normal(size=num_sites) + 1j * rng.normal(size=num_sites)
     return normalize(WaveFunction(coeffs))

@@ -118,7 +118,6 @@ def _conjugated_path_sum(step, layers, path_sum=amplitudes._path_sum):
 NO_ORACLE = Blind("the path guard skips brute_force on every long setup")
 LINEAR = Blind("the path guard skips brute_force on every long setup, and under a linear"
                " defect the one core of the others keeps the product rule and sigma invariance")
-SYMMETRIC = Blind("the fuzz kernel is its own transpose")
 SAME_HOLES = Blind("every strategy reads the same wrong hole sets")
 ONE_COLUMN = Blind("the setup has no single-hole filter, so every core call is a batch of one")
 
@@ -144,7 +143,9 @@ MUTANTS = {
     "cubic": (core(_map(lambda psi: psi + 0.01 * psi * np.abs(psi) ** 2)), *PRODUCT_RULE),
     "phase": (core(_map(lambda psi: np.exp(0.1j) * psi)), "tm da sa / bf", LINEAR, "tm da sa / bf"),
     "leak": (core(_map(lambda psi: 0.999 * psi)), "tm da sa / bf", LINEAR, "tm da sa / bf"),
-    "transposed": (core(lambda kernel, psi: kernel.step.T @ psi), *(SYMMETRIC,) * 3),
+    "transposed": (
+        core(lambda kernel, psi: kernel.step.T @ psi), "tm da sa / bf", NO_ORACLE, "tm da sa / bf"
+    ),
     # batching: only the decomposition's parts have spans of their own, and
     # only SetupBlock.parts moves filters to a part's own steps
     "start": (

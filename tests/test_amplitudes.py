@@ -52,7 +52,7 @@ from genutil import (
     reject_constant,
     save_setup,
 )
-from mutants import MUTANTS, TARGETS, Blind, breaches, column
+from mutants import MUTANTS, TARGETS, Blind, block_filters, breaches, column
 
 
 def test_single_site_unit_kernel():
@@ -728,6 +728,30 @@ def test_a_column_does_not_depend_on_the_spans_of_its_batch(num_sites):
     for name, c in neighbours.items():
         vectors = block_vectors(setup_block([a, c], num_sites), kernel)
         assert vectors[:, 0].tobytes() == column, name
+
+
+def test_block_vectors_on_panels_match_the_dense_reference():
+    # 256 sites at dt 0.35 step through eight panels of 32 sites; each column
+    # is the dense loop reference, and a column's bits still depend only on
+    # the width of its block
+    rng = np.random.default_rng(39)
+    config = LatticeConfig(256, 40, dt=0.35)
+    kernel = make_tight_binding_kernel(config, hop=np.exp(0.5j), onsite=rng.uniform(-0.5, 0.5, 256))
+    assert kernel._panels is not None
+    batch = [
+        Setup(Event(128, 0), Event(0, 40), (FilterSpec(10, (120, 130, 140)), FilterSpec(25, (5,)))),
+        Setup(Event(3, 0), Event(250, 33), (FilterSpec(7, tuple(range(0, 256, 3))),)),
+        Setup(Event(255, 0), Event(1, 1)),
+        Setup(Event(0, 0), Event(9, 40), (FilterSpec(20, tuple(range(240, 256))),)),
+    ]
+    block = setup_block(batch, 256)
+    vectors = block_vectors(block, kernel)
+    for b, filters in enumerate(block_filters(block)):
+        reference = column(kernel, int(block.src[b]), 0, int(block.stop[b]), filters)
+        assert np.abs(vectors[:, b] - reference).max() <= 1e-14
+    for b, neighbour in ((1, Setup(Event(3, 0), Event(250, 12))), (3, batch[2])):
+        moved = setup_block([*batch[:b], neighbour, *batch[b + 1 :]], 256)
+        assert block_vectors(moved, kernel)[:, 0].tobytes() == vectors[:, 0].tobytes()
 
 
 @pytest.mark.parametrize("num_sites, num_steps, max_filters", [(8, 6, 3), (16, 24, 8)])

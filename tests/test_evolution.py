@@ -39,6 +39,18 @@ def test_evolve_zero_steps_is_identity():
     assert np.array_equal(out.coeffs, psi.coeffs)
 
 
+def test_evolve_on_panels_matches_the_matrix_power():
+    # 256 sites at dt 0.35 step through eight panels of 32 sites
+    rng = np.random.default_rng(39)
+    config = LatticeConfig(256, 1, dt=0.35)
+    kernel = make_tight_binding_kernel(config, hop=1.0, onsite=rng.uniform(-0.5, 0.5, 256))
+    assert kernel._panels is not None
+    psi = random_state(256, rng)
+    for steps in (1, 7, 200):
+        expected = np.linalg.matrix_power(kernel.step, steps) @ psi.coeffs
+        assert np.abs(evolve(psi, kernel, steps).coeffs - expected).max() <= 1e-14
+
+
 def test_two_level_closed_form():
     t = 0.9
     kernel = kernel_from_hamiltonian(TWO_LEVEL, dt=t)

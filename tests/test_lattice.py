@@ -27,7 +27,13 @@ from amplab import lattice
 from amplab.cli import _fuzz_kernel
 from amplab.lattice import UNITARITY_TOL, wavefunction_from_list
 
-from genutil import mask_vector, masked_kernel, normalize, save_wavefunction
+from genutil import (
+    mask_vector,
+    masked_kernel,
+    normalize,
+    random_banded_kernel,
+    save_wavefunction,
+)
 
 
 def test_config_validation():
@@ -183,6 +189,89 @@ def test_ring_kernel_keeps_exact_zeros():
     # must keep every one of them
     kernel = make_tight_binding_kernel(LatticeConfig(512, 1, dt=0.35), hop=1.0)
     assert np.count_nonzero(kernel.step == 0) == 232960
+
+
+def _rebuilt(kernel: Kernel) -> np.ndarray:
+    """The dense matrix that the panels of ``kernel`` hold, zero elsewhere."""
+    panels, columns = kernel._panels
+    blocks, size, _ = panels.shape
+    rows = np.arange(blocks * size).reshape(blocks, size)
+    dense = np.zeros_like(kernel.step)
+    dense[rows[:, :, None], columns[:, None, :]] = panels
+    return dense
+
+
+# (num_sites, width, panel shape): random banded kernels with nonzeros across
+# the 0 / L-1 seam, at six blocks and 144 sites (the crossover), blocks as
+# wide as the band where a narrower divisor exists (150 = 5 x 30), a block
+# size above the width, one site per block, and the chain and double-slit
+# shapes of the benchmark
+PANEL_KERNELS = [
+    (144, 24, (6, 24, 72)),
+    (150, 6, (25, 6, 18)),
+    (160, 16, (10, 16, 48)),
+    (210, 28, (7, 30, 90)),
+    (256, 1, (256, 1, 3)),
+    (256, 28, (8, 32, 96)),
+    (512, 28, (16, 32, 96)),
+]
+
+
+@pytest.mark.parametrize("num_sites, width, shape", PANEL_KERNELS)
+def test_panels_rebuild_the_step_and_apply_it(num_sites, width, shape):
+    rng = np.random.default_rng(num_sites + width)
+    kernel = random_banded_kernel(num_sites, width, rng)
+    assert np.abs(kernel.step - kernel.step.T).max() > 0.1
+    assert kernel.step[0, -1] != 0 and kernel.step[-1, 0] != 0
+    assert kernel._panels[0].shape == shape
+    assert np.array_equal(_rebuilt(kernel), kernel.step)
+    eps = np.finfo(float).eps
+    for states in (
+        rng.normal(size=num_sites) + 1j * rng.normal(size=num_sites),
+        rng.normal(size=(num_sites, 7)) + 1j * rng.normal(size=(num_sites, 7)),
+    ):
+        stepped = kernel.apply(states)
+        assert stepped.shape == states.shape
+        # the same nonzero terms summed in another order: a few ulp of the
+        # sum of their moduli
+        scale = np.abs(kernel.step) @ np.abs(states)
+        assert np.all(np.abs(stepped - kernel.step @ states) <= 4 * eps * scale)
+
+
+def test_tight_binding_kernels_take_panels_at_large_sites():
+    # double-slit's kernel at L=512 and dt 0.35 has 28 diagonals either side
+    # of the main one: 16 blocks of 32 sites
+    kernel = make_tight_binding_kernel(LatticeConfig(512, 1, dt=0.35), hop=1.0)
+    assert kernel._panels[0].shape == (16, 32, 96)
+    assert np.array_equal(_rebuilt(kernel), kernel.step)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["fuzz L=8", "fuzz L=16", "prime L", "five blocks", "below 144 sites", "all zero",
+     "double-slit L=16"],
+)
+def test_dense_step_where_panels_do_not_pay(name):
+    rng = np.random.default_rng(7)
+    kernel = {
+        # the fuzz kernels fill their whole band
+        "fuzz L=8": lambda: _fuzz_kernel(LatticeConfig(8, 1)),
+        "fuzz L=16": lambda: _fuzz_kernel(LatticeConfig(16, 1)),
+        # 151 is prime, so its one block of 151 sites is the whole ring
+        "prime L": lambda: random_banded_kernel(151, 5, rng),
+        # 160 sites at width 28: five blocks of 32
+        "five blocks": lambda: random_banded_kernel(160, 28, rng),
+        # 32 blocks of four, on 128 sites
+        "below 144 sites": lambda: random_banded_kernel(128, 4, rng),
+        "all zero": lambda: Kernel(np.zeros((512, 512))),
+        "double-slit L=16": lambda: make_tight_binding_kernel(
+            LatticeConfig(16, 1, dt=0.35), hop=1.0
+        ),
+    }[name]()
+    assert kernel._panels is None
+    n = kernel.num_sites
+    for states in (rng.normal(size=n) + 0j, rng.normal(size=(n, 3)) + 0j):
+        assert kernel.apply(states).tobytes() == (kernel.step @ states).tobytes()
 
 
 def test_tight_binding_unitarity():
