@@ -138,12 +138,12 @@ class Kernel:
         fewer than ``PANEL_MIN_SITES``, steps densely.
         """
         n = self.num_sites
-        if not self.step.any():
+        if n < PANEL_MIN_SITES or not self.step.any():
             return None
         width = max(_cyclic_width(self.step), 1)
         size = next(b for b in range(width, n + 1) if n % b == 0)
         blocks = n // size
-        if blocks < PANEL_MIN_BLOCKS or n < PANEL_MIN_SITES:
+        if blocks < PANEL_MIN_BLOCKS:
             return None
         columns = (np.arange(-size, 2 * size) + size * np.arange(blocks)[:, None]) % n
         panels = np.take_along_axis(
