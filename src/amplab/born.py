@@ -170,6 +170,20 @@ def overlap_gaussian(experiment: BornExperiment) -> float:
     return 0.5 * (math.erf(hi) - math.erf(lo))
 
 
+def _fold(block: np.ndarray, coeffs: np.ndarray, levels: int) -> np.ndarray:
+    """Fold ``levels`` more replicas onto ``block``, one level at a time, into
+    a (block, L) array: entry (b, j) is block[b] * coeffs[j]."""
+    for _ in range(levels):
+        out = np.empty((block.size, coeffs.size), dtype=complex)
+        if block.size >= coeffs.size:  # one call per site, down a column
+            for j in range(coeffs.size):
+                np.multiply(block, coeffs[j], out=out[:, j])
+        else:
+            np.multiply.outer(block, coeffs, out=out)
+        block = out.reshape(-1)
+    return block
+
+
 def small_N_direct(
     psi: WaveFunction, k_site: int, window: ProjectorWindow, N: int
 ) -> float:
@@ -180,19 +194,29 @@ def small_N_direct(
     count falls in the window.  An independent check of the binomial algebra;
     limited to N <= 12 and L^N <= 1e7.
 
-    Memory is 8 bytes per in-window configuration plus one block of about
-    ``_BLOCK_ENTRIES`` coefficients.  Configuration (x_1..x_N), the first
-    replica most significant, holds the left-nested product
-    psi[x_1] * ... * psi[x_N] that an ``np.kron`` fold makes.  The ``lead``
-    leading replicas are folded once into a small tensor; each block takes a
-    slice of it and folds the ``rest`` trailing replicas on, one level at a
-    time, into a (block, L) array: the same products in the same order.  A
-    level of at least L entries is written by one ``np.multiply`` per site,
-    down a column; a shorter one by ``np.multiply.outer``, whose inner loop
-    runs over the L sites.  numpy starts its inner loop once per call, so
-    each form makes that loop the longer axis.  The in-window |c|^2 are
-    gathered in flat order into one array with one sum: the same bits as
-    summing over the whole tensor.
+    Configuration (x_1..x_N), the first replica most significant, holds the
+    left-nested product psi[x_1] * ... * psi[x_N] that an ``np.kron`` fold
+    makes.  The ``lead`` leading replicas are folded once into a small
+    tensor; each block takes a slice of it and folds the ``rest`` trailing
+    replicas on, one level at a time, into a (block, L) array: the same
+    products in the same order.  A level of at least L entries is written by
+    one ``np.multiply`` per site, down a column; a shorter one by
+    ``np.multiply.outer``, whose inner loop runs over the L sites.  numpy
+    starts its inner loop once per call, so each form makes that loop the
+    longer axis.  A block of several leading entries gathers its in-window
+    entries through a mask of replica counts.  A block of one leading entry,
+    whose count c is fixed, skips the last level of L^rest entries: the
+    in-window trailing entries for c are indexed once per c as pairs
+    (q, x_last) of a prefix entry and a last-replica site, and the block
+    folds all but the last replica and forms only the products
+    prefix[q] * psi[x_last], each the same multiplication of the same two
+    operands.  The in-window |c|^2 are kept in flat order in one array with
+    one sum: the same bits as summing over the whole tensor.
+
+    Memory is 8 bytes per in-window configuration, plus one block of about
+    ``_BLOCK_ENTRIES`` coefficients, plus, on blocks of one leading entry,
+    the index arrays of the count c in hand: 24 bytes per in-window trailing
+    entry.
     """
     if not 1 <= N <= SMALL_N_LIMIT:
         raise ValueError(f"N must lie in 1..{SMALL_N_LIMIT}")
@@ -215,28 +239,53 @@ def small_N_direct(
     hit = (np.arange(num_sites) == k_site).astype(np.int8)
     lead_counts = reduce(np.add.outer, [hit] * lead).reshape(-1)
     rest_counts = reduce(np.add.outer, [hit] * rest, np.zeros(1, np.int8)).reshape(-1)
-    # C(N, c) (L - 1)^(N - c) configurations put c replicas at k_site
-    counted = range(window.n_min, min(window.n_max, N) + 1)
-    probs = np.empty(
-        sum(math.comb(N, c) * (num_sites - 1) ** (N - c) for c in counted)
-    )
+
+    def in_window_size(replicas: int, shift: int) -> int:
+        # C(n, c) (L - 1)^(n - c) configurations of n replicas put c at
+        # k_site; shift counts the replicas at k_site outside these n
+        lo, hi = max(window.n_min - shift, 0), min(window.n_max - shift, replicas)
+        return sum(
+            math.comb(replicas, c) * (num_sites - 1) ** (replicas - c)
+            for c in range(lo, hi + 1)
+        )
+
+    def inside(counts: np.ndarray) -> np.ndarray:
+        return (counts >= window.n_min) & (counts <= window.n_max)
+
+    probs = np.empty(in_window_size(N, 0))
     rows = max(1, _BLOCK_ENTRIES // rest_counts.size)
-    filled = 0
-    for start in range(0, leading.size, rows):
-        part = slice(start, start + rows)
-        block = leading[part]
-        for _ in range(rest):
-            out = np.empty((block.size, num_sites), dtype=complex)
-            if block.size >= num_sites:  # one call per site, down a column
-                for j in range(num_sites):
-                    np.multiply(block, psi.coeffs[j], out=out[:, j])
-            else:
-                np.multiply.outer(block, psi.coeffs, out=out)
-            block = out.reshape(-1)
-        counts = np.add.outer(lead_counts[part], rest_counts).reshape(-1)
-        chosen = block[(counts >= window.n_min) & (counts <= window.n_max)]
-        np.abs(chosen, out=probs[filled : filled + chosen.size])
-        filled += chosen.size
+    if rows == 1:
+        # the in-window entries of a one-entry block depend only on its count
+        # c: index them once per c, as (prefix, last replica) pairs, and fold
+        # all but the last replica.  Blocks go count by count, so one count's
+        # index arrays are in use at a time; each block writes its moduli at
+        # its own place in flat order
+        sizes = [in_window_size(rest, c) for c in range(lead + 1)]
+        ends = np.cumsum(np.take(sizes, lead_counts))
+
+        for c in np.unique(lead_counts):
+            where = np.flatnonzero(inside(rest_counts + c))
+            # numpy's floor division by a scalar is far faster than np.divmod
+            prefix_index = where // num_sites
+            last = psi.coeffs[where - prefix_index * num_sites]
+            for start in np.flatnonzero(lead_counts == c):
+                block = leading[start : start + 1]
+                # one statement, so no array outlives it; and a new product
+                # array, as numpy may round an aliased complex product
+                # differently in the last bit
+                np.abs(
+                    _fold(block, psi.coeffs, rest - 1)[prefix_index] * last,
+                    out=probs[ends[start] - last.size : ends[start]],
+                )
+    else:
+        filled = 0
+        for start in range(0, leading.size, rows):
+            part = slice(start, start + rows)
+            block = _fold(leading[part], psi.coeffs, rest)
+            counts = np.add.outer(lead_counts[part], rest_counts).reshape(-1)
+            chosen = block[inside(counts)]
+            np.abs(chosen, out=probs[filled : filled + chosen.size])
+            filled += chosen.size
     return float(np.square(probs, out=probs).sum())
 
 

@@ -340,10 +340,15 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             f"table entries; at most {MAX_EVOLVE_ENTRIES}"
         )
     # evolve checks the dimensions, so a mismatch fails at --steps 0 too
-    states = [evolve(load_wavefunction(args.psi), kernel, 0)]
-    for _ in range(args.steps):
-        states.append(evolve(states[-1], kernel, 1))
-    amps = np.concatenate([state.coeffs for state in states])
+    states = [evolve(load_wavefunction(args.psi), kernel, 0).coeffs]
+    # the steps of evolve without a WaveFunction per step; a step that
+    # overflows leaves a non-finite amplitude, refused once for the table
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(args.steps):
+            states.append(kernel.apply(states[-1]))
+    amps = np.concatenate(states)
+    if not np.isfinite(amps).all():
+        raise ValueError("wave function coefficients must be finite")
     step, site = np.divmod(np.arange(amps.size), kernel.num_sites)
     # scalar abs: the array np.abs may differ in the last bit
     try:

@@ -267,23 +267,28 @@ def test_small_N_direct_block_seams_match_digit_loop(num_sites, N):
     assert small_N_direct(psi, k_site, ProjectorWindow(N + 1, N + 1), N) == 0.0
 
 
-@pytest.mark.parametrize("num_sites, N", [(300, 2), (40, 3), (4, 11)])
+@pytest.mark.parametrize(
+    "num_sites, N", [(300, 2), (40, 3), (4, 8), (4, 9), (3, 11), (4, 11)]
+)
 def test_small_N_direct_lead_and_rest_match_digit_loop(num_sites, N):
     # (300, 2): a block holds 218 leading entries, the last block fewer;
-    # (40, 3): one block holds the whole tensor; (4, 11): the 64-entry
-    # leading tensor outgrows a block, which holds one leading entry
+    # (40, 3): one block holds the whole tensor; (4, 8): a block holds four
+    # leading entries.  (4, 9), (3, 11) and (4, 11): a block holds one
+    # leading entry and indexes the in-window entries of its count.  Windows
+    # (N - 1, N) and (0, 0) are reached from some leading counts only
     rng = np.random.default_rng(26 + N)
     psi = random_state(num_sites, rng)
     k_site = int(rng.integers(0, num_sites))
-    for lo, hi in ((0, N), (N // 2, N // 2), (N + 1, N + 1)):
+    windows = ((0, N), (N // 2, N // 2), (N + 1, N + 1), (N - 1, N), (0, 0))
+    for lo, hi in windows:
         w = ProjectorWindow(lo, hi)
         assert small_N_direct(psi, k_site, w, N) == small_N_digit_loop(
             psi, k_site, w, N
         )
 
 
-@pytest.mark.parametrize("block_entries", [64, 2000, 90000])
-@pytest.mark.parametrize("num_sites, N", [(300, 2), (40, 3)])
+@pytest.mark.parametrize("block_entries", [64, 2000, 90000, 2**17])
+@pytest.mark.parametrize("num_sites, N", [(300, 2), (40, 3), (4, 9)])
 def test_small_N_direct_block_size_keeps_the_bits(
     monkeypatch, block_entries, num_sites, N
 ):
@@ -291,7 +296,9 @@ def test_small_N_direct_block_size_keeps_the_bits(
     # never a product or the order of the sum.  At 90000 a block's first
     # level holds exactly num_sites entries of several rows (300 rows of
     # 300 sites; 40 rows of 40 sites), the first size folded by one multiply
-    # per site rather than by the outer product
+    # per site rather than by the outer product.  (4, 9) takes one leading
+    # entry per block up to 90000, which index their in-window entries, and
+    # two at 2**17, which gather them through the count mask
     rng = np.random.default_rng(27 + N)
     psi = random_state(num_sites, rng)
     w = ProjectorWindow(1, N)
