@@ -4,15 +4,16 @@ Every setup gets a complex amplitude.  The one evaluation core,
 ``block_vectors``, takes a ``SetupBlock`` (``setups.py``) and threads one
 vector per column, as the columns of one array, through the one-step kernel:
 every column is a unit vector at its source site at step 0, each filter
-multiplies its column by its 0/1 hole mask at its step, and a column is read
-after its stop step, before that step's masks.  The detector-site entry of a
-column's vector is the amplitude.  The core, ``evaluate`` and
+sets the sites it closes to 0 in its column at its step, and a column is
+read after its stop step, before that step's filters.  The detector-site
+entry of a column's vector is the amplitude.  The core, ``evaluate`` and
 ``consistency_check`` take only a block: ``setup_block`` converts setups at
 the edges, and ``amplitude`` is the one entry point for a single ``Setup``.
 That evaluation is mathematically identical to a sum over all hole-threading
 paths weighted by products of single-step kernel entries, and
 ``amplitude_bruteforce`` computes that sum literally as an independent
-oracle.
+oracle, one setup at a time: a meet in the middle over the layers of open
+sites, each extending every partial path by a product of step entries.
 
 An evaluation strategy is one class that evaluates a whole block: the
 transfer matrix (the core on the block), the product rule (the core on the
@@ -56,17 +57,26 @@ def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
 
     Every column starts as the unit vector at its source site at step 0,
     and every step multiplies every column by the one-step kernel.  A column
-    is read off after its stop step, before that step's masks; then each
-    filter of the step that closes a site multiplies its column by its 0/1
-    mask.  Columns in stop order and closing filters in time order are each
-    cut into steps by one ``searchsorted``.  An all-holes filter is inert
-    and applies no mask.  Entry ``[x, b]`` of the (L, B) result is column
-    ``b`` at site ``x``.  A step is ``kernel.apply``: the dense product, or
-    a banded kernel's block-tridiagonal panels.  One setup is a block of
-    one, stepped by matrix-vector products; the bits of a column depend only
-    on the number of columns in its block.  Three blocks of one are still
-    faster than one block of three: at L=512 a panel step took 19-21 us for
-    one column and 96-104 us for three.
+    is read off after its stop step, before that step's filters; then each
+    filter of the step sets the sites it closes, the zeros of its 0/1 row,
+    to 0 in its column.  Those closed entries are listed once per block, as
+    flat indices ``site * B + column`` into the C-ordered (L, B) state in
+    the filters' (step, column) order, so a step's filters are one scatter
+    of zeros; an all-holes filter closes nothing and is inert.  Columns in
+    stop order and filters in time order are each cut into steps by one
+    ``searchsorted``.  On finite values the scatter is the 0/1 mask multiply
+    bit for bit but for the sign of an exact zero, as x * 1 = x and
+    x * 0 = +-0.  A non-finite entry differs: inf at a closed site becomes
+    0, where the multiply made it NaN, and inf at an open site stays inf,
+    where the multiply made it inf + NaN i; its column is non-finite either
+    way.  Entry ``[x, b]`` of the (L, B) result is column ``b`` at site
+    ``x``.  A step is ``kernel.apply``: the dense product, or a banded
+    kernel's block-tridiagonal panels, taken C-ordered so that the scatter
+    writes through a view.  One setup is a block of one, stepped by
+    matrix-vector products; the bits of a column depend only on the number
+    of columns in its block.  Three blocks of one are still faster than one
+    block of three: at L=512 a panel step took 19-21 us for one column and
+    96-104 us for three.
     """
     num_sites = kernel.num_sites
     if block.num_sites != num_sites:
@@ -75,24 +85,32 @@ def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
         )
     if not len(block):
         return np.zeros((num_sites, 0), dtype=complex)
-    closing = ~block.masks.all(axis=1)[block.row]
-    columns, masks = block.column[closing], block.masks[block.row[closing]]
+    # every closed entry of the block's filters, in their (step, column)
+    # order, as a flat index site * B + column into the C-ordered state
+    closed = (block.masks == 0)[block.row]
+    flat = np.flatnonzero(closed)  # filter * L + site
+    del closed
+    filters = flat // num_sites
+    flat %= num_sites
+    flat *= len(block)
+    flat += block.column[filters]
     read = np.argsort(block.stop, kind="stable")  # ascending within a step
     last = int(block.stop[read[-1]])
     steps = np.arange(1, last + 2)
-    bounds = np.searchsorted(block.time[closing], steps)
+    # the filters of each step, then their closed entries
+    bounds = np.searchsorted(filters, np.searchsorted(block.time, steps))
     read_bounds = np.searchsorted(block.stop[read], steps)
     psi = np.zeros((num_sites, len(block)), dtype=complex)
     psi[block.src, np.arange(len(block))] = 1.0
     vectors = np.empty_like(psi)
     for k in range(1, last + 1):
-        psi = kernel.apply(psi)
+        psi = np.ascontiguousarray(kernel.apply(psi))
         lo, hi = read_bounds[k - 1], read_bounds[k]
         if lo < hi:
             vectors[:, read[lo:hi]] = psi[:, read[lo:hi]]
         lo, hi = bounds[k - 1], bounds[k]
         if lo < hi:
-            psi[:, columns[lo:hi]] *= masks[lo:hi].T
+            psi.reshape(-1)[flat[lo:hi]] = 0
     return vectors
 
 
@@ -150,7 +168,9 @@ def _path_sum(step: np.ndarray, layers: list[tuple[int, ...]]) -> complex:
     join sites of summed head times summed tail.  That is the only partial
     sum; it builds no mask, does no matrix-vector product and never calls
     the transfer matrix it checks.  With fewer than two intermediate layers
-    every path is summed at once.
+    every path is summed at once.  A layer's factors are read from
+    ``step.T`` (``_factors``); a layer of every site, as a free step is,
+    reads it whole, with no gather.
     """
     source, *allowed, detector = (np.array(sites) for sites in layers)
     if len(allowed) < 2:
@@ -175,16 +195,29 @@ def _grow_paths(
 
     Partial path ``i`` ends at ``prev[i % len(prev)]``; its extension by
     ``sites[m]`` lands at ``i * len(sites) + m`` with its amplitude times
-    ``step[sites[m], prev[i % len(prev)]]``.
+    ``step[sites[m], prev[i % len(prev)]]``.  The paths start as the first
+    layer's factors themselves, one per pair of a start site and a site of
+    that layer; each later layer multiplies them by its factors.
     """
-    amps = np.ones(len(start), dtype=complex)
-    prev = start
-    for sites in layers:
-        # factors[j, m] = step[sites[m], prev[j]]
-        factors = step[sites, prev[:, None]]
+    forward = step.T
+    amps = _factors(forward, start, layers[0]).reshape(-1)
+    for prev, sites in itertools.pairwise(layers):
+        factors = _factors(forward, prev, sites)
         amps = (amps.reshape(-1, len(prev), 1) * factors).reshape(-1)
-        prev = sites
     return amps
+
+
+def _factors(forward: np.ndarray, prev: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """``factors[j, m] = step[sites[m], prev[j]]``: rows ``prev`` and columns
+    ``sites`` of ``forward``, which is ``step.T``.  Holes are sorted and
+    unique, so a layer of ``num_sites`` entries is every site and is read
+    whole, with no gather."""
+    num_sites = forward.shape[1]
+    if len(prev) < num_sites:
+        forward = forward.take(prev, 0)
+    if len(sites) < num_sites:
+        forward = forward.take(sites, 1)
+    return forward
 
 
 def _guard_trips(block: SetupBlock, max_paths: int) -> np.ndarray:
