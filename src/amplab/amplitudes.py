@@ -64,12 +64,13 @@ def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
     the filters' (step, column) order, so a step's filters are one scatter
     of zeros; an all-holes filter closes nothing and is inert.  Columns in
     stop order and filters in time order are each cut into steps by one
-    ``searchsorted``.  On finite values the scatter is the 0/1 mask multiply
+    ``searchsorted``, and one more finds where each step's filters begin in
+    the list.  On finite values the scatter is the 0/1 mask multiply
     bit for bit but for the sign of an exact zero, as x * 1 = x and
-    x * 0 = +-0.  A non-finite entry differs: inf at a closed site becomes
-    0, where the multiply made it NaN, and inf at an open site stays inf,
-    where the multiply made it inf + NaN i; its column is non-finite either
-    way.  Entry ``[x, b]`` of the (L, B) result is column ``b`` at site
+    x * 0 = +-0.  A non-finite entry differs: inf at an open site stays
+    inf, where the multiply made it inf + NaN i, so its column is
+    non-finite either way; inf at a closed site becomes 0, where the
+    multiply made it NaN, as the filter's exact 0 would.  Entry ``[x, b]`` of the (L, B) result is column ``b`` at site
     ``x``.  A step is ``kernel.apply``: the dense product, or a banded
     kernel's block-tridiagonal panels, taken C-ordered so that the scatter
     writes through a view.  One setup is a block of one, stepped by
@@ -85,8 +86,7 @@ def block_vectors(block: SetupBlock, kernel: Kernel) -> np.ndarray:
         )
     if not len(block):
         return np.zeros((num_sites, 0), dtype=complex)
-    # every closed entry of the block's filters, in their (step, column)
-    # order, as a flat index site * B + column into the C-ordered state
+    # site * B + column of every closed entry, in the filters' order
     closed = (block.masks == 0)[block.row]
     flat = np.flatnonzero(closed)  # filter * L + site
     del closed

@@ -39,6 +39,7 @@ from amplab import (
 )
 from amplab.amplitudes import NEAR_ZERO, _deviations
 from amplab.cli import _fuzz_kernel, main
+from amplab.lattice import PANEL_MIN_SITES
 from amplab.setups import SIGMA_ROW
 
 from genutil import (
@@ -752,6 +753,65 @@ def test_block_vectors_on_panels_match_the_dense_reference():
     for b, neighbour in ((1, Setup(Event(3, 0), Event(250, 12))), (3, batch[2])):
         moved = setup_block([*batch[:b], neighbour, *batch[b + 1 :]], 256)
         assert block_vectors(moved, kernel)[:, 0].tobytes() == vectors[:, 0].tobytes()
+
+
+def _mask_multiply_core(block, kernel):
+    """The core by the mask rule: after each step, every filter of the step
+    that closes a site multiplies its column by its 0/1 row of masks."""
+    closing = ~block.masks.all(axis=1)[block.row]
+    psi = np.zeros((kernel.num_sites, len(block)), dtype=complex)
+    psi[block.src, np.arange(len(block))] = 1.0
+    vectors = np.empty_like(psi)
+    for k in range(1, int(block.stop.max()) + 1):
+        psi = kernel.apply(psi)
+        read = block.stop == k
+        vectors[:, read] = psi[:, read]
+        at = closing & (block.time == k)
+        psi[:, block.column[at]] *= block.masks[block.row[at]].T
+    return vectors
+
+
+def _fuzz_blocks(num_sites, num_steps, max_filters, count):
+    """A block of ``random_block``, its widened block and its parts."""
+    block = random_block(LatticeConfig(num_sites, num_steps), range(count), max_filters)
+    return {"plain": block, "widened": block.widened(), "parts": block.parts()[0]}
+
+
+def _assert_core_is_the_mask_rule(blocks, kernel):
+    for name, block in blocks.items():
+        vectors, reference = block_vectors(block, kernel), _mask_multiply_core(block, kernel)
+        # equal values, with zeros in the same places; an exact zero's sign
+        # may differ, as x * 0 is -0 where the scatter writes +0
+        assert np.array_equal(vectors, reference), name
+        assert np.array_equal(vectors == 0, reference == 0), name
+
+
+@pytest.mark.parametrize("num_sites, num_steps, max_filters", [(8, 6, 3), (16, 24, 8)])
+def test_block_vectors_is_the_mask_multiply_bit_for_bit(num_sites, num_steps, max_filters):
+    # the two fuzz shapes, on a full fuzz block and the blocks its strategies
+    # derive from it
+    kernel = _fuzz_kernel(LatticeConfig(num_sites, num_steps))
+    blocks = _fuzz_blocks(num_sites, num_steps, max_filters, 256)
+    _assert_core_is_the_mask_rule(blocks, kernel)
+
+
+def test_block_vectors_is_the_mask_multiply_on_panels():
+    config = LatticeConfig(256, 12, dt=0.35)
+    kernel = _fuzz_kernel(config)
+    assert config.num_sites >= PANEL_MIN_SITES and kernel._panels is not None
+    _assert_core_is_the_mask_rule(_fuzz_blocks(config.num_sites, 12, 6, 40), kernel)
+
+
+def test_block_vectors_zeroes_a_step_that_is_not_c_ordered(monkeypatch):
+    # the closed entries are C-order flat indices: a step returned in Fortran
+    # order must still be zeroed in place, not in a reshaped copy
+    kernel = _fuzz_kernel(LatticeConfig(8, 6))
+    original = Kernel.apply
+    monkeypatch.setattr(
+        Kernel, "apply", lambda self, states: np.asfortranarray(original(self, states))
+    )
+    assert not kernel.apply(np.ones((8, 3), dtype=complex)).flags.c_contiguous
+    _assert_core_is_the_mask_rule(_fuzz_blocks(8, 6, 3, 64), kernel)
 
 
 @pytest.mark.parametrize("num_sites, num_steps, max_filters", [(8, 6, 3), (16, 24, 8)])

@@ -309,7 +309,9 @@ def test_small_N_direct_block_size_keeps_the_bits(
 
 def test_small_N_direct_memory_peak():
     # the 4^11-entry tensor alone takes 64 MiB; only the in-window moduli,
-    # 8 bytes each, and one block of about 2^16 coefficients are ever live
+    # 8 bytes each, one block of about 2^16 coefficients and, in a block of
+    # one leading entry, the index arrays of its leading count, 24 bytes per
+    # in-window trailing entry, are ever live
     psi = random_state(4, np.random.default_rng(25))
     in_window = sum(math.comb(11, c) * 3 ** (11 - c) for c in (2, 3))
     tracemalloc.start()

@@ -194,6 +194,24 @@ def test_overflowing_amplitude_warns_nothing(tmp_path, capsys):
     assert [c["passed"] for c in read_checks(tmp_path / "amp")] == [False]
 
 
+@pytest.mark.parametrize("filter_time", [1, 2, 3])
+def test_overflow_through_a_filter_exits_2(tmp_path, capsys, filter_time):
+    # the amplitudes overflow at step 2, before, at and after a filter that
+    # closes site 2: a closed site is set to 0, never multiplied, and the
+    # overflow still reaches every strategy's value as a NaN deviation
+    kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
+    kernel_path.write_text(json.dumps({"L": 3, "entries": [[1e200, 0.0]] * 9}))
+    save_setup(Setup(Event(0, 0), Event(1, 4), (FilterSpec(filter_time, (0, 1)),)), setup_path)
+    argv = ["amplitude", "--setup", str(setup_path), "--kernel", str(kernel_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(tmp_path / "amp")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["consistency violation: nan"]
+    assert read_checks(tmp_path / "amp") == [
+        {"name": "consistency", "worst": None, "tol": 1e-10, "passed": False}
+    ]
+
+
 def _write_huge_one_step(tmp_path):
     # |1.5e308 (1 + i)| is past the float range: abs() of the amplitude raises
     kernel_path, setup_path = tmp_path / "kernel.json", tmp_path / "setup.json"
